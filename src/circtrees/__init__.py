@@ -19,7 +19,7 @@ from .arithmetic import (Decomposition, decompose, expected_coefficient,
                          sequence_a, square_free_part)
 from .chebyshev import (CertifiedRoots, IntPolynomial, build_even_char,
                         build_odd_char, cheb_eval_large, cheb_t, cheb_u,
-                        find_roots, tau_even, tau_even_u_form, tau_odd)
+                        find_roots, tau_closed_form, tau_even, tau_odd)
 from .errors import (CertificationError, CirctreesError,
                      DisconnectedGraphError, InternalConsistencyError,
                      OracleCeilingError, QuadratureError, RootRefinementError,
@@ -44,6 +44,6 @@ __all__ = [
     "component_count", "decompose", "eigenvalue", "expected_coefficient",
     "find_roots", "is_connected", "laplacian", "mahler_quadrature",
     "mahler_root_product", "multiplier_conjugate", "parse_spec", "sequence_a",
-    "square_free_part", "tau_even", "tau_even_u_form", "tau_odd",
+    "square_free_part", "tau_closed_form", "tau_even", "tau_odd",
     "tau_oracle", "thermo_limit",
 ]

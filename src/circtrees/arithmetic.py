@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 
 from . import chebyshev
-from .errors import DisconnectedGraphError, InternalConsistencyError, SpecError
-from .graph import canonicalize, component_count
+from .errors import DisconnectedGraphError, InternalConsistencyError
+from .graph import CirculantSpec, component_count
 
 
 def square_free_part(m):
@@ -102,16 +102,11 @@ def decompose(spec, tau):
 def family_spec(steps, family, n):
     """Canonical spec of the (steps, family) sweep at order n.
 
-    Raises :class:`SpecError` when the steps fold away from the nominal
-    family at this order (duplicate steps or diagonal conversion) and
-    :class:`DisconnectedGraphError` when disconnected.
+    Raises :class:`SpecError` below the family's smallest order, where the
+    steps fold away from the nominal family (duplicate steps or diagonal
+    conversion), and :class:`DisconnectedGraphError` when disconnected.
     """
-    diagonal = family == "diagonal"
-    spec = canonicalize(n, list(steps), diagonal=diagonal)
-    if spec.diagonal != diagonal or spec.steps != tuple(sorted(steps)) \
-            or spec.order != n:
-        raise SpecError(
-            f"steps {steps} fold away from the {family} family at order {n}")
+    spec = CirculantSpec(n, tuple(sorted(steps)), family == "diagonal")
     if component_count(spec) != 1:
         raise DisconnectedGraphError(
             f"{family} family {steps} is disconnected at order {n}", spec=spec)
@@ -127,9 +122,5 @@ def sequence_a(steps, family, orders):
     values = []
     for n in orders:
         spec = family_spec(steps, family, n)
-        if spec.diagonal:
-            tau = chebyshev.tau_odd(spec)
-        else:
-            tau = chebyshev.tau_even(spec)
-        values.append(decompose(spec, tau).a)
+        values.append(decompose(spec, chebyshev.tau_closed_form(spec)).a)
     return values

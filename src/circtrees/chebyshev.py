@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import (CertificationError, DisconnectedGraphError,
                      InternalConsistencyError, RootRefinementError)
+from .graph import family_components
 
 MAX_CERTIFY_BITS = 8192
 INTEGRALITY_TOL_BITS = 20
@@ -149,31 +150,13 @@ class IntPolynomial:
         pick up a denominator; used only where exact divisibility is an
         algebraic identity.
         """
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = [Fraction(c) for c in self.coeffs]
-        dv = divisor.coeffs
-        dd = len(dv) - 1
-        lead = Fraction(dv[-1])
-        quot = [Fraction(0)] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            f = rem[i] / lead
-            quot[i - dd] = f
-            if f:
-                for j, d in enumerate(dv):
-                    rem[i - dd + j] -= f * d
-        qints, rints = [], []
-        for f in quot:
-            if f.denominator != 1:
+        quot, rem = _rational_divmod(self, divisor)
+        for name, part in (("quotient", quot), ("remainder", rem)):
+            if any(f.denominator != 1 for f in part):
                 raise InternalConsistencyError(
-                    f"non-integer quotient dividing {self} by {divisor}")
-            qints.append(f.numerator)
-        for f in rem[:dd] if dd > 0 else []:
-            if f.denominator != 1:
-                raise InternalConsistencyError(
-                    f"non-integer remainder dividing {self} by {divisor}")
-            rints.append(f.numerator)
-        return IntPolynomial(qints), IntPolynomial(rints)
+                    f"non-integer {name} dividing {self} by {divisor}")
+        return (IntPolynomial([f.numerator for f in quot]),
+                IntPolynomial([f.numerator for f in rem]))
 
     def div_exact(self, divisor):
         """Exact quotient; the remainder must vanish."""
@@ -211,22 +194,31 @@ def poly_gcd(a, b):
     return a
 
 
-def _rational_mod(a, b):
-    """Remainder of a by b over Q, cleared to a primitive integer polynomial."""
+def _rational_divmod(a, b):
+    """Long division of a by b over Q.
+
+    Returns (quotient, remainder) as lists of Fractions, lowest degree
+    first; the remainder list is cut to deg b entries.
+    """
+    if b.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
     rem = [Fraction(c) for c in a.coeffs]
     dv = b.coeffs
     dd = len(dv) - 1
     lead = Fraction(dv[-1])
+    quot = [Fraction(0)] * max(len(rem) - dd, 0)
     for i in range(len(rem) - 1, dd - 1, -1):
         f = rem[i] / lead
+        quot[i - dd] = f
         if f:
             for j, d in enumerate(dv):
                 rem[i - dd + j] -= f * d
-    rem = rem[:dd] if dd > 0 else []
-    while rem and rem[-1] == 0:
-        rem.pop()
-    if not rem:
-        return IntPolynomial([])
+    return quot, rem[:dd]
+
+
+def _rational_mod(a, b):
+    """Remainder of a by b over Q, cleared to an integer polynomial."""
+    rem = _rational_divmod(a, b)[1]
     denom = math.lcm(*(f.denominator for f in rem))
     return IntPolynomial([int(f * denom) for f in rem])
 
@@ -308,23 +300,6 @@ def cheb_eval_large(w, n, precision=None):
         b = z - s
     bn = b ** n
     return (bn + 1 / bn) / 2
-
-
-def cheb_u_eval_large(w, m, precision=None):
-    """U_m(w) via (b^{m+1} - b^{-(m+1)}) / (b - b^{-1}), |b| >= 1 branch."""
-    if precision is not None:
-        with mp.workprec(precision):
-            return cheb_u_eval_large(w, m)
-    z = _to_mpc(w)
-    s = mp.sqrt(z * z - 1)
-    if s == 0:  # w = +/-1
-        sign = 1 if z.real > 0 else -1
-        return mp.mpc((m + 1) * sign ** m)
-    b = z + s
-    if abs(b) < 1:
-        b = z - s
-    bn = b ** (m + 1)
-    return (bn - 1 / bn) / (b - 1 / b)
 
 
 @dataclass(frozen=True)
@@ -446,15 +421,6 @@ def build_odd_char(steps):
     return p
 
 
-def _family_connected(steps, n, diagonal):
-    g = 0
-    for s in steps:
-        g = math.gcd(g, s)
-    if diagonal:
-        g = math.gcd(g, n)
-    return math.gcd(g, n if not diagonal else 2 * n) == 1
-
-
 def _headroom_bits(char_polys, n, prefactor):
     """Upper estimate of log2 of the certified product, from double roots."""
     bits = math.log2(max(prefactor, 1)) + 8
@@ -475,10 +441,15 @@ def _certified_integer(evaluate, divisor, initial_bits, what):
 
     Accepts when the value is within 2^-20 of a positive integer divisible
     by ``divisor`` and recomputation at doubled precision reproduces it;
-    otherwise doubles the working precision up to MAX_CERTIFY_BITS.
+    otherwise doubles the working precision up to MAX_CERTIFY_BITS.  A
+    starting precision already above that cap is refused without an attempt.
     """
     tol = mp.mpf(2) ** (-INTEGRALITY_TOL_BITS)
     bits = max(initial_bits, 128)
+    if bits > MAX_CERTIFY_BITS:
+        raise CertificationError(
+            f"{what} not attempted: needs about {bits} bits, above the "
+            f"{MAX_CERTIFY_BITS}-bit cap")
     while bits <= MAX_CERTIFY_BITS:
         try:
             # rounding and comparison must run at full precision: the
@@ -510,7 +481,7 @@ def _require_family(spec, diagonal, n):
         n = spec.order
     if n < 2:
         raise ValueError(f"order {n} too small")
-    if not _family_connected(spec.steps, n, diagonal):
+    if family_components(spec.steps, n) != 1:
         raise DisconnectedGraphError(
             f"steps {spec.steps} give a disconnected graph at order {n}",
             spec=spec)
@@ -577,28 +548,13 @@ def tau_odd(spec, n=None):
     return _certified_integer(evaluate, q, start, f"tau_odd({spec}, n={n})")
 
 
-def tau_even_u_form(spec, n=None):
-    """Even-valency count via n * |prod_p U_{n-1}(sqrt((w_p+1)/2))|^2.
+def tau_closed_form(spec, n=None):
+    """Spanning-tree count of the family of ``spec`` at order ``n``.
 
-    Algebraically identical to :func:`tau_even`; kept as an independent
-    evaluation path for cross-checking.
+    The closed form of the spec's family: :func:`tau_odd` for diagonal
+    specs, :func:`tau_even` otherwise.
     """
-    n = _require_family(spec, False, n)
-    char = build_even_char(spec.steps)
-
-    def evaluate(bits):
-        with mp.workprec(bits):
-            product = mp.mpc(1)
-            if char.degree >= 1:
-                for w, mult in zip(*_roots_with_mults(char, bits)):
-                    x = mp.sqrt((w + 1) / 2)
-                    product *= cheb_u_eval_large(x, n - 1) ** mult
-            return abs(product) ** 2
-
-    start = 128 + _headroom_bits([char], n, n)
-    squared = _certified_integer(
-        evaluate, 1, start, f"tau_even_u_form({spec}, n={n})")
-    return n * squared
+    return (tau_odd if spec.diagonal else tau_even)(spec, n)
 
 
 def _roots_with_mults(poly, bits):

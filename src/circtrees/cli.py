@@ -16,8 +16,9 @@ lines, CSV, or an aligned table; every row carries the full field set with
 explicit nulls, and big integers are decimal strings so nothing truncates
 downstream.
 
-Exit codes: 0 ok, 1 verification failure, 2 parse error, 3 disconnected
-graph, 4 certification failure, 5 I/O error.
+Exit codes: 0 ok, 1 verification failure, 2 parse error or invalid input,
+3 disconnected graph, 4 certification failure, 5 I/O error, 6 internal
+error.
 """
 
 import argparse
@@ -31,8 +32,9 @@ import time
 
 from . import arithmetic, chebyshev, exact, graph, mahler
 from .errors import (CertificationError, CirctreesError,
-                     DisconnectedGraphError, OracleCeilingError,
-                     QuadratureError, SpecError, SpecParseError)
+                     DisconnectedGraphError, InternalConsistencyError,
+                     OracleCeilingError, QuadratureError, RootRefinementError,
+                     SpecError, SpecParseError)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -40,6 +42,7 @@ EXIT_PARSE = 2
 EXIT_DISCONNECTED = 3
 EXIT_CERTIFICATION = 4
 EXIT_IO = 5
+EXIT_INTERNAL = 6
 
 RECORD_FIELDS = ("spec", "n", "family", "tau", "coefficient", "a",
                  "mahler", "ratio", "timings")
@@ -119,24 +122,21 @@ def _timed(flag, started):
     return {"seconds": round(time.perf_counter() - started, 6)}
 
 
-def _tau_formula(spec):
-    if spec.diagonal:
-        return chebyshev.tau_odd(spec)
-    return chebyshev.tau_even(spec)
+def _emit_disconnected(spec, args, started):
+    """Emit the tau = 0 row of a disconnected spec; returns the exit code."""
+    _emit([make_record(spec=spec.literal, n=spec.order, family=spec.family,
+                       tau="0", timings=_timed(args.timings, started))], args)
+    return EXIT_DISCONNECTED
 
 
 def cmd_tau(args):
     spec = graph.parse_spec(args.spec)
     started = time.perf_counter()
-    if graph.component_count(spec) != 1:
-        rows = [make_record(spec=spec.literal, n=spec.order,
-                            family=spec.family, tau="0",
-                            timings=_timed(args.timings, started))]
-        _emit(rows, args)
-        return EXIT_DISCONNECTED
+    if not graph.is_connected(spec):
+        return _emit_disconnected(spec, args, started)
     values = {}
     if args.method in ("formula", "both"):
-        values["formula"] = _tau_formula(spec)
+        values["formula"] = chebyshev.tau_closed_form(spec)
     if args.method in ("oracle", "both"):
         values["oracle"] = exact.tau_oracle(spec, ceiling=args.oracle_ceiling)
     distinct = sorted(set(values.values()))
@@ -153,20 +153,23 @@ def cmd_tau(args):
 
 def _verify_one(spec, ceiling):
     """Run the three checks on one connected spec; returns (ok, detail)."""
-    formula = _tau_formula(spec)
+    formula = chebyshev.tau_closed_form(spec)
     notes = []
     ok = True
     n_vertices = spec.vertex_count
+    # resolved here so that a malformed CIRC_ORACLE_CEILING fails the run
+    # instead of reading as a skip below
     limit = ceiling if ceiling is not None else exact.oracle_ceiling()
-    if n_vertices <= limit:
+    try:
         oracle = exact.tau_oracle(spec, ceiling=limit)
+    except OracleCeilingError:
+        notes.append("oracle skipped (ceiling)")
+    else:
         if oracle != formula:
             ok = False
             notes.append(f"formula {formula} != oracle {oracle}")
         else:
             notes.append("formula=oracle")
-    else:
-        notes.append("oracle skipped (ceiling)")
     try:
         dec = arithmetic.decompose(spec, formula)
         expected = arithmetic.expected_coefficient(spec)
@@ -181,7 +184,7 @@ def _verify_one(spec, ceiling):
     r = next(r for r in range(2, n_vertices + 1)
              if math.gcd(r, n_vertices) == 1)
     conj = graph.multiplier_conjugate(spec, r)
-    conj_tau = _tau_formula(conj)
+    conj_tau = chebyshev.tau_closed_form(conj)
     if conj_tau != formula:
         ok = False
         notes.append(f"conjugate {conj} gave {conj_tau}")
@@ -206,9 +209,10 @@ def cmd_verify(args):
         if not m:
             raise SpecParseError(f"cannot parse pattern {args.pattern!r}")
         steps = _parse_steps(m.group(1).replace(" ", ""))
-        family = "diagonal" if m.group(2) else "even"
-        lo = steps[-1] + 1 if family == "diagonal" else 2 * steps[-1] + 1
-        orders = range(lo, args.n_max + 1)
+        diagonal = m.group(2) is not None
+        family = "diagonal" if diagonal else "even"
+        orders = range(graph.CirculantSpec.smallest_order(steps, diagonal),
+                       args.n_max + 1)
     else:
         spec = graph.parse_spec(args.pattern)
         steps, family, orders = spec.steps, spec.family, [spec.order]
@@ -220,9 +224,6 @@ def cmd_verify(args):
             spec = arithmetic.family_spec(steps, family, n)
         except DisconnectedGraphError:
             print(f"n={n:4d}  skip (disconnected)")
-            continue
-        except SpecError as exc:
-            print(f"n={n:4d}  skip ({exc})")
             continue
         ok, detail = _verify_one(spec, args.oracle_ceiling)
         checked += 1
@@ -273,22 +274,14 @@ def cmd_asymptote(args):
     started = time.perf_counter()
     measure = mahler.mahler_root_product(
         mahler.associated_laurent(steps, args.family))
-    template = mahler._family_template(steps, args.family)
     rows = []
     for n in args.n:
         try:
-            if args.family == "even":
-                tau = chebyshev.tau_even(template, n)
-            else:
-                tau = chebyshev.tau_odd(template, n)
-            ratio = mahler.asymptotic_ratio(steps, args.family, n,
-                                            measure=measure)
+            tau = mahler._family_tau(steps, args.family, n)
         except DisconnectedGraphError:
-            rows.append(make_record(spec=_family_pattern(steps, args.family),
-                                    n=n, family=args.family, tau="0",
-                                    mahler=measure.value,
-                                    timings=_timed(args.timings, started)))
-            continue
+            tau, ratio = 0, None
+        else:
+            ratio = mahler._growth_ratio(tau, steps, args.family, n, measure)
         rows.append(make_record(spec=_family_pattern(steps, args.family),
                                 n=n, family=args.family, tau=str(tau),
                                 mahler=measure.value, ratio=ratio,
@@ -300,12 +293,9 @@ def cmd_asymptote(args):
 def cmd_decompose(args):
     spec = graph.parse_spec(args.spec)
     started = time.perf_counter()
-    if graph.component_count(spec) != 1:
-        _emit([make_record(spec=spec.literal, n=spec.order,
-                           family=spec.family, tau="0",
-                           timings=_timed(args.timings, started))], args)
-        return EXIT_DISCONNECTED
-    tau = _tau_formula(spec)
+    if not graph.is_connected(spec):
+        return _emit_disconnected(spec, args, started)
+    tau = chebyshev.tau_closed_form(spec)
     dec = arithmetic.decompose(spec, tau)
     _emit([make_record(spec=spec.literal, n=spec.order, family=spec.family,
                        tau=str(tau), coefficient=dec.coefficient,
@@ -322,7 +312,7 @@ def cmd_sequence(args):
     for n in args.n:
         try:
             spec = arithmetic.family_spec(steps, args.family, n)
-            tau = _tau_formula(spec)
+            tau = chebyshev.tau_closed_form(spec)
             dec = arithmetic.decompose(spec, tau)
         except (SpecError, DisconnectedGraphError):
             rows.append(make_record(spec=_family_pattern(steps, args.family),
@@ -443,9 +433,16 @@ def main(argv=None):
     except DisconnectedGraphError as exc:
         print(f"disconnected: {exc}", file=sys.stderr)
         return EXIT_DISCONNECTED
-    except (CertificationError, QuadratureError, OracleCeilingError) as exc:
+    except (CertificationError, RootRefinementError, QuadratureError,
+            OracleCeilingError) as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
+    except InternalConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except ValueError as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -37,20 +37,26 @@ def oracle_ceiling():
 def bareiss_determinant(matrix):
     """Exact determinant of a square integer matrix, fraction-free.
 
-    Sequential pivoting only: a vanishing pivot is taken to mean a singular
-    (here: disconnected) input and yields 0.  The reduced Laplacian of a
-    connected graph has strictly positive leading minors, so its pivots
-    never vanish.
+    A vanishing pivot is replaced by swapping in a lower row with a nonzero
+    entry in that column, flipping the sign; only a column with no such
+    entry makes the matrix singular and yields 0.  The reduced Laplacian of
+    a connected graph has strictly positive leading minors, so its pivots
+    never vanish and no swap happens.
     """
     m = len(matrix)
     if m == 0:
         return 1
     a = [list(row) for row in matrix]
     prev = 1
+    sign = 1
     for k in range(m - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, m) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
         pivot = a[k][k]
-        if pivot == 0:
-            return 0
         for i in range(k + 1, m):
             aik = a[i][k]
             rowi = a[i]
@@ -58,7 +64,7 @@ def bareiss_determinant(matrix):
             for j in range(k + 1, m):
                 rowi[j] = (rowi[j] * pivot - aik * rowk[j]) // prev
         prev = pivot
-    return a[m - 1][m - 1]
+    return sign * a[m - 1][m - 1]
 
 
 def tau_oracle(spec, ceiling=None):

@@ -43,19 +43,22 @@ class CirculantSpec:
             raise SpecError(f"steps must be strictly increasing: {self.steps}")
         if self.steps[0] < 1:
             raise SpecError(f"steps must be positive: {self.steps}")
-        n = self.order
-        if self.diagonal:
-            if n < 2:
-                raise SpecError("diagonal spec needs half-order >= 2")
-            if self.steps[-1] >= n:
-                raise SpecError(
-                    f"diagonal spec requires s_k < {n}, got {self.steps[-1]}")
-        else:
-            if n < 3:
-                raise SpecError("even-valency spec needs order >= 3")
-            if 2 * self.steps[-1] >= n:
-                raise SpecError(
-                    f"even-valency spec requires s_k < {n}/2, got {self.steps[-1]}")
+        lo = self.smallest_order(self.steps, self.diagonal)
+        if self.order < lo:
+            raise SpecError(
+                f"{self.family} spec with s_k = {self.steps[-1]} needs order "
+                f">= {lo}, got {self.order}")
+
+    @staticmethod
+    def smallest_order(steps, diagonal=False):
+        """Smallest order at which the (steps, family) family keeps every step.
+
+        It is 2 s_k + 1 for even valency and half-order s_k + 1 for the
+        diagonal family; below it the steps fold together or onto the
+        diagonal step, so the graph leaves the family.
+        """
+        s_k = max(steps)
+        return s_k + 1 if diagonal else 2 * s_k + 1
 
     @property
     def vertex_count(self):
@@ -136,14 +139,19 @@ def parse_spec(literal):
         raise SpecParseError(f"invalid spec {literal!r}: {exc}") from exc
 
 
+def family_components(steps, n):
+    """Connected components of the family with these steps at order ``n``.
+
+    This is gcd(steps, n) in both families: for the diagonal family ``n``
+    is the half-order, and the diagonal step n adds nothing to the gcd
+    with the vertex count 2n.
+    """
+    return math.gcd(n, *steps)
+
+
 def component_count(spec):
-    """Number of connected components: gcd of all steps and the vertex count."""
-    g = 0
-    for s in spec.steps:
-        g = math.gcd(g, s)
-    if spec.diagonal:
-        g = math.gcd(g, spec.order)
-    return math.gcd(g, spec.vertex_count)
+    """Number of connected components of ``spec``."""
+    return family_components(spec.steps, spec.order)
 
 
 def is_connected(spec):

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .chebyshev import IntPolynomial, find_roots, tau_even, tau_odd
-from .errors import (CertificationError, DisconnectedGraphError,
-                     QuadratureError)
+from .chebyshev import IntPolynomial, find_roots, tau_closed_form
+from .errors import CertificationError, QuadratureError
 from .graph import CirculantSpec
 
 _MAX_MEASURE_BITS = 4096
@@ -221,11 +220,22 @@ def mahler_quadrature(spectrum, tol=1e-10, max_panels=4096):
         f"within {max_panels} panels")
 
 
-def _family_template(steps, family):
-    steps = tuple(sorted(steps))
-    if family == "even":
-        return CirculantSpec(2 * steps[-1] + 1, steps, diagonal=False)
-    return CirculantSpec(steps[-1] + 1, steps, diagonal=True)
+def _family_tau(steps, family, n):
+    """tau of the (steps, family) family at order ``n`` by its closed form."""
+    diagonal = family == "diagonal"
+    spec = CirculantSpec(CirculantSpec.smallest_order(steps, diagonal), steps,
+                         diagonal)
+    return tau_closed_form(spec, n)
+
+
+def _growth_ratio(tau, steps, family, n, measure):
+    """tau q / (n d^2 M^n), with 2q in place of q for the diagonal family."""
+    q = sum(s * s for s in steps)
+    if family == "diagonal":
+        q *= 2
+    return math.exp(math.log(tau) + math.log(q) - math.log(n)
+                    - 2 * math.log(math.gcd(*steps))
+                    - n * measure.small_measure)
 
 
 def asymptotic_ratio(steps, family, n, measure=None):
@@ -236,23 +246,10 @@ def asymptotic_ratio(steps, family, n, measure=None):
     disconnected and rejected.
     """
     steps = tuple(sorted(steps))
-    d = math.gcd(*steps)
-    if math.gcd(d, n) != 1:
-        raise DisconnectedGraphError(
-            f"family {steps} is disconnected at order {n}")
-    q = sum(s * s for s in steps)
-    template = _family_template(steps, family)
+    tau = _family_tau(steps, family, n)
     if measure is None:
         measure = mahler_root_product(associated_laurent(steps, family))
-    if family == "even":
-        tau = tau_even(template, n)
-        log_ratio = (math.log(tau) + math.log(q) - math.log(n)
-                     - 2 * math.log(d) - n * measure.small_measure)
-    else:
-        tau = tau_odd(template, n)
-        log_ratio = (math.log(tau) + math.log(2 * q) - math.log(n)
-                     - 2 * math.log(d) - n * measure.small_measure)
-    return math.exp(log_ratio)
+    return _growth_ratio(tau, steps, family, n, measure)
 
 
 @dataclass(frozen=True)
@@ -269,12 +266,5 @@ def thermo_limit(steps, family, orders, measure=None):
     steps = tuple(sorted(steps))
     if measure is None:
         measure = mahler_root_product(associated_laurent(steps, family))
-    template = _family_template(steps, family)
-    values = []
-    for n in orders:
-        if family == "even":
-            tau = tau_even(template, n)
-        else:
-            tau = tau_odd(template, n)
-        values.append(math.log(tau) / n)
+    values = [math.log(_family_tau(steps, family, n)) / n for n in orders]
     return ThermoSeries(tuple(orders), tuple(values), measure.small_measure)

@@ -20,7 +20,6 @@ from circtrees import (associated_laurent, asymptotic_ratio, canonicalize,
                        tau_even, tau_odd, tau_oracle)
 from circtrees.arithmetic import family_spec
 from circtrees.errors import DisconnectedGraphError, SpecError
-from circtrees.mahler import _family_template
 
 EVEN_N_MAX = 40
 EVEN_STEP_POOL = (1, 2, 3, 4, 5)

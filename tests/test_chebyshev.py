@@ -6,12 +6,12 @@ from itertools import combinations
 import mpmath as mp
 import pytest
 
-from circtrees import (DisconnectedGraphError, IntPolynomial, build_even_char,
-                       build_odd_char, canonicalize, cheb_eval_large, cheb_t,
-                       cheb_u, find_roots, parse_spec, tau_even,
-                       tau_even_u_form, tau_odd, tau_oracle)
-from circtrees.chebyshev import (cheb_u_eval_large, poly_gcd,
-                                 square_free_decomposition)
+from circtrees import (CertificationError, DisconnectedGraphError,
+                       IntPolynomial, build_even_char, build_odd_char,
+                       canonicalize, cheb_eval_large, cheb_t, cheb_u,
+                       find_roots, parse_spec, tau_closed_form, tau_even,
+                       tau_odd, tau_oracle)
+from circtrees.chebyshev import poly_gcd, square_free_decomposition
 
 W = IntPolynomial([0, 1])
 STEP_SETS = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 4), (2, 5),
@@ -111,12 +111,14 @@ class TestQuantumEvaluation:
             assert abs(cheb_eval_large(z, 9) - direct) < 1e-40
 
     def test_second_kind_evaluation(self):
+        # T_m = (U_m - U_{m-2}) / 2 checks the evaluator against U_m,
+        # including at the branch points w = +/-1
+        assert cheb_u(4)(2) == 209
+        assert cheb_u(6)(1) == 7 and cheb_u(6)(-1) == 7
         with mp.workprec(128):
-            assert abs(cheb_u_eval_large(2, 4) - cheb_u(4)(2)) < 1e-30
-            assert cheb_u_eval_large(1, 6).real == 7  # U_6(1) = 7
-            assert cheb_u_eval_large(-1, 6).real == 7  # (-1)^6 * 7
-            assert abs(cheb_u_eval_large(mp.mpc(0, 0.5), 4)
-                       - cheb_u(4)(mp.mpc(0, 0.5))) < 1e-30
+            for w, m in ((2, 6), (1, 6), (-1, 6), (mp.mpc(0, 0.5), 6)):
+                u_form = (cheb_u(m)(w) - cheb_u(m - 2)(w)) / 2
+                assert abs(cheb_eval_large(w, m) - u_form) < 1e-30
 
 
 class TestCharacteristicPolynomials:
@@ -213,11 +215,21 @@ class TestClosedFormCounts:
         assert tau_odd(canonicalize(6, [2, 3])) == 75       # prism, n=3
         assert tau_odd(canonicalize(6, [1, 2, 3])) == 1296  # K_6
 
-    def test_u_form_matches(self):
-        assert tau_even_u_form(canonicalize(5, [1, 2])) == 125
-        assert tau_even_u_form(canonicalize(9, [1])) == 9
+    def test_closed_form_dispatch(self):
+        assert tau_closed_form(canonicalize(5, [1, 2])) == 125
+        assert tau_closed_form(canonicalize(9, [1])) == 9
         spec = canonicalize(7, [2, 3])
-        assert tau_even_u_form(spec) == tau_oracle(spec) == tau_even(spec)
+        assert tau_closed_form(spec) == tau_oracle(spec) == tau_even(spec)
+        moebius = parse_spec("C3(1;d)")
+        assert tau_closed_form(moebius) == tau_odd(moebius) == 81
+        assert tau_closed_form(moebius, 5) == tau_odd(moebius, 5)
+        with pytest.raises(DisconnectedGraphError):
+            tau_closed_form(canonicalize(9, [2, 4]), 12)
+
+    def test_over_cap_refused_without_attempt(self):
+        with pytest.raises(CertificationError,
+                           match="not attempted: needs about 9264 bits"):
+            tau_even(canonicalize(3000, [1, 2, 3, 4, 5]))
 
     @pytest.mark.parametrize("steps", [(1,), (1, 2), (1, 3), (2, 3), (1, 4),
                                        (2, 5), (1, 2, 3), (1, 2, 5)])

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -61,6 +62,17 @@ class TestTau:
         code, _, err = run_cli(capsys, "tau", "C16(1,2,7)", "--method",
                                "oracle", "--oracle-ceiling", "8")
         assert code == 4 and "certification" in err
+
+    def test_invalid_order_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "asymptote", "1,2", "--n", "1..6")
+        assert code == 2 and out == "" and "order 1 too small" in err
+
+    def test_internal_error_exit_6(self, capsys, monkeypatch):
+        # a count that is not c n a^2 breaks a theorem: an internal error,
+        # not a verification failure
+        monkeypatch.setattr("circtrees.chebyshev.tau_even", lambda spec, n: 7)
+        code, _, err = run_cli(capsys, "decompose", "C12(1,3)")
+        assert code == 6 and "internal error" in err
 
     def test_big_count_roundtrips_exactly(self, capsys):
         code, out, _ = run_cli(capsys, "tau", "C16(1,2,7)", "--method",
@@ -225,5 +237,5 @@ class TestEntryPoint:
             [sys.executable, "-m", "circtrees", "tau", "C16(1,2,7)",
              "--method", "oracle"],
             capture_output=True, text=True,
-            env={"PATH": "", "CIRC_ORACLE_CEILING": "8"})
+            env={**os.environ, "CIRC_ORACLE_CEILING": "8"})
         assert proc.returncode == 4

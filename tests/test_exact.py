@@ -44,8 +44,12 @@ class TestBareiss:
                 assert bareiss_determinant(m) == cofactor_det(m), m
 
     def test_zero_pivot_reports_singular(self):
-        # leading zero pivot: sequential pivoting treats it as singular
-        assert bareiss_determinant([[0, 1], [1, 0]]) == 0
+        # a zero pivot of a nonsingular matrix swaps rows; only a zero
+        # column below the pivot means singular
+        assert bareiss_determinant([[0, 1], [1, 0]]) == -1
+        m = [[0, 2, 1], [1, 0, 0], [0, 1, 3]]
+        assert bareiss_determinant(m) == cofactor_det(m) == -5
+        assert bareiss_determinant([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
 
     def test_big_integer_growth_is_exact(self):
         # Vandermonde determinant has a closed form
