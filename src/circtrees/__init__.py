@@ -6,8 +6,9 @@ Functionality is organized along independent, cross-validating routes:
   Laplacians, eigenvalues;
 * :mod:`circtrees.exact` -- ground-truth counts via Bareiss fraction-free
   determinants (matrix-tree theorem);
-* :mod:`circtrees.chebyshev` -- integer Chebyshev algebra and certified
-  closed-form counts for both valency families;
+* :mod:`circtrees.chebyshev` -- integer Chebyshev algebra, exact
+  resultant closed-form counts for both valency families, and the certified
+  Chebyshev products that cross-check them;
 * :mod:`circtrees.arithmetic` -- square-free decompositions
   tau = c n a(n)^2 and the integer sequences a(n);
 * :mod:`circtrees.mahler` -- Mahler measures of the associated Laurent

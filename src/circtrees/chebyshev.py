@@ -17,13 +17,16 @@ Chebyshev polynomials of the first kind:
   with P(w) = 2k + 1 - 2 sum_j T_{s_j}(w), u_p the roots of P(u) = 1 other
   than u = 1 (removed by exact division), and v_p the roots of P(v) = -1.
 
-Both products are transcendental numbers that happen to be integers.  They
-are evaluated in arbitrary-precision floating point and *certified*: the
-value must sit within 2^-20 of an integer with the right divisibility, and
-recomputation at doubled precision must reproduce the same integer,
-otherwise the precision escalates (up to a hard cap) and finally fails
-loudly.  Correctness is anchored by agreement with the exact determinant
-oracle in :mod:`circtrees.exact` at small sizes.
+Both products are norms of algebraic integers, and
+:func:`tau_closed_form`, the method of record, computes them as such: as
+determinants over the integers, with no floating point and no size limit.
+:func:`tau_even` and :func:`tau_odd` keep the products in the form above as
+the independent cross-check.  They are evaluated in arbitrary-precision
+floating point and *certified*: the value must sit within 2^-20 of an
+integer with the right divisibility, and recomputation at doubled precision
+must reproduce the same integer, otherwise the precision escalates (up to a
+hard cap) and finally fails loudly.  Correctness is anchored by agreement
+with the exact determinant oracle in :mod:`circtrees.exact` at small sizes.
 """
 
 import math
@@ -36,6 +39,7 @@ import numpy as np
 
 from .errors import (CertificationError, DisconnectedGraphError,
                      InternalConsistencyError, RootRefinementError)
+from .exact import bareiss_determinant
 from .graph import family_components
 
 MAX_CERTIFY_BITS = 8192
@@ -548,13 +552,84 @@ def tau_odd(spec, n=None):
     return _certified_integer(evaluate, q, start, f"tau_odd({spec}, n={n})")
 
 
-def tau_closed_form(spec, n=None):
-    """Spanning-tree count of the family of ``spec`` at order ``n``.
+def _ordinary_image(steps, shift=0):
+    """IntPolynomial image z^{s_k} * (2k + shift - sum_i (z^{s_i}+z^{-s_i}))."""
+    smax = max(steps)
+    coeffs = [0] * (2 * smax + 1)
+    coeffs[smax] = 2 * len(steps) + shift
+    for s in steps:
+        coeffs[smax + s] -= 1
+        coeffs[smax - s] -= 1
+    return IntPolynomial(coeffs)
 
-    The closed form of the spec's family: :func:`tau_odd` for diagonal
-    specs, :func:`tau_even` otherwise.
+
+def _reduce(coeffs, monic):
+    """Coefficient list (lowest first) reduced modulo a monic polynomial."""
+    d = len(monic) - 1
+    c = coeffs + [0] * (d - len(coeffs))
+    for i in range(len(c) - 1, d - 1, -1):
+        top = c[i]
+        if top:
+            for j in range(d):
+                c[i - d + j] -= top * monic[j]
+    return c[:d]
+
+
+def _power_norm(modulus, n, shift):
+    """prod (r^n + shift) over the roots r of ``modulus``, exactly.
+
+    ``modulus`` has leading coefficient +-1, so Z[z]/(modulus) is free with
+    basis 1, z, ..., z^{d-1}.  z^n is reduced in it by binary powering over
+    the integers, and the norm is the determinant of multiplication by
+    z^n + shift in that basis.  A constant modulus has no roots: norm 1.
     """
-    return (tau_odd if spec.diagonal else tau_even)(spec, n)
+    if abs(modulus.leading) != 1:
+        raise InternalConsistencyError(
+            f"{modulus} does not have leading coefficient +-1")
+    d = modulus.degree
+    if d < 1:
+        return 1
+    monic = [c * modulus.leading for c in modulus.coeffs]
+    power = [1]
+    for bit in bin(n)[2:]:
+        square = list((IntPolynomial(power) * IntPolynomial(power)).coeffs)
+        power = _reduce([0] + square if bit == "1" else square, monic)
+    power[0] += shift
+    rows = [power]
+    for _ in range(d - 1):
+        rows.append(_reduce([0] + rows[-1], monic))
+    return bareiss_determinant(rows)
+
+
+def tau_closed_form(spec, n=None):
+    """Spanning-tree count of the family of ``spec`` at order ``n``, exactly.
+
+    Write p_L = z^{s_k} L(z) = -(z - 1)^2 Q(z) and Q_2 = z^{s_k} (L + 2);
+    both have leading coefficient +-1.  The Chebyshev products of
+    :func:`tau_even` and :func:`tau_odd` are then norms over their roots:
+
+        even:     tau(n) = n |prod_Q (r^n - 1)| / q
+        diagonal: tau(n) = n |prod_Q (r^n - 1)| |prod_Q_2 (r^n + 1)| / 2q
+
+    each an integer determinant, so no precision is involved and no count
+    is too large.  ``n`` and the errors are as for :func:`tau_even` and
+    :func:`tau_odd`; a count that is not a positive multiple of q (2q)
+    raises :class:`InternalConsistencyError`.
+    """
+    n = _require_family(spec, spec.diagonal, n)
+    steps = spec.steps
+    q = sum(s * s for s in steps)
+    reduced = _ordinary_image(steps).div_exact(IntPolynomial([-1, 2, -1]))
+    count = n * abs(_power_norm(reduced, n, -1))
+    if spec.diagonal:
+        q *= 2
+        count *= abs(_power_norm(_ordinary_image(steps, shift=2), n, 1))
+    tau, rest = divmod(count, q)
+    if tau <= 0 or rest:
+        raise InternalConsistencyError(
+            f"norm product {count} of {spec} at order {n} is not a positive "
+            f"multiple of {q}")
+    return tau
 
 
 def _roots_with_mults(poly, bits):

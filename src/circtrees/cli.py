@@ -3,7 +3,8 @@
 Subcommands
 -----------
 tau        spanning-tree count of one spec (formula, oracle, or both)
-verify     sweep a family: formula-vs-oracle, decomposition, conjugacy
+verify     sweep a family: formula vs certified product and oracle,
+           decomposition, conjugacy
 mahler     Mahler measure of a step set (root product and/or quadrature)
 asymptote  per-order ratio tau q / (n d^2 M^n) over a range
 decompose  square-free decomposition tau = c n a^2 of one spec
@@ -15,6 +16,16 @@ Ranges are inclusive, ``a..b``.  Rows go to stdout (or ``--out``) as JSON
 lines, CSV, or an aligned table; every row carries the full field set with
 explicit nulls, and big integers are decimal strings so nothing truncates
 downstream.
+
+In ``verify`` output the formula is the exact closed form
+(``tau_closed_form``), and ``formula=oracle`` means that it equals both the
+certified Chebyshev product (``tau_even``/``tau_odd``) and the determinant
+oracle.  A disagreement with the product reads ``exact X != chebyshev Y``;
+a count above the product's precision cap or the oracle's ceiling is noted
+``chebyshev skipped (cap)`` or ``oracle skipped (ceiling)``.
+
+``--timings`` gives each row the seconds spent since the previous row (the
+first row since the command started).
 
 Exit codes: 0 ok, 1 verification failure, 2 parse error or invalid input,
 3 disconnected graph, 4 certification failure, 5 I/O error, 6 internal
@@ -116,24 +127,34 @@ def _emit(rows, args):
         sys.stdout.write(text)
 
 
-def _timed(flag, started):
-    if not flag:
-        return None
-    return {"seconds": round(time.perf_counter() - started, 6)}
+def _row_timer(flag):
+    """Per-row timings: each call returns the seconds since the previous call
+    (the first since the timer was made), or None when ``flag`` is off."""
+    last = time.perf_counter()
+
+    def timed():
+        nonlocal last
+        if not flag:
+            return None
+        now = time.perf_counter()
+        seconds, last = now - last, now
+        return {"seconds": round(seconds, 6)}
+
+    return timed
 
 
-def _emit_disconnected(spec, args, started):
+def _emit_disconnected(spec, args, timed):
     """Emit the tau = 0 row of a disconnected spec; returns the exit code."""
     _emit([make_record(spec=spec.literal, n=spec.order, family=spec.family,
-                       tau="0", timings=_timed(args.timings, started))], args)
+                       tau="0", timings=timed())], args)
     return EXIT_DISCONNECTED
 
 
 def cmd_tau(args):
     spec = graph.parse_spec(args.spec)
-    started = time.perf_counter()
+    timed = _row_timer(args.timings)
     if not graph.is_connected(spec):
-        return _emit_disconnected(spec, args, started)
+        return _emit_disconnected(spec, args, timed)
     values = {}
     if args.method in ("formula", "both"):
         values["formula"] = chebyshev.tau_closed_form(spec)
@@ -141,7 +162,7 @@ def cmd_tau(args):
         values["oracle"] = exact.tau_oracle(spec, ceiling=args.oracle_ceiling)
     distinct = sorted(set(values.values()))
     rows = [make_record(spec=spec.literal, n=spec.order, family=spec.family,
-                        tau=str(value), timings=_timed(args.timings, started))
+                        tau=str(value), timings=timed())
             for value in distinct]
     _emit(rows, args)
     if len(distinct) > 1:
@@ -152,10 +173,24 @@ def cmd_tau(args):
 
 
 def _verify_one(spec, ceiling):
-    """Run the three checks on one connected spec; returns (ok, detail)."""
+    """Run the checks on one connected spec; returns (ok, detail).
+
+    The exact closed form must equal the certified Chebyshev product (unless
+    that is over its precision cap) and the oracle (unless over its ceiling),
+    then decompose as c n a^2 and match a multiplier conjugate's count.
+    """
     formula = chebyshev.tau_closed_form(spec)
     notes = []
     ok = True
+    certified_form = chebyshev.tau_odd if spec.diagonal else chebyshev.tau_even
+    try:
+        certified = certified_form(spec)
+    except CertificationError:
+        notes.append("chebyshev skipped (cap)")
+    else:
+        if certified != formula:
+            ok = False
+            notes.append(f"exact {formula} != chebyshev {certified}")
     n_vertices = spec.vertex_count
     # resolved here so that a malformed CIRC_ORACLE_CEILING fails the run
     # instead of reading as a skip below
@@ -245,17 +280,19 @@ def cmd_verify(args):
 
 def cmd_mahler(args):
     steps = _parse_steps(args.steps)
-    started = time.perf_counter()
+    timed = _row_timer(args.timings)
     spectrum = mahler.associated_laurent(steps, args.family)
-    estimates = []
+    estimates, timings = [], []
     if args.method in ("root-product", "both"):
         estimates.append(mahler.mahler_root_product(spectrum))
+        timings.append(timed())
     if args.method in ("quadrature", "both"):
         estimates.append(mahler.mahler_quadrature(spectrum))
+        timings.append(timed())
     rows = [make_record(spec=_family_pattern(steps, args.family),
                         family=args.family, mahler=est.value,
-                        timings=_timed(args.timings, started))
-            for est in estimates]
+                        timings=row_timings)
+            for est, row_timings in zip(estimates, timings)]
     _emit(rows, args)
     for est in estimates:
         print(f"# {est.method}: M={est.value!r} m={est.small_measure!r} "
@@ -271,7 +308,7 @@ def cmd_mahler(args):
 
 def cmd_asymptote(args):
     steps = _parse_steps(args.steps)
-    started = time.perf_counter()
+    timed = _row_timer(args.timings)
     measure = mahler.mahler_root_product(
         mahler.associated_laurent(steps, args.family))
     rows = []
@@ -285,28 +322,28 @@ def cmd_asymptote(args):
         rows.append(make_record(spec=_family_pattern(steps, args.family),
                                 n=n, family=args.family, tau=str(tau),
                                 mahler=measure.value, ratio=ratio,
-                                timings=_timed(args.timings, started)))
+                                timings=timed()))
     _emit(rows, args)
     return EXIT_OK
 
 
 def cmd_decompose(args):
     spec = graph.parse_spec(args.spec)
-    started = time.perf_counter()
+    timed = _row_timer(args.timings)
     if not graph.is_connected(spec):
-        return _emit_disconnected(spec, args, started)
+        return _emit_disconnected(spec, args, timed)
     tau = chebyshev.tau_closed_form(spec)
     dec = arithmetic.decompose(spec, tau)
     _emit([make_record(spec=spec.literal, n=spec.order, family=spec.family,
                        tau=str(tau), coefficient=dec.coefficient,
                        a=str(dec.a),
-                       timings=_timed(args.timings, started))], args)
+                       timings=timed())], args)
     return EXIT_OK
 
 
 def cmd_sequence(args):
     steps = _parse_steps(args.steps)
-    started = time.perf_counter()
+    timed = _row_timer(args.timings)
     rows = []
     values = {}
     for n in args.n:
@@ -317,13 +354,13 @@ def cmd_sequence(args):
         except (SpecError, DisconnectedGraphError):
             rows.append(make_record(spec=_family_pattern(steps, args.family),
                                     n=n, family=args.family,
-                                    timings=_timed(args.timings, started)))
+                                    timings=timed()))
             continue
         values[n] = dec.a
         rows.append(make_record(spec=_family_pattern(steps, args.family),
                                 n=n, family=args.family, tau=str(tau),
                                 coefficient=dec.coefficient, a=str(dec.a),
-                                timings=_timed(args.timings, started)))
+                                timings=timed()))
     _emit(rows, args)
     if args.check_recursion is None:
         return EXIT_OK

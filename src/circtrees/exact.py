@@ -7,12 +7,20 @@ entry is an exact minor of the original matrix, the final pivot is the
 determinant, and the interior division is exact at each step.  No rationals,
 no floating point.
 
+Circulant Laplacians are sparse, and the elimination is arranged so that
+the cost follows the nonzeros: the reduced Laplacian is put in reverse
+Cuthill-McKee order, which keeps its nonzeros near the diagonal (the
+antipodal step of the diagonal family otherwise spreads them over the whole
+matrix), and a row with a zero in the pivot column is left alone until it
+is next needed.
+
 This path is deliberately independent of the Chebyshev closed forms in
 :mod:`circtrees.chebyshev`; agreement between the two is the core
 correctness check of the package.
 """
 
 import os
+from collections import deque
 
 from .errors import OracleCeilingError
 from .graph import component_count, laplacian
@@ -42,29 +50,82 @@ def bareiss_determinant(matrix):
     entry makes the matrix singular and yields 0.  The reduced Laplacian of
     a connected graph has strictly positive leading minors, so its pivots
     never vanish and no swap happens.
+
+    At step k a row with a zero in column k is only multiplied by the pivot
+    and divided by the previous one.  Over consecutive skipped steps these
+    factors telescope, so such a row is left as it is and brought up to
+    date in one multiplication and one exact division when it is next used.
     """
     m = len(matrix)
     if m == 0:
         return 1
     a = [list(row) for row in matrix]
-    prev = 1
+    divisors = [1]  # divisors[k]: the divisor of step k, the previous pivot
+    level = [0] * m  # row i holds the values of step level[i]
     sign = 1
+
+    def bring_up(i, k):
+        low = level[i]
+        if low < k:
+            num, den = divisors[k], divisors[low]
+            row = a[i]
+            for j in range(k, m):
+                if row[j]:
+                    row[j] = row[j] * num // den
+            level[i] = k
+
     for k in range(m - 1):
         if a[k][k] == 0:
             swap = next((i for i in range(k + 1, m) if a[i][k] != 0), None)
             if swap is None:
                 return 0
             a[k], a[swap] = a[swap], a[k]
+            level[k], level[swap] = level[swap], level[k]
             sign = -sign
-        pivot = a[k][k]
+        bring_up(k, k)
+        rowk = a[k]
+        pivot, divisor = rowk[k], divisors[k]
         for i in range(k + 1, m):
-            aik = a[i][k]
             rowi = a[i]
-            rowk = a[k]
+            if rowi[k] == 0:
+                continue
+            bring_up(i, k)
+            aik = rowi[k]
             for j in range(k + 1, m):
-                rowi[j] = (rowi[j] * pivot - aik * rowk[j]) // prev
-        prev = pivot
+                if rowi[j] or rowk[j]:
+                    rowi[j] = (rowi[j] * pivot - aik * rowk[j]) // divisor
+            level[i] = k + 1
+        divisors.append(pivot)
+    bring_up(m - 1, m - 1)
     return sign * a[m - 1][m - 1]
+
+
+def _band_order(matrix):
+    """Reverse Cuthill-McKee order of the rows of a symmetric matrix.
+
+    Breadth-first search from a row of fewest off-diagonal nonzeros,
+    visiting neighbours by increasing count, reversed; every component is
+    searched.  Nonzeros of the reordered matrix lie near its diagonal.
+    """
+    neighbours = [[j for j, x in enumerate(row) if x and j != i]
+                  for i, row in enumerate(matrix)]
+    count = [len(ns) for ns in neighbours]
+    seen = [False] * len(matrix)
+    order = []
+    for start in sorted(range(len(matrix)), key=count.__getitem__):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for w in sorted(neighbours[v], key=count.__getitem__):
+                if not seen[w]:
+                    seen[w] = True
+                    queue.append(w)
+    order.reverse()
+    return order
 
 
 def tau_oracle(spec, ceiling=None):
@@ -82,7 +143,9 @@ def tau_oracle(spec, ceiling=None):
         return 0
     lap = laplacian(spec)
     reduced = [row[1:] for row in lap[1:]]
-    det = bareiss_determinant(reduced)
+    # a symmetric permutation keeps the determinant
+    order = _band_order(reduced)
+    det = bareiss_determinant([[reduced[i][j] for j in order] for i in order])
     if det < 0:
         # cannot happen for a reduced Laplacian; guard against misuse
         raise AssertionError(f"negative tree count {det} for {spec}")

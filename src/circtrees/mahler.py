@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .chebyshev import IntPolynomial, find_roots, tau_closed_form
+from .chebyshev import (IntPolynomial, _ordinary_image, find_roots,
+                        tau_closed_form)
 from .errors import CertificationError, QuadratureError
 from .graph import CirculantSpec
 
@@ -66,17 +67,6 @@ class MahlerEstimate:
     error_bound: float
     method: str
     small_measure: float
-
-
-def _ordinary_image(steps, shift=0):
-    """IntPolynomial image z^{s_k} * (2k + shift - sum_i (z^{s_i}+z^{-s_i}))."""
-    smax = max(steps)
-    coeffs = [0] * (2 * smax + 1)
-    coeffs[smax] = 2 * len(steps) + shift
-    for s in steps:
-        coeffs[smax + s] -= 1
-        coeffs[smax - s] -= 1
-    return IntPolynomial(coeffs)
 
 
 def associated_laurent(steps, family="even", precision=256, reduce=True):
@@ -241,9 +231,9 @@ def _growth_ratio(tau, steps, family, n, measure):
 def asymptotic_ratio(steps, family, n, measure=None):
     """tau(n) q / (n d^2 M^n) for the even family (2q for diagonal).
 
-    Tends to 1 as n grows; the exact count comes from the certified
-    closed-form path.  Orders sharing a factor with gcd(steps) are
-    disconnected and rejected.
+    Tends to 1 as n grows; the exact count comes from
+    :func:`~circtrees.chebyshev.tau_closed_form`.  Orders sharing a factor
+    with gcd(steps) are disconnected and rejected.
     """
     steps = tuple(sorted(steps))
     tau = _family_tau(steps, family, n)

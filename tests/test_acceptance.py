@@ -3,8 +3,9 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Criterion 1 sweeps every connected canonical spec with steps from
 {1..5} up to 40 vertices (even valency) and steps from {1..4} up to
-half-order 20 (odd valency), comparing the certified closed forms against
-the exact determinant oracle; the other criteria pin the classical families,
+half-order 20 (odd valency), comparing both closed forms, the exact
+resultant and the certified Chebyshev product, against the exact
+determinant oracle; the other criteria pin the classical families,
 the square-free decompositions, the Mahler measure constants, and the
 growth laws at their stated tolerances.
 """
@@ -17,7 +18,7 @@ import pytest
 from circtrees import (associated_laurent, asymptotic_ratio, canonicalize,
                        cheb_t, decompose, expected_coefficient,
                        mahler_quadrature, mahler_root_product, parse_spec,
-                       tau_even, tau_odd, tau_oracle)
+                       tau_closed_form, tau_even, tau_odd, tau_oracle)
 from circtrees.arithmetic import family_spec
 from circtrees.errors import DisconnectedGraphError, SpecError
 
@@ -48,31 +49,36 @@ def connected_family_orders(steps, family, n_max):
 
 @pytest.fixture(scope="module")
 def sweep_results():
-    """(spec, closed-form tau, oracle tau) for every criterion-1 spec."""
+    """(spec, certified tau, exact tau, oracle tau) per criterion-1 spec."""
     results = []
     for steps in nonempty_subsets(EVEN_STEP_POOL):
         for n in connected_family_orders(steps, "even", EVEN_N_MAX):
             spec = canonicalize(n, list(steps))
-            results.append((spec, tau_even(spec), tau_oracle(spec)))
+            results.append((spec, tau_even(spec), tau_closed_form(spec),
+                            tau_oracle(spec)))
     for steps in nonempty_subsets(DIAG_STEP_POOL):
         for n in connected_family_orders(steps, "diagonal", DIAG_N_MAX):
             spec = canonicalize(n, list(steps), diagonal=True)
-            results.append((spec, tau_odd(spec), tau_oracle(spec)))
+            results.append((spec, tau_odd(spec), tau_closed_form(spec),
+                            tau_oracle(spec)))
     return results
 
 
 def test_criterion_01_formula_equals_oracle(sweep_results):
     even = diag = 0
-    for spec, formula, oracle in sweep_results:
-        assert formula == oracle, (
-            f"closed form {formula} != oracle {oracle} for {spec}")
+    for spec, certified, exact, oracle in sweep_results:
+        assert certified == oracle, (
+            f"certified product {certified} != oracle {oracle} for {spec}")
+        assert exact == oracle, (
+            f"exact resultant {exact} != oracle {oracle} for {spec}")
         if spec.diagonal:
             diag += 1
         else:
             even += 1
     assert even > 800 and diag > 150  # the sweep really covered the space
-    print(f"\ncriterion 1: PASS - formula == oracle on {even} even-valency "
-          f"and {diag} diagonal specs")
+    for route in ("certified product", "exact resultant"):
+        print(f"\ncriterion 1: PASS - {route} == oracle on {even} "
+              f"even-valency and {diag} diagonal specs")
 
 
 def test_criterion_02_fibonacci_family():
@@ -104,7 +110,7 @@ def test_criterion_03_moebius_and_prism():
 
 def test_criterion_04_decompositions(sweep_results):
     checked = 0
-    for spec, formula, _ in sweep_results:
+    for spec, _, formula, _ in sweep_results:
         dec = decompose(spec, formula)
         assert dec.coefficient == expected_coefficient(spec), spec
         assert dec.tau == dec.coefficient * spec.order * dec.a ** 2

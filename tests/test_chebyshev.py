@@ -7,10 +7,10 @@ import mpmath as mp
 import pytest
 
 from circtrees import (CertificationError, DisconnectedGraphError,
-                       IntPolynomial, build_even_char, build_odd_char,
-                       canonicalize, cheb_eval_large, cheb_t, cheb_u,
-                       find_roots, parse_spec, tau_closed_form, tau_even,
-                       tau_odd, tau_oracle)
+                       IntPolynomial, asymptotic_ratio, build_even_char,
+                       build_odd_char, canonicalize, cheb_eval_large, cheb_t,
+                       cheb_u, decompose, find_roots, parse_spec,
+                       tau_closed_form, tau_even, tau_odd, tau_oracle)
 from circtrees.chebyshev import poly_gcd, square_free_decomposition
 
 W = IntPolynomial([0, 1])
@@ -230,6 +230,16 @@ class TestClosedFormCounts:
         with pytest.raises(CertificationError,
                            match="not attempted: needs about 9264 bits"):
             tau_even(canonicalize(3000, [1, 2, 3, 4, 5]))
+
+    @pytest.mark.parametrize("literal", ["C3000(1,2,3,4,5)",
+                                         "C2000(1,2,3;d)"])
+    def test_exact_route_beyond_the_cap(self, literal):
+        # both counts are refused by the certified products
+        spec = parse_spec(literal)
+        tau = tau_closed_form(spec)
+        assert decompose(spec, tau).tau == tau
+        ratio = asymptotic_ratio(spec.steps, spec.family, spec.order)
+        assert abs(ratio - 1) < 1e-9
 
     @pytest.mark.parametrize("steps", [(1,), (1, 2), (1, 3), (2, 3), (1, 4),
                                        (2, 5), (1, 2, 3), (1, 2, 5)])

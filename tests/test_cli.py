@@ -6,11 +6,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import jsonschema
 import pytest
 
+from circtrees import CertificationError
 from circtrees.cli import main
 
 SCHEMA = json.loads(
@@ -70,9 +72,15 @@ class TestTau:
     def test_internal_error_exit_6(self, capsys, monkeypatch):
         # a count that is not c n a^2 breaks a theorem: an internal error,
         # not a verification failure
-        monkeypatch.setattr("circtrees.chebyshev.tau_even", lambda spec, n: 7)
+        monkeypatch.setattr("circtrees.chebyshev.tau_closed_form",
+                            lambda spec, n=None: 7)
         code, _, err = run_cli(capsys, "decompose", "C12(1,3)")
         assert code == 6 and "internal error" in err
+
+    def test_count_beyond_the_certification_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "tau", "C3000(1,2,3,4,5)")
+        assert code == 0
+        assert int(json_rows(out)[0]["tau"]).bit_length() == 9122
 
     def test_big_count_roundtrips_exactly(self, capsys):
         code, out, _ = run_cli(capsys, "tau", "C16(1,2,7)", "--method",
@@ -145,6 +153,19 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "C9(2,4)")
         assert code == 0 and "PASS" in out
 
+    def test_certified_product_cross_checks(self, capsys, monkeypatch):
+        def refuse(spec, n=None):
+            raise CertificationError("not attempted")
+
+        monkeypatch.setattr("circtrees.chebyshev.tau_even", refuse)
+        code, out, _ = run_cli(capsys, "verify", "C9(1,2)")
+        assert code == 0 and "PASS  chebyshev skipped (cap); formula=oracle" \
+            in out
+        monkeypatch.setattr("circtrees.chebyshev.tau_even",
+                            lambda spec, n=None: 7)
+        code, out, _ = run_cli(capsys, "verify", "C9(1,2)")
+        assert code == 1 and "FAIL  exact 10404 != chebyshev 7" in out
+
     def test_sweep_skips_disconnected(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "C*(2,3)", "--n-max", "12")
         assert code == 0
@@ -180,6 +201,17 @@ class TestAsymptote:
         assert abs(ratios[-1] - 1) < 0.01
         assert abs(ratios[-1] - 1) < abs(ratios[0] - 1)
         assert float(rows[0]["mahler"]) == pytest.approx(32.7865, rel=5e-3)
+
+    def test_timings_are_per_row(self, capsys):
+        started = time.perf_counter()
+        code, out, _ = run_cli(capsys, "asymptote", "1,2", "--n", "5..40",
+                               "--timings")
+        elapsed = time.perf_counter() - started
+        seconds = [row["timings"]["seconds"] for row in json_rows(out)]
+        assert code == 0 and len(seconds) == 36
+        # per-row readings add up to at most the run time; readings
+        # cumulative since the start would add up to about 18 times it
+        assert sum(seconds) <= elapsed
 
     def test_disconnected_orders_marked(self, capsys):
         code, out, _ = run_cli(capsys, "asymptote", "2,4", "--n", "9..12")

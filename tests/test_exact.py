@@ -6,8 +6,8 @@ import random
 import pytest
 
 from circtrees import (OracleCeilingError, bareiss_determinant, canonicalize,
-                       eigenvalue, parse_spec, tau_oracle)
-from circtrees.exact import oracle_ceiling
+                       eigenvalue, laplacian, parse_spec, tau_odd, tau_oracle)
+from circtrees.exact import _band_order, oracle_ceiling
 
 
 def cofactor_det(m):
@@ -50,6 +50,17 @@ class TestBareiss:
         m = [[0, 2, 1], [1, 0, 0], [0, 1, 3]]
         assert bareiss_determinant(m) == cofactor_det(m) == -5
         assert bareiss_determinant([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
+
+    def test_sparse_rows_against_cofactor_expansion(self):
+        # mostly-zero matrices, not symmetric: rows skip steps before they
+        # are used, zero pivots swap rows that stand at different steps,
+        # and some matrices are singular
+        rng = random.Random(20261018)
+        for size in (2, 3, 4, 5, 6, 7):
+            for _ in range(40):
+                m = [[rng.choice((0, 0, 0, 0, 1, -1, 2, -3, 7))
+                      for _ in range(size)] for _ in range(size)]
+                assert bareiss_determinant(m) == cofactor_det(m), m
 
     def test_big_integer_growth_is_exact(self):
         # Vandermonde determinant has a closed form
@@ -105,6 +116,21 @@ class TestTauOracle:
         assert tau_oracle(spec) % spec.order == 0
         if not spec.diagonal:
             assert tau_oracle(spec) % spec.vertex_count == 0
+
+    @pytest.mark.parametrize("literal", ["C31(2,5)", "C40(1,2,4,5)",
+                                         "C20(1,3;d)", "C25(1,2,4;d)"])
+    def test_band_order_keeps_the_count(self, literal):
+        spec = parse_spec(literal)
+        reduced = [row[1:] for row in laplacian(spec)[1:]]
+        order = _band_order(reduced)
+        assert sorted(order) == list(range(len(reduced)))
+        assert tau_oracle(spec) == bareiss_determinant(reduced)
+
+    def test_diagonal_family_at_size(self):
+        # the antipodal step spreads the unordered Laplacian over the whole
+        # matrix; 190 vertices against the certified closed form
+        spec = parse_spec("C95(1,3;d)")
+        assert tau_oracle(spec) == tau_odd(spec)
 
     def test_ceiling_refusal(self):
         spec = canonicalize(40, [1, 2])

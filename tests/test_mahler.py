@@ -9,7 +9,7 @@ import pytest
 from circtrees import (DisconnectedGraphError, associated_laurent,
                        asymptotic_ratio, find_roots, mahler_quadrature,
                        mahler_root_product, thermo_limit)
-from circtrees.mahler import _ordinary_image
+from circtrees.chebyshev import _ordinary_image
 
 # closed forms verified to high precision; the two-decimal figures carry a
 # relative tolerance since they are truncated rather than rounded

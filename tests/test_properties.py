@@ -1,8 +1,10 @@
 """Property tests of the family rule, spec literals and the closed forms.
 
-Random step sets from {1..6} in either family, on at most 40 vertices.
-Examples are derandomized and have no deadline, so the suite is
-deterministic and does not depend on the speed of the machine.
+Random step sets from {1..6} in either family, on at most 40 vertices
+where the determinant oracle takes part and at most 250 where only the two
+closed forms are compared.  Examples are derandomized and have no
+deadline, so the suite is deterministic and does not depend on the speed
+of the machine.
 """
 
 import math
@@ -12,10 +14,11 @@ from hypothesis import strategies as st
 
 from circtrees import (DisconnectedGraphError, SpecError, canonicalize,
                        multiplier_conjugate, parse_spec, tau_closed_form,
-                       tau_oracle)
+                       tau_even, tau_odd, tau_oracle)
 from circtrees.arithmetic import family_spec
 
 MAX_VERTICES = 40
+MAX_CLOSED_FORM_VERTICES = 250
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
                     max_examples=60)
@@ -26,11 +29,16 @@ family_st = st.sampled_from(("even", "diagonal"))
 
 
 @st.composite
-def family_orders(draw):
-    """(steps, family, n) with n any order whose graph has <= 40 vertices."""
+def family_orders(draw, max_vertices=MAX_VERTICES):
+    """(steps, family, n) with n any order whose graph has <= max_vertices."""
     family = draw(family_st)
-    top = MAX_VERTICES // 2 if family == "diagonal" else MAX_VERTICES
+    top = max_vertices // 2 if family == "diagonal" else max_vertices
     return draw(steps_st), family, draw(st.integers(1, top))
+
+
+def certified_product(spec):
+    """The paper's certified Chebyshev product for the spec's family."""
+    return (tau_odd if spec.diagonal else tau_even)(spec)
 
 
 @PROPERTY
@@ -76,4 +84,16 @@ def test_closed_form_equals_oracle_and_conjugates(case, r):
     assume(math.gcd(r, spec.vertex_count) == 1)
     tau = tau_oracle(spec)
     assert tau_closed_form(spec) == tau
+    assert certified_product(spec) == tau
     assert tau_oracle(multiplier_conjugate(spec, r)) == tau
+
+
+@PROPERTY
+@given(family_orders(MAX_CLOSED_FORM_VERTICES))
+def test_exact_route_equals_certified_product(case):
+    steps, family, n = case
+    try:
+        spec = family_spec(steps, family, n)
+    except (SpecError, DisconnectedGraphError):
+        assume(False)
+    assert tau_closed_form(spec) == certified_product(spec)
