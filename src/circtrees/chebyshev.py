@@ -25,10 +25,14 @@ the independent cross-check.  They are evaluated in arbitrary-precision
 floating point and *certified*: the value must sit within 2^-20 of an
 integer with the right divisibility, and recomputation at doubled precision
 must reproduce the same integer, otherwise the precision escalates (up to a
-hard cap) and finally fails loudly.  Correctness is anchored by agreement
-with the exact determinant oracle in :mod:`circtrees.exact` at small sizes.
+hard cap) and finally fails loudly.  Newton refines the roots at doubling
+precisions, and the confirm pass starts from the roots of the pass it
+confirms; escalations are logged at DEBUG level.  Correctness is anchored
+by agreement with the exact determinant oracle in :mod:`circtrees.exact`
+at small sizes.
 """
 
+import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,6 +48,8 @@ from .graph import family_components
 
 MAX_CERTIFY_BITS = 8192
 INTEGRALITY_TOL_BITS = 20
+
+_log = logging.getLogger(__name__)
 
 
 class IntPolynomial:
@@ -256,34 +262,49 @@ def square_free_decomposition(poly):
     return out
 
 
-@lru_cache(maxsize=None)
-def cheb_t(m):
-    """Chebyshev polynomial of the first kind T_m as an IntPolynomial."""
+def _chebyshev(m, first_kind):
+    """T_m (first kind) or U_m (second kind) from its explicit coefficients.
+
+    The coefficient of w^(m-2k) is c_k, with c_0 = 2^(m-1) for T_m (m >= 1)
+    and 2^m for U_m, and c_{k+1} = -c_k (m-2k)(m-2k-1) / (4 (k+1)(m-k-r)),
+    r = 1 for T_m and 0 for U_m.  Each division is exact, and the cost is
+    O(m) big-integer operations with no recursion.
+    """
     if m < 0:
         raise ValueError("m must be nonnegative")
     if m == 0:
         return IntPolynomial([1])
-    if m == 1:
-        return IntPolynomial([0, 1])
-    return IntPolynomial([0, 2]) * cheb_t(m - 1) - cheb_t(m - 2)
+    r = 1 if first_kind else 0
+    coeffs = [0] * (m + 1)
+    c = coeffs[m] = 2 ** (m - r)
+    for k in range(m // 2):
+        c = -c * (m - 2 * k) * (m - 2 * k - 1) // (4 * (k + 1) * (m - k - r))
+        coeffs[m - 2 * k - 2] = c
+    return IntPolynomial(coeffs)
+
+
+@lru_cache(maxsize=None)
+def cheb_t(m):
+    """Chebyshev polynomial of the first kind T_m as an IntPolynomial."""
+    return _chebyshev(m, first_kind=True)
 
 
 @lru_cache(maxsize=None)
 def cheb_u(m):
     """Chebyshev polynomial of the second kind U_m; U_m(1) = m + 1."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    if m == 0:
-        return IntPolynomial([1])
-    if m == 1:
-        return IntPolynomial([0, 2])
-    return IntPolynomial([0, 2]) * cheb_u(m - 1) - cheb_u(m - 2)
+    return _chebyshev(m, first_kind=False)
 
 
 def _to_mpc(w):
     if isinstance(w, Fraction):
         return mp.mpc(mp.mpf(w.numerator) / w.denominator)
     return mp.mpc(w)
+
+
+def _magnitude(z):
+    """|z| to 24 bits: enough for a comparison, and no full-precision sqrt."""
+    with mp.workprec(24):
+        return abs(+z)
 
 
 def cheb_eval_large(w, n, precision=None):
@@ -300,9 +321,14 @@ def cheb_eval_large(w, n, precision=None):
     z = _to_mpc(w)
     s = mp.sqrt(z * z - 1)
     b = z + s
-    if abs(b) < 1:
+    if _magnitude(b) < 1:
         b = z - s
-    bn = b ** n
+    # binary powering: mpmath's own b ** n takes exp(n log b) for large n
+    bn = mp.mpc(1)
+    for bit in bin(abs(n))[2:]:
+        bn = bn ** 2            # squaring: three real products, not four
+        if bit == "1":
+            bn = bn * b
     return (bn + 1 / bn) / 2
 
 
@@ -337,27 +363,102 @@ def _double_precision_roots(poly):
     return np.roots(coeffs)
 
 
-def _newton_refine(poly, dpoly, seed, precision):
-    z = mp.mpc(complex(seed))
-    tol = mp.mpf(2) ** (-precision)
-    for _ in range(100):
-        fv = poly(z)
-        dv = dpoly(z)
-        if dv == 0:
-            raise RootRefinementError(f"derivative vanished near {z}")
-        step = fv / dv
-        z = z - step
-        if abs(step) <= tol * max(1, abs(z)):
-            break
-    else:
-        raise RootRefinementError(
-            f"Newton did not converge for {poly} from seed {seed}")
-    fv = poly(z)
+@lru_cache(maxsize=64)
+def _root_setup(poly):
+    """The part of root finding that depends on neither precision nor order.
+
+    One ``(factor, derivative, multiplicity, seeds)`` per square-free
+    factor of ``poly``, ``seeds`` being its double-precision roots.  Cached
+    per polynomial, so a family evaluated at many orders and precisions
+    factors and seeds its characteristic polynomials once.
+    """
+    return tuple((factor, factor.derivative(), mult,
+                  tuple(complex(z) for z in _double_precision_roots(factor)))
+                 for factor, mult in square_free_decomposition(poly))
+
+
+def _newton_step(poly, dpoly, z):
     dv = dpoly(z)
     if dv == 0:
-        raise RootRefinementError(f"derivative vanished at {z}")
-    radius = 4 * abs(fv / dv) + mp.mpf(2) ** (4 - precision) * max(1, abs(z))
+        raise RootRefinementError(f"derivative vanished near {z}")
+    return poly(z) / dv
+
+
+def _newton_converge(poly, dpoly, z, bits):
+    """Newton steps until one is below 2^-bits relative; returns (z, step).
+
+    The small step is returned, not applied: it bounds the distance from z
+    to the root.
+    """
+    tol = mp.mpf(2) ** (-bits)
+    for _ in range(100):
+        step = _newton_step(poly, dpoly, z)
+        if _magnitude(step) <= tol * max(1, _magnitude(z)):
+            return z, step
+        z = z - step
+    raise RootRefinementError(f"Newton did not converge for {poly} near {z}")
+
+
+def _newton_refine(poly, dpoly, z, start_bits, precision):
+    """Refine ``z``, right to about ``start_bits`` bits, to a root of ``poly``.
+
+    Newton doubles the correct bits per step, so the steps climb a ladder of
+    precisions that double up to ``precision``: the lowest rung, at 1-2x
+    ``start_bits``, iterates to convergence (seeds may be poor), each middle
+    rung takes one step, and the top rung iterates until the step is below
+    2^-precision relative.  That last step, evaluated at full precision,
+    gives the radius: four times its size plus 2^(4-precision) max(1, |z|).
+    """
+    ladder = [precision]
+    while ladder[-1] > 2 * start_bits:
+        ladder.append((ladder[-1] + 1) // 2)
+    ladder.reverse()
+    step = 0
+    for bits in ladder:
+        with mp.workprec(bits + 64):
+            z = mp.mpc(z) - step
+            if bits in (ladder[0], precision):
+                z, step = _newton_converge(poly, dpoly, z, bits)
+            else:
+                step = _newton_step(poly, dpoly, z)
+    with mp.workprec(precision + 64):
+        radius = 4 * abs(step) + mp.mpf(2) ** (4 - precision) * max(1, abs(z))
     return z, radius
+
+
+def _refine_roots(poly, precision, previous=None):
+    """Certified roots of ``poly`` at ``precision`` bits.
+
+    Newton starts from the double-precision seeds or, given ``previous``
+    (certified roots of the same polynomial at another precision), from
+    those roots.  Yun factors have distinct multiplicities, so a root's
+    multiplicity names the factor it is refined on.
+    """
+    roots, radii, mults = [], [], []
+    for factor, dfactor, mult, seeds in _root_setup(poly):
+        if previous is None:
+            starts, start_bits = seeds, 53      # a double's mantissa
+        else:
+            starts = [z for z, m in zip(previous.roots,
+                                        previous.multiplicities) if m == mult]
+            start_bits = previous.working_precision
+        refined = [_newton_refine(factor, dfactor, z, start_bits, precision)
+                   for z in starts]
+        with mp.workprec(precision + 64):
+            for i, (zi, ri) in enumerate(refined):
+                for zj, rj in refined[:i]:
+                    if abs(zi - zj) <= 16 * (ri + rj):
+                        raise RootRefinementError(
+                            f"root iterates collapsed near {zi} for {factor}")
+        for z, rad in refined:
+            roots.append(z)
+            radii.append(rad)
+            mults.append(mult)
+    found = sum(mults)
+    if found != poly.degree:
+        raise InternalConsistencyError(
+            f"found {found} roots for degree {poly.degree} polynomial {poly}")
+    return CertifiedRoots(tuple(roots), tuple(radii), tuple(mults), precision)
 
 
 def find_roots(poly, precision):
@@ -365,34 +466,34 @@ def find_roots(poly, precision):
 
     Multiple roots are detected exactly (gcd with the derivative, Yun
     decomposition) and each square-free factor is solved by companion-matrix
-    seeds refined with Newton iteration in mpmath.  Raises
-    :class:`RootRefinementError` when refinement stalls or two iterates
-    collapse onto one root; callers escalate precision and retry.
+    seeds refined with Newton iteration in mpmath, at precisions doubling
+    up to ``precision``.  Raises :class:`RootRefinementError` when
+    refinement stalls or two iterates collapse onto one root; callers
+    escalate precision and retry.
     """
     if poly.degree < 1:
         raise ValueError("find_roots requires a nonconstant polynomial")
-    roots, radii, mults = [], [], []
-    with mp.workprec(precision + 64):
-        for factor, mult in square_free_decomposition(poly):
-            dfactor = factor.derivative()
-            refined = []
-            for seed in _double_precision_roots(factor):
-                z, rad = _newton_refine(factor, dfactor, seed, precision)
-                refined.append((z, rad))
-            for i, (zi, ri) in enumerate(refined):
-                for zj, rj in refined[:i]:
-                    if abs(zi - zj) <= 16 * (ri + rj):
-                        raise RootRefinementError(
-                            f"root iterates collapsed near {zi} for {factor}")
-            for z, rad in refined:
-                roots.append(z)
-                radii.append(rad)
-                mults.append(mult)
-    found = sum(mults)
-    if found != poly.degree:
-        raise InternalConsistencyError(
-            f"found {found} roots for degree {poly.degree} polynomial {poly}")
-    return CertifiedRoots(tuple(roots), tuple(radii), tuple(mults), precision)
+    return _refine_roots(poly, precision)
+
+
+def _carried_roots(poly):
+    """Roots of ``poly`` at the precisions one certification asks for.
+
+    The first request runs :func:`find_roots`; each later one refines the
+    roots of the request before, so the doubled-precision confirm pass and
+    the escalations start Newton at a root instead of at the seeds.
+    """
+    last = None
+
+    def at(bits):
+        nonlocal last
+        if last is None:
+            last = find_roots(poly, bits)
+        elif last.working_precision != bits:
+            last = _refine_roots(poly, bits, last)
+        return last
+
+    return at
 
 
 def build_even_char(steps):
@@ -431,12 +532,12 @@ def _headroom_bits(char_polys, n, prefactor):
     for poly in char_polys:
         if poly.degree < 1:
             continue
-        for w in _double_precision_roots(poly):
-            w = complex(w)
-            s = (w * w - 1) ** 0.5
-            grow = max(abs(w + s), abs(w - s))
-            if grow > 1:
-                bits += n * math.log2(grow)
+        for _, _, mult, seeds in _root_setup(poly):
+            for w in seeds:
+                s = (w * w - 1) ** 0.5
+                grow = max(abs(w + s), abs(w - s))
+                if grow > 1:
+                    bits += mult * n * math.log2(grow)
     return int(bits) + 1
 
 
@@ -447,6 +548,7 @@ def _certified_integer(evaluate, divisor, initial_bits, what):
     by ``divisor`` and recomputation at doubled precision reproduces it;
     otherwise doubles the working precision up to MAX_CERTIFY_BITS.  A
     starting precision already above that cap is refused without an attempt.
+    Each escalation and its cause is logged at DEBUG level.
     """
     tol = mp.mpf(2) ** (-INTEGRALITY_TOL_BITS)
     bits = max(initial_bits, 128)
@@ -470,8 +572,14 @@ def _certified_integer(evaluate, divisor, initial_bits, what):
                                  and abs(confirm - candidate) < tol)
                 if confirmed:
                     return candidate // divisor
-        except RootRefinementError:
-            pass
+                cause = f"the confirm pass at {2 * bits} bits disagreed"
+            else:
+                cause = (f"not within 2^-{INTEGRALITY_TOL_BITS} of a positive "
+                         f"multiple of {divisor}")
+        except RootRefinementError as exc:
+            cause = f"root refinement failed: {exc}"
+        _log.debug("%s at %d bits: %s; escalating to %d bits",
+                   what, bits, cause, 2 * bits)
         bits *= 2
     raise CertificationError(
         f"{what} failed to certify as an integer below {MAX_CERTIFY_BITS} bits")
@@ -504,12 +612,14 @@ def tau_even(spec, n=None):
     n = _require_family(spec, False, n)
     q = sum(s * s for s in spec.steps)
     char = build_even_char(spec.steps)
+    roots = _carried_roots(char)
 
     def evaluate(bits):
         with mp.workprec(bits):
             product = mp.mpf(n)
             if char.degree >= 1:
-                for w, mult in zip(*_roots_with_mults(char, bits)):
+                cr = roots(bits)
+                for w, mult in zip(cr.roots, cr.multiplicities):
                     t = cheb_eval_large(w, n)
                     product *= abs(2 * t - 2) ** mult
             return product
@@ -533,14 +643,17 @@ def tau_odd(spec, n=None):
     u_poly = (char - 1).div_exact(IntPolynomial([-1, 1]))
     v_poly = char + 1
     prefactor = n * 4 ** (s_max - 1)
+    u_roots, v_roots = _carried_roots(u_poly), _carried_roots(v_poly)
 
     def evaluate(bits):
         with mp.workprec(bits):
             product = mp.mpc(prefactor)
             if u_poly.degree >= 1:
-                for u, mult in zip(*_roots_with_mults(u_poly, bits)):
+                cr = u_roots(bits)
+                for u, mult in zip(cr.roots, cr.multiplicities):
                     product *= (cheb_eval_large(u, n) - 1) ** mult
-            for v, mult in zip(*_roots_with_mults(v_poly, bits)):
+            cr = v_roots(bits)
+            for v, mult in zip(cr.roots, cr.multiplicities):
                 product *= (cheb_eval_large(v, n) + 1) ** mult
             if abs(product.imag) > mp.mpf(2) ** (-INTEGRALITY_TOL_BITS - 2) \
                     * max(1, abs(product.real)):
@@ -630,8 +743,3 @@ def tau_closed_form(spec, n=None):
             f"norm product {count} of {spec} at order {n} is not a positive "
             f"multiple of {q}")
     return tau
-
-
-def _roots_with_mults(poly, bits):
-    cr = find_roots(poly, bits)
-    return cr.roots, cr.multiplicities

@@ -1,5 +1,8 @@
 """Integer Chebyshev algebra, certified roots, and closed-form counts."""
 
+import logging
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,11 +10,14 @@ import mpmath as mp
 import pytest
 
 from circtrees import (CertificationError, DisconnectedGraphError,
-                       IntPolynomial, asymptotic_ratio, build_even_char,
-                       build_odd_char, canonicalize, cheb_eval_large, cheb_t,
-                       cheb_u, decompose, find_roots, parse_spec,
-                       tau_closed_form, tau_even, tau_odd, tau_oracle)
-from circtrees.chebyshev import poly_gcd, square_free_decomposition
+                       IntPolynomial, RootRefinementError, asymptotic_ratio,
+                       build_even_char, build_odd_char, canonicalize,
+                       cheb_eval_large, cheb_t, cheb_u, decompose, find_roots,
+                       parse_spec, tau_closed_form, tau_even, tau_odd,
+                       tau_oracle)
+from circtrees import chebyshev
+from circtrees.chebyshev import (_refine_roots, poly_gcd,
+                                 square_free_decomposition)
 
 W = IntPolynomial([0, 1])
 STEP_SETS = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 4), (2, 5),
@@ -81,6 +87,20 @@ class TestChebPolynomials:
         composed = IntPolynomial([-1]) + 2 * cheb_t(m) * cheb_t(m)
         assert composed == cheb_t(2 * m) and t2(2) == 7
 
+    def test_explicit_coefficients_follow_the_recurrence(self):
+        # P_{m+1} = 2w P_m - P_{m-1}, from T_1 = w and U_1 = 2w
+        for cheb, first in ((cheb_t, W), (cheb_u, 2 * W)):
+            prev, cur = IntPolynomial([1]), first
+            for m in range(2, 80):
+                prev, cur = cur, 2 * W * cur - prev
+                assert cheb(m) == cur, (cheb.__name__, m)
+
+    def test_large_degree_without_recursion(self):
+        t = cheb_t(1500)
+        assert t.degree == 1500 and t(1) == 1 and t.leading == 2 ** 1499
+        assert cheb_u(1500)(1) == 1501
+        assert build_even_char((1, 1200))(1) == 1 + 1200 ** 2
+
 
 class TestQuantumEvaluation:
     def test_frozen_values(self):
@@ -109,6 +129,17 @@ class TestQuantumEvaluation:
         with mp.workprec(160):
             direct = cheb_t(9)(z)
             assert abs(cheb_eval_large(z, 9) - direct) < 1e-40
+
+    def test_binary_powering_at_large_order(self):
+        # mpmath's own power goes through exp(n log b) at this size
+        with mp.workprec(4096):
+            w = mp.mpc(mp.mpf(1) / 3, mp.mpf(2) / 7)
+            b = w + mp.sqrt(w * w - 1)
+            if abs(b) < 1:
+                b = 1 / b
+            reference = (b ** 6000 + b ** -6000) / 2
+            got = cheb_eval_large(w, 6000)
+            assert abs(got - reference) <= abs(reference) * mp.mpf(2) ** -4000
 
     def test_second_kind_evaluation(self):
         # T_m = (U_m - U_{m-2}) / 2 checks the evaluator against U_m,
@@ -174,12 +205,14 @@ class TestFindRoots:
         with pytest.raises(ValueError):
             find_roots(IntPolynomial([5]), 128)
 
-    @pytest.mark.parametrize("steps", STEP_SETS)
-    def test_residuals_within_radius(self, steps):
+    @pytest.mark.parametrize("steps, prec", [
+        pytest.param(steps, prec, id=f"steps{i}" + suffix)
+        for prec, suffix in ((256, ""), (4096, "-4096"))
+        for i, steps in enumerate(STEP_SETS)])
+    def test_residuals_within_radius(self, steps, prec):
         poly = build_even_char(steps)
         if poly.degree < 1:
             return
-        prec = 256
         cr = find_roots(poly, prec)
         assert cr.total_count == poly.degree
         # the residual bound applies to the square-free factor each root
@@ -193,6 +226,33 @@ class TestFindRoots:
                 bound = radius * (abs(factor.derivative()(z)) + 1) \
                     + mp.mpf(2) ** (-prec)
                 assert residual <= bound, (steps, z)
+
+    @pytest.mark.parametrize("poly", [
+        pytest.param(poly, id=f"{name}{steps}")
+        for steps in [(1, 3), (2, 3, 7), (1, 2, 3, 4), (3, 5, 12)]
+        for name, poly in (("even", build_even_char(steps)),
+                           ("odd+1", build_odd_char(steps) + 1))] + [
+        pytest.param(IntPolynomial([-3, 1]) * IntPolynomial([-2, 0, 1])
+                     * IntPolynomial([-2, 0, 1]), id="mixed")])
+    @pytest.mark.parametrize("low, target", [(128, 256), (200, 4096)])
+    def test_refined_roots_match_a_fresh_solve(self, poly, low, target):
+        # the confirm pass refines the roots of the pass before: each stays
+        # within its radius and is the root a solve from the seeds finds
+        previous = find_roots(poly, low)
+        carried = _refine_roots(poly, target, previous)
+        fresh = find_roots(poly, target)
+        assert carried.working_precision == target
+        assert carried.multiplicities == previous.multiplicities
+        with mp.workprec(target + 64):
+            for z, r, p, pr in zip(carried.roots, carried.radii,
+                                   previous.roots, previous.radii):
+                assert r < mp.mpf(2) ** (8 - target) * max(1, abs(z))
+                assert abs(z - p) <= r + pr
+            for z, r, mult in zip(carried.roots, carried.radii,
+                                  carried.multiplicities):
+                assert any(abs(z - f) <= r + fr and m == mult
+                           for f, fr, m in zip(fresh.roots, fresh.radii,
+                                               fresh.multiplicities))
 
     def test_mixed_multiplicities(self):
         poly = IntPolynomial([-1, 1]) * IntPolynomial([-1, 1]) \
@@ -230,6 +290,56 @@ class TestClosedFormCounts:
         with pytest.raises(CertificationError,
                            match="not attempted: needs about 9264 bits"):
             tau_even(canonicalize(3000, [1, 2, 3, 4, 5]))
+
+    @pytest.mark.parametrize("literal, bits", [
+        ("C1200(1,3)", 1845), ("C1500(1,2,4)", 3314), ("C900(2,3;d)", 3659),
+        ("C1000(1,3,4;d)", 5137)])
+    def test_certified_products_at_large_counts(self, literal, bits):
+        spec = parse_spec(literal)
+        tau = tau_closed_form(spec)
+        assert tau.bit_length() == bits
+        certified = tau_odd if spec.diagonal else tau_even
+        assert certified(spec) == tau
+
+    def test_escalations_are_logged(self, monkeypatch, caplog):
+        # a start too low for a 261-bit count must escalate, and say why
+        monkeypatch.setattr(chebyshev, "_headroom_bits", lambda *args: 0)
+        spec = canonicalize(120, [1, 2, 3])
+        with caplog.at_level(logging.DEBUG, logger="circtrees.chebyshev"):
+            assert tau_even(spec) == tau_closed_form(spec)
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name == "circtrees.chebyshev"]
+        assert messages and all(r.levelno == logging.DEBUG
+                                for r in caplog.records)
+        assert "at 128 bits: not within 2^-20 of a positive multiple of 14;" \
+            " escalating to 256 bits" in messages[0]
+
+    def test_root_failure_escalation_is_logged(self, monkeypatch, caplog):
+        calls = []
+
+        def flaky(poly, precision):
+            calls.append(precision)
+            if len(calls) == 1:
+                raise RootRefinementError("stalled")
+            return find_roots(poly, precision)
+
+        monkeypatch.setattr(chebyshev, "find_roots", flaky)
+        with caplog.at_level(logging.DEBUG, logger="circtrees.chebyshev"):
+            assert tau_even(canonicalize(7, [1, 2])) == 7 * 13 ** 2
+        start = calls[0]
+        # the confirm pass at 4 * start refines carried roots: no third call
+        assert calls == [start, 2 * start]
+        assert f"at {start} bits: root refinement failed: stalled; " \
+            f"escalating to {2 * start} bits" in caplog.text
+
+    def test_escalations_silent_by_default(self):
+        code = ("from circtrees import chebyshev, canonicalize\n"
+                "chebyshev._headroom_bits = lambda *args: 0\n"
+                "print(chebyshev.tau_even(canonicalize(120, [1, 2, 3])))\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout.strip().isdigit()
+        assert proc.stderr == ""
 
     @pytest.mark.parametrize("literal", ["C3000(1,2,3,4,5)",
                                          "C2000(1,2,3;d)"])
