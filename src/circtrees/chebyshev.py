@@ -32,6 +32,7 @@ by agreement with the exact determinant oracle in :mod:`circtrees.exact`
 at small sizes.
 """
 
+import cmath
 import logging
 import math
 from dataclasses import dataclass
@@ -39,7 +40,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
-import numpy as np
 
 from .errors import (CertificationError, DisconnectedGraphError,
                      InternalConsistencyError, RootRefinementError)
@@ -357,10 +357,47 @@ class CertifiedRoots:
 
 
 def _double_precision_roots(poly):
-    """Hardware-precision root estimates via the companion matrix."""
-    scale = max(abs(c) for c in poly.coeffs)
-    coeffs = [float(c) / scale for c in reversed(poly.coeffs)]
-    return np.roots(coeffs)
+    """Double-precision roots of a square-free polynomial, by Aberth-Ehrlich.
+
+    All d iterates move together: each takes Newton's step corrected by the
+    pull of the others, which repel one another and so settle on distinct
+    roots.  They start on the circle whose radius is the geometric mean of
+    the nonzero roots' moduli, and each stops once its step is below 1e-13
+    relative.  An iterate within 1e-10 max(1, |z|) of the real axis with no
+    other within 1e-6 max(1, |z|) is returned with imaginary part exactly
+    0.0, so Newton refines a real root in real arithmetic; a conjugate pair
+    is never snapped, its partner lying within twice the imaginary part.
+    """
+    coeffs = poly.coeffs
+    d = len(coeffs) - 1
+    scale = max(abs(c) for c in coeffs)
+    a = [c / scale for c in reversed(coeffs)]   # int / int: no overflow
+    low = next(i for i, c in enumerate(coeffs) if c)
+    radius = 1.0 if low == d else math.exp(
+        (math.log(abs(coeffs[low])) - math.log(abs(coeffs[-1]))) / (d - low))
+    z = [radius * cmath.exp(1j * (2 * math.pi * k / d + 0.4))
+         for k in range(d)]
+    moving = set(range(d))
+    for _ in range(100):
+        for i in sorted(moving):
+            zi = z[i]
+            p, dp = a[0], 0
+            for c in a[1:]:
+                dp = dp * zi + p
+                p = p * zi + c
+            pull = sum(1 / (zi - zj) for j, zj in enumerate(z) if j != i)
+            step = p / (dp - p * pull)
+            z[i] = zi - step
+            if abs(step) <= 1e-13 * abs(z[i]):
+                moving.discard(i)
+        if not moving:
+            break
+    for i, zi in enumerate(z):
+        near = 1e-6 * max(1.0, abs(zi))
+        if abs(zi.imag) <= 1e-10 * max(1.0, abs(zi)) and all(
+                abs(zi - zj) > near for j, zj in enumerate(z) if j != i):
+            z[i] = complex(zi.real, 0.0)
+    return z
 
 
 @lru_cache(maxsize=64)
@@ -373,7 +410,7 @@ def _root_setup(poly):
     factors and seeds its characteristic polynomials once.
     """
     return tuple((factor, factor.derivative(), mult,
-                  tuple(complex(z) for z in _double_precision_roots(factor)))
+                  tuple(_double_precision_roots(factor)))
                  for factor, mult in square_free_decomposition(poly))
 
 
@@ -465,7 +502,7 @@ def find_roots(poly, precision):
     """All complex roots of ``poly`` at ``precision`` bits, certified.
 
     Multiple roots are detected exactly (gcd with the derivative, Yun
-    decomposition) and each square-free factor is solved by companion-matrix
+    decomposition) and each square-free factor is solved by Aberth-Ehrlich
     seeds refined with Newton iteration in mpmath, at precisions doubling
     up to ``precision``.  Raises :class:`RootRefinementError` when
     refinement stalls or two iterates collapse onto one root; callers

@@ -343,6 +343,13 @@ def cmd_decompose(args):
 
 def cmd_sequence(args):
     steps = _parse_steps(args.steps)
+    coeffs = None
+    if args.check_recursion is not None:
+        try:
+            coeffs = [int(tok) for tok in args.check_recursion.split(",")]
+        except ValueError:
+            raise SpecParseError("cannot parse recursion coefficients "
+                                 f"{args.check_recursion!r}")
     timed = _row_timer(args.timings)
     rows = []
     values = {}
@@ -362,13 +369,8 @@ def cmd_sequence(args):
                                 coefficient=dec.coefficient, a=str(dec.a),
                                 timings=timed()))
     _emit(rows, args)
-    if args.check_recursion is None:
+    if coeffs is None:
         return EXIT_OK
-    try:
-        coeffs = [int(tok) for tok in args.check_recursion.split(",")]
-    except ValueError:
-        raise SpecParseError(
-            f"cannot parse recursion coefficients {args.check_recursion!r}")
     order = len(coeffs)
     # check over the longest contiguous tail of defined values
     ns = sorted(values)

@@ -20,9 +20,9 @@ form.  Their agreement is asserted in the test suite, never assumed.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath as mp
-import numpy as np
 
 from .chebyshev import (IntPolynomial, _ordinary_image, find_roots,
                         tau_closed_form)
@@ -153,14 +153,36 @@ def mahler_root_product(spectrum):
                               "root-product", float(m_small))
 
 
-def _gl_panels(fvals_fn, panels, nodes, weights):
-    """Composite Gauss-Legendre of fvals_fn over [0, 1] with equal panels."""
+@lru_cache(maxsize=None)
+def _gauss_legendre(order):
+    """Nodes and weights of the ``order``-point Gauss-Legendre rule on [-1, 1].
+
+    Each node is a root of P_order, found by Newton from the estimate
+    cos(pi (i + 3/4) / (order + 1/2)); its weight is 2 / ((1 - x^2) P'(x)^2).
+    """
+    rule = []
+    for i in range(order):
+        x = math.cos(math.pi * (i + 0.75) / (order + 0.5))
+        for _ in range(100):
+            p0, p1 = 1.0, x                     # P_{k-1}(x), P_k(x)
+            for k in range(2, order + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            dp = order * (x * p1 - p0) / (x * x - 1)
+            step = p1 / dp
+            x -= step
+            if abs(step) <= 1e-16:
+                break
+        rule.append((x, 2 / ((1 - x * x) * dp * dp)))
+    return tuple(rule)
+
+
+def _gl_panels(f, panels, rule):
+    """Composite Gauss-Legendre of f over [0, 1] with equal panels."""
     width = 1.0 / panels
-    starts = np.arange(panels) * width
+    half = width / 2.0
     # nodes are on [-1, 1]; map into each panel
-    t = (starts[:, None] + (nodes[None, :] + 1.0) * (width / 2.0)).ravel()
-    w = np.tile(weights * (width / 2.0), panels)
-    return float(np.dot(fvals_fn(t), w))
+    return math.fsum(f(p * width + (x + 1.0) * half) * (w * half)
+                     for p in range(panels) for x, w in rule)
 
 
 def mahler_quadrature(spectrum, tol=1e-10, max_panels=4096):
@@ -175,29 +197,27 @@ def mahler_quadrature(spectrum, tol=1e-10, max_panels=4096):
     integrated by composite Gauss-Legendre with panel doubling until two
     successive refinements agree; the last difference is the error estimate.
     """
-    steps = np.array(spectrum.reduced_steps, dtype=float)
-    if math.gcd(*spectrum.reduced_steps) != 1:
+    steps = spectrum.reduced_steps
+    if math.gcd(*steps) != 1:
         raise ValueError(
             "quadrature needs a reduced step set (gcd 1); rebuild the "
             "spectrum with reduce=True")
     diagonal = spectrum.family == "diagonal"
 
     def integrand(t):
-        s = np.sin(np.pi * np.outer(t, steps))
-        base = np.sin(np.pi * t)
-        ratio = (s * s).sum(axis=1) / (base * base)
-        f = np.log(ratio)
+        s2 = sum(v * v for v in (math.sin(math.pi * (t * s)) for s in steps))
+        base = math.sin(math.pi * t)
+        f = math.log(s2 / (base * base))
         if diagonal:
-            ell = 4.0 * (s * s).sum(axis=1)
-            f += np.log(ell + 2.0)
+            f += math.log(4.0 * s2 + 2.0)
         return f
 
-    nodes, weights = np.polynomial.legendre.leggauss(16)
+    rule = _gauss_legendre(16)
     panels = 8
-    previous = _gl_panels(integrand, panels, nodes, weights)
+    previous = _gl_panels(integrand, panels, rule)
     while panels <= max_panels:
         panels *= 2
-        current = _gl_panels(integrand, panels, nodes, weights)
+        current = _gl_panels(integrand, panels, rule)
         err = abs(current - previous)
         previous = current
         if err < tol:

@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from circtrees import (CertificationError, DisconnectedGraphError,
@@ -16,7 +17,8 @@ from circtrees import (CertificationError, DisconnectedGraphError,
                        parse_spec, tau_closed_form, tau_even, tau_odd,
                        tau_oracle)
 from circtrees import chebyshev
-from circtrees.chebyshev import (_refine_roots, poly_gcd,
+from circtrees.chebyshev import (_double_precision_roots, _ordinary_image,
+                                 _refine_roots, poly_gcd,
                                  square_free_decomposition)
 
 W = IntPolynomial([0, 1])
@@ -261,6 +263,62 @@ class TestFindRoots:
         cr = find_roots(poly, 160)
         assert sorted(cr.multiplicities) == [1, 1, 3]
         assert cr.total_count == 5
+
+
+def seed_factors(s_max):
+    """Distinct Yun factors of every polynomial whose roots get seeded.
+
+    For each step set with largest step at most ``s_max``: the even
+    characteristic polynomial, the odd u and v polynomials, and the Laurent
+    images z^{s_k} L and z^{s_k} (L + 2).
+    """
+    factors = {}
+    for top in range(1, s_max + 1):
+        for size in range(top):
+            for smaller in combinations(range(1, top), size):
+                steps = smaller + (top,)
+                odd = build_odd_char(steps)
+                polys = (build_even_char(steps),
+                         (odd - 1).div_exact(IntPolynomial([-1, 1])), odd + 1,
+                         _ordinary_image(steps), _ordinary_image(steps, 2))
+                for poly in polys:
+                    if poly.degree >= 1:
+                        for factor, _ in square_free_decomposition(poly):
+                            factors[factor] = None
+    return tuple(factors)
+
+
+class TestSeeds:
+    """Aberth-Ehrlich seeds against the companion-matrix roots of numpy."""
+
+    def test_match_numpy_root_for_root(self):
+        factors = seed_factors(8)
+        assert len(factors) > 1000
+        for factor in factors:
+            scale = max(abs(c) for c in factor.coeffs)
+            expected = [complex(z) for z in
+                        np.roots([c / scale for c in reversed(factor.coeffs)])]
+            seeds = list(_double_precision_roots(factor))
+            assert len(seeds) == len(expected) == factor.degree
+            for want in expected:
+                got = min(seeds, key=lambda z: abs(z - want))
+                seeds.remove(got)
+                assert abs(got - want) <= 1e-12 * max(1, abs(want)), factor
+                if want.imag == 0:
+                    assert got.imag == 0.0, (factor, got)
+
+    def test_conjugate_pair_near_the_axis_not_snapped(self):
+        # (w - e)^2 + e^2 with e = 1e-11, scaled to integers: roots e +- ie
+        pair = _double_precision_roots(IntPolynomial([2, -2 * 10**11, 10**22]))
+        for root in (1e-11 + 1e-11j, 1e-11 - 1e-11j):
+            assert min(abs(z - root) for z in pair) <= 1e-12 * abs(root)
+        assert all(z.imag != 0 for z in pair)
+
+    def test_coefficients_beyond_double_range(self):
+        # float() of these coefficients overflows; int / int does not
+        (root,) = _double_precision_roots(IntPolynomial([-3 * 2**1100,
+                                                         2**1100]))
+        assert root == 3
 
 
 class TestClosedFormCounts:

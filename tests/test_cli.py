@@ -255,8 +255,38 @@ class TestSequence:
                                "--check-recursion", "1,1")
         assert code == 0 and "recursion verified" in err
 
+    def test_bad_recursion_rejected_before_any_row(self, capsys):
+        code, out, err = run_cli(capsys, "sequence", "1,2", "--n", "5..9",
+                                 "--check-recursion", "1,,2")
+        assert code == 2 and out == ""
+        assert "cannot parse recursion coefficients" in err
+
+
+NO_NUMPY_SCRIPT = """
+import json, sys
+import circtrees
+from circtrees.cli import main
+codes = [main(argv) for argv in (
+    ["tau", "C5(1,2)"], ["verify", "C*(1,2)", "--n-max", "8"],
+    ["mahler", "1,2", "--method", "both"], ["asymptote", "1,2", "--n", "5..7"],
+    ["decompose", "C12(1,3)"], ["sequence", "2,3", "--n", "7..9"])]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}),
+      file=sys.stderr)
+"""
+
 
 class TestEntryPoint:
+    def test_runs_without_numpy(self):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        path = os.pathsep.join(filter(None, [os.path.join(root, "src"),
+                                             os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", NO_NUMPY_SCRIPT],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stderr.splitlines()[-1])
+        assert result == {"codes": [0] * 6, "numpy": False}
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "circtrees", "tau", "C5(1,2)"],

@@ -10,6 +10,7 @@ from circtrees import (DisconnectedGraphError, associated_laurent,
                        asymptotic_ratio, find_roots, mahler_quadrature,
                        mahler_root_product, thermo_limit)
 from circtrees.chebyshev import _ordinary_image
+from circtrees.mahler import _gauss_legendre
 
 # closed forms verified to high precision; the two-decimal figures carry a
 # relative tolerance since they are truncated rather than rounded
@@ -109,6 +110,13 @@ class TestGoldenValues:
         assert abs(rp.value - quad.value) <= \
             rp.error_bound + quad.error_bound + 1e-12
         assert quad.method == "quadrature" and rp.method == "root-product"
+
+    def test_gauss_legendre_rule_matches_numpy(self):
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        rule = sorted(_gauss_legendre(16))
+        assert len(rule) == 16
+        for (x, w), x_np, w_np in zip(rule, nodes, weights):
+            assert abs(x - x_np) <= 1e-15 and abs(w - w_np) <= 1e-15
 
     def test_estimate_consistency(self):
         est = mahler_root_product(associated_laurent((1, 3), "even"))
