@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import chebyshev
 from .errors import DisconnectedGraphError, InternalConsistencyError
-from .graph import CirculantSpec, component_count
+from .graph import CirculantSpec, component_count, diagonal_flag
 
 
 def square_free_part(m):
@@ -106,7 +106,7 @@ def family_spec(steps, family, n):
     steps fold away from the nominal family (duplicate steps or diagonal
     conversion), and :class:`DisconnectedGraphError` when disconnected.
     """
-    spec = CirculantSpec(n, tuple(sorted(steps)), family == "diagonal")
+    spec = CirculantSpec(n, tuple(sorted(steps)), diagonal_flag(family))
     if component_count(spec) != 1:
         raise DisconnectedGraphError(
             f"{family} family {steps} is disconnected at order {n}", spec=spec)

@@ -154,19 +154,29 @@ class IntPolynomial:
         return acc
 
     def divmod_exact(self, divisor):
-        """Quotient and remainder over the rationals, demanding integrality.
+        """Quotient and remainder by long division over the integers.
 
-        Raises :class:`InternalConsistencyError` if quotient or remainder
-        pick up a denominator; used only where exact divisibility is an
-        algebraic identity.
+        Raises :class:`InternalConsistencyError` when a quotient coefficient
+        is not a multiple of the divisor's leading coefficient; used only
+        where the division is exact by construction (a divisor with leading
+        coefficient +-1, a primitive factor, or a pseudo-remainder).
         """
-        quot, rem = _rational_divmod(self, divisor)
-        for name, part in (("quotient", quot), ("remainder", rem)):
-            if any(f.denominator != 1 for f in part):
+        if divisor.is_zero:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        dv = divisor.coeffs
+        dd = len(dv) - 1
+        quot = [0] * max(len(rem) - dd, 0)
+        for i in range(len(rem) - 1, dd - 1, -1):
+            f, r = divmod(rem[i], dv[-1])
+            if r:
                 raise InternalConsistencyError(
-                    f"non-integer {name} dividing {self} by {divisor}")
-        return (IntPolynomial([f.numerator for f in quot]),
-                IntPolynomial([f.numerator for f in rem]))
+                    f"non-integer quotient dividing {self} by {divisor}")
+            quot[i - dd] = f
+            if f:
+                for j, d in enumerate(dv):
+                    rem[i - dd + j] -= f * d
+        return IntPolynomial(quot), IntPolynomial(rem[:dd])
 
     def div_exact(self, divisor):
         """Exact quotient; the remainder must vanish."""
@@ -193,44 +203,21 @@ class IntPolynomial:
 
 
 def poly_gcd(a, b):
-    """Primitive gcd in Z[w], normalized to a positive leading coefficient."""
+    """Primitive gcd in Z[w], normalized to a positive leading coefficient.
+
+    Euclid on primitive pseudo-remainders: each step divides
+    |lead(b)|^(deg a - deg b + 1) a by b, exactly over the integers, and
+    keeps the primitive part of the remainder.
+    """
     a, b = a.primitive(), b.primitive()
     while not b.is_zero:
-        a, b = b, _rational_mod(a, b).primitive()
+        scale = abs(b.leading) ** max(a.degree - b.degree + 1, 0)
+        a, b = b, (a * scale).divmod_exact(b)[1].primitive()
     if a.is_zero:
         return a
     if a.leading < 0:
         a = -a
     return a
-
-
-def _rational_divmod(a, b):
-    """Long division of a by b over Q.
-
-    Returns (quotient, remainder) as lists of Fractions, lowest degree
-    first; the remainder list is cut to deg b entries.
-    """
-    if b.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in a.coeffs]
-    dv = b.coeffs
-    dd = len(dv) - 1
-    lead = Fraction(dv[-1])
-    quot = [Fraction(0)] * max(len(rem) - dd, 0)
-    for i in range(len(rem) - 1, dd - 1, -1):
-        f = rem[i] / lead
-        quot[i - dd] = f
-        if f:
-            for j, d in enumerate(dv):
-                rem[i - dd + j] -= f * d
-    return quot, rem[:dd]
-
-
-def _rational_mod(a, b):
-    """Remainder of a by b over Q, cleared to an integer polynomial."""
-    rem = _rational_divmod(a, b)[1]
-    denom = math.lcm(*(f.denominator for f in rem))
-    return IntPolynomial([int(f * denom) for f in rem])
 
 
 def square_free_decomposition(poly):
@@ -713,18 +700,6 @@ def _ordinary_image(steps, shift=0):
     return IntPolynomial(coeffs)
 
 
-def _reduce(coeffs, monic):
-    """Coefficient list (lowest first) reduced modulo a monic polynomial."""
-    d = len(monic) - 1
-    c = coeffs + [0] * (d - len(coeffs))
-    for i in range(len(c) - 1, d - 1, -1):
-        top = c[i]
-        if top:
-            for j in range(d):
-                c[i - d + j] -= top * monic[j]
-    return c[:d]
-
-
 def _power_norm(modulus, n, shift):
     """prod (r^n + shift) over the roots r of ``modulus``, exactly.
 
@@ -739,16 +714,18 @@ def _power_norm(modulus, n, shift):
     d = modulus.degree
     if d < 1:
         return 1
-    monic = [c * modulus.leading for c in modulus.coeffs]
-    power = [1]
+    z = IntPolynomial([0, 1])
+    power = IntPolynomial([1])
     for bit in bin(n)[2:]:
-        square = list((IntPolynomial(power) * IntPolynomial(power)).coeffs)
-        power = _reduce([0] + square if bit == "1" else square, monic)
-    power[0] += shift
-    rows = [power]
+        power = power * power
+        if bit == "1":
+            power = power * z
+        power = power.divmod_exact(modulus)[1]
+    rows = [power + shift]
     for _ in range(d - 1):
-        rows.append(_reduce([0] + rows[-1], monic))
-    return bareiss_determinant(rows)
+        rows.append((rows[-1] * z).divmod_exact(modulus)[1])
+    return bareiss_determinant(
+        [list(row.coeffs) + [0] * (d - len(row.coeffs)) for row in rows])
 
 
 def tau_closed_form(spec, n=None):

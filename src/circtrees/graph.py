@@ -139,6 +139,13 @@ def parse_spec(literal):
         raise SpecParseError(f"invalid spec {literal!r}: {exc}") from exc
 
 
+def diagonal_flag(family):
+    """True for "diagonal", False for "even"; other names are a ValueError."""
+    if family not in ("even", "diagonal"):
+        raise ValueError(f"unknown family {family!r}")
+    return family == "diagonal"
+
+
 def family_components(steps, n):
     """Connected components of the family with these steps at order ``n``.
 

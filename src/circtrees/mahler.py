@@ -27,7 +27,7 @@ import mpmath as mp
 from .chebyshev import (IntPolynomial, _ordinary_image, find_roots,
                         tau_closed_form)
 from .errors import CertificationError, QuadratureError
-from .graph import CirculantSpec
+from .graph import CirculantSpec, diagonal_flag
 
 _MAX_MEASURE_BITS = 4096
 
@@ -79,8 +79,7 @@ def associated_laurent(steps, family="even", precision=256, reduce=True):
     unity and are recognized as such during classification.
     """
     steps = tuple(sorted(steps))
-    if family not in ("even", "diagonal"):
-        raise ValueError(f"unknown family {family!r}")
+    diagonal = diagonal_flag(family)
     d = math.gcd(*steps)
     use = tuple(s // d for s in steps) if (reduce and d > 1) else steps
     k = len(use)
@@ -91,7 +90,7 @@ def associated_laurent(steps, family="even", precision=256, reduce=True):
     p_l = _ordinary_image(use)
     groups = [find_roots(p_l, precision)]
     poly = p_l
-    if family == "diagonal":
+    if diagonal:
         p_l2 = _ordinary_image(use, shift=2)
         groups.append(find_roots(p_l2, precision))
         poly = p_l * p_l2
@@ -232,7 +231,7 @@ def mahler_quadrature(spectrum, tol=1e-10, max_panels=4096):
 
 def _family_tau(steps, family, n):
     """tau of the (steps, family) family at order ``n`` by its closed form."""
-    diagonal = family == "diagonal"
+    diagonal = diagonal_flag(family)
     spec = CirculantSpec(CirculantSpec.smallest_order(steps, diagonal), steps,
                          diagonal)
     return tau_closed_form(spec, n)
@@ -241,7 +240,7 @@ def _family_tau(steps, family, n):
 def _growth_ratio(tau, steps, family, n, measure):
     """tau q / (n d^2 M^n), with 2q in place of q for the diagonal family."""
     q = sum(s * s for s in steps)
-    if family == "diagonal":
+    if diagonal_flag(family):
         q *= 2
     return math.exp(math.log(tau) + math.log(q) - math.log(n)
                     - 2 * math.log(math.gcd(*steps))

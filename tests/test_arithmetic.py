@@ -5,12 +5,14 @@ import math
 import pytest
 
 from circtrees import (DisconnectedGraphError, InternalConsistencyError,
-                       SpecError, canonicalize, cheb_t, cheb_u, decompose,
+                       MahlerEstimate, SpecError, asymptotic_ratio,
+                       canonicalize, cheb_t, cheb_u, decompose,
                        expected_coefficient, sequence_a, square_free_part,
-                       tau_even, tau_oracle)
+                       tau_even, tau_oracle, thermo_limit)
 from circtrees.arithmetic import family_spec
 
 SIEVE_LIMIT = 100_000
+MEASURE = MahlerEstimate(2.618033988749895, 0.0, "given", 0.9624236501192069)
 IDENTITY_LIMIT = 1_000_000
 
 
@@ -170,6 +172,17 @@ class TestSequences:
             family_spec((2, 4), "even", 10)
         with pytest.raises(DisconnectedGraphError):
             sequence_a((2,), "diagonal", [4])
+
+    @pytest.mark.parametrize("call", [
+        lambda family: family_spec((1, 2), family, 7),
+        lambda family: sequence_a((1, 2), family, [7]),
+        lambda family: asymptotic_ratio((1, 2), family, 10, measure=MEASURE),
+        lambda family: thermo_limit((1, 2), family, [10], measure=MEASURE),
+    ], ids=["family_spec", "sequence_a", "asymptotic_ratio", "thermo_limit"])
+    @pytest.mark.parametrize("family", ["diag", "odd"])
+    def test_unknown_family_rejected(self, call, family):
+        with pytest.raises(ValueError, match=f"unknown family '{family}'"):
+            call(family)
 
     def test_tau_growth_is_fibonacci_squared(self):
         spec = canonicalize(7, [1, 2])

@@ -12,7 +12,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from circtrees import CertificationError
+from circtrees import CertificationError, parse_spec, tau_closed_form
 from circtrees.cli import main
 
 SCHEMA = json.loads(
@@ -81,6 +81,13 @@ class TestTau:
         code, out, _ = run_cli(capsys, "tau", "C3000(1,2,3,4,5)")
         assert code == 0
         assert int(json_rows(out)[0]["tau"]).bit_length() == 9122
+
+    def test_count_above_4300_digits(self, capsys):
+        code, out, _ = run_cli(capsys, "tau", "C20000(1,2,3,4,5)")
+        assert code == 0
+        tau = int(json_rows(out)[0]["tau"])
+        assert tau.bit_length() == 60779
+        assert tau == tau_closed_form(parse_spec("C20000(1,2,3,4,5)"))
 
     def test_big_count_roundtrips_exactly(self, capsys):
         code, out, _ = run_cli(capsys, "tau", "C16(1,2,7)", "--method",
@@ -228,6 +235,14 @@ class TestDecompose:
         assert code == 0
         row = json_rows(out)[0]
         assert (row["tau"], row["coefficient"], row["a"]) == ("81", 3, "3")
+
+    def test_count_above_4300_digits(self, capsys):
+        code, out, _ = run_cli(capsys, "decompose", "C20000(1,2,3,4,5)")
+        assert code == 0
+        row = json_rows(out)[0]
+        tau = int(row["tau"])
+        assert tau.bit_length() == 60779
+        assert row["coefficient"] * row["n"] * int(row["a"]) ** 2 == tau
 
     def test_disconnected(self, capsys):
         code, out, _ = run_cli(capsys, "decompose", "C9(3)")

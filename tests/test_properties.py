@@ -1,21 +1,29 @@
-"""Property tests of the family rule, spec literals and the closed forms.
+"""Property tests of the family rule, spec literals, the closed forms and
+the integer polynomial layer.
 
 Random step sets from {1..6} in either family, on at most 40 vertices
 where the determinant oracle takes part and at most 250 where only the two
-closed forms are compared.  Examples are derandomized and have no
-deadline, so the suite is deterministic and does not depend on the speed
-of the machine.
+closed forms are compared.  Polynomials are products of small integer
+factors with leading coefficients 2..5, repeated factors and a content,
+checked against a Euclid over the rationals written here.  Examples are
+derandomized and have no deadline, so the suite is deterministic and does
+not depend on the speed of the machine.
 """
 
 import math
+from fractions import Fraction
+from itertools import combinations
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from circtrees import (DisconnectedGraphError, SpecError, canonicalize,
+from circtrees import (DisconnectedGraphError, IntPolynomial,
+                       InternalConsistencyError, SpecError, canonicalize,
                        multiplier_conjugate, parse_spec, tau_closed_form,
                        tau_even, tau_odd, tau_oracle)
 from circtrees.arithmetic import family_spec
+from circtrees.chebyshev import poly_gcd, square_free_decomposition
 
 MAX_VERTICES = 40
 MAX_CLOSED_FORM_VERTICES = 250
@@ -97,3 +105,87 @@ def test_exact_route_equals_certified_product(case):
     except (SpecError, DisconnectedGraphError):
         assume(False)
     assert tau_closed_form(spec) == certified_product(spec)
+
+
+small_factor_st = st.builds(
+    lambda low, lead: IntPolynomial(low + [lead]),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=2), st.integers(2, 5))
+
+
+@st.composite
+def int_products(draw):
+    """content * prod f_i^{m_i}: 1-3 small factors, each to the power 1-3."""
+    poly = IntPolynomial([draw(st.sampled_from((-1, 1)))
+                          * draw(st.integers(1, 6))])
+    for _ in range(draw(st.integers(1, 3))):
+        factor = draw(small_factor_st)
+        for _ in range(draw(st.integers(1, 3))):
+            poly = poly * factor
+    return poly
+
+
+def rational_divmod(a, b):
+    """Long division of coefficient lists over Q, lowest degree first."""
+    rem = [Fraction(c) for c in a]
+    quot = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
+    for i in range(len(rem) - len(b), -1, -1):
+        f = quot[i] = rem[i + len(b) - 1] / b[-1]
+        for j, c in enumerate(b):
+            rem[i + j] -= f * c
+    rem = rem[:len(b) - 1]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
+
+
+def rational_gcd_degree(a, b):
+    """Degree of gcd(a, b) by Euclid over Q."""
+    a, b = list(a.coeffs), list(b.coeffs)
+    while b:
+        a, b = b, rational_divmod(a, b)[1]
+    return len(a) - 1
+
+
+@PROPERTY
+@given(int_products())
+def test_square_free_decomposition_invariants(poly):
+    factors = square_free_decomposition(poly)
+    product = IntPolynomial([1])
+    for f, m in factors:
+        assert f.degree >= 1 and f.leading > 0 and f.content() == 1
+        assert rational_gcd_degree(f, f.derivative()) == 0
+        for _ in range(m):
+            product = product * f
+    for (f, _), (g, _) in combinations(factors, 2):
+        assert rational_gcd_degree(f, g) == 0
+    assert len({m for _, m in factors}) == len(factors)
+    assert product in (poly.primitive(), -poly.primitive())
+
+
+@PROPERTY
+@given(int_products(), int_products())
+def test_gcd_is_the_rational_gcd(a, b):
+    g = poly_gcd(a, b)
+    assert g.leading > 0 and g.content() == 1
+    assert g.degree == rational_gcd_degree(a, b)
+    a.div_exact(g)
+    b.div_exact(g)
+
+
+@PROPERTY
+@given(int_products(), st.one_of(small_factor_st, int_products()))
+def test_divmod_exact_is_integer_long_division(a, b):
+    quot = rational_divmod(a.coeffs, b.coeffs)[0]
+    try:
+        q, r = a.divmod_exact(b)
+    except InternalConsistencyError:
+        assert any(f.denominator != 1 for f in quot)
+        return
+    assert list(q.coeffs) == quot
+    assert q * b + r == a and r.degree < b.degree
+
+
+def test_divmod_exact_raises_on_a_fractional_quotient():
+    with pytest.raises(InternalConsistencyError,
+                       match="non-integer quotient dividing"):
+        IntPolynomial([1, 0, 1]).divmod_exact(IntPolynomial([1, 2]))
