@@ -27,7 +27,10 @@ integer with the right divisibility, and recomputation at doubled precision
 must reproduce the same integer, otherwise the precision escalates (up to a
 hard cap) and finally fails loudly.  Newton refines the roots at doubling
 precisions, and the confirm pass starts from the roots of the pass it
-confirms; escalations are logged at DEBUG level.  Correctness is anchored
+confirms; escalations are logged at DEBUG level.  The polynomials are
+real, so each conjugate pair of roots costs one refinement and one T_n:
+the second root is the exact conjugate of the first, and the pair
+contributes the squared modulus of its one value.  Correctness is anchored
 by agreement with the exact determinant oracle in :mod:`circtrees.exact`
 at small sizes.
 """
@@ -220,17 +223,57 @@ def poly_gcd(a, b):
     return a
 
 
+_SQUARE_FREE_PRIME = 2 ** 61 - 1
+
+
+def _gcd_degree_mod(a, b, p):
+    """Degree of gcd(a mod p, b mod p) over GF(p), by Euclid.
+
+    ``a`` and ``b`` are coefficient sequences, lowest degree first; -1 when
+    both vanish modulo p.
+    """
+    def reduced(c):
+        c = [x % p for x in c]
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    a, b = reduced(a), reduced(b)
+    while b:
+        inverse = pow(b[-1], -1, p)
+        db = len(b) - 1
+        for i in range(len(a) - 1, db - 1, -1):
+            f = a[i] * inverse % p
+            if f:
+                a[i - db:i] = [(x - f * y) % p
+                               for x, y in zip(a[i - db:i], b)]
+        a, b = b, reduced(a[:db])
+    return len(a) - 1
+
+
 def square_free_decomposition(poly):
-    """Yun's algorithm over Z: returns [(factor, multiplicity), ...].
+    """Square-free factors over Z: returns [(factor, multiplicity), ...].
 
     Factors are primitive with positive leading coefficient; content and
-    sign of the input are dropped (they carry no roots).
+    sign of the input are dropped (they carry no roots).  A test modulo the
+    prime p = 2^61 - 1 comes first: when p does not divide the leading
+    coefficient, a repeated factor keeps its degree modulo p and divides
+    both P and P', so gcd(P mod p, P' mod p) = 1 proves P square-free in
+    O(deg^2) word-sized operations.  Otherwise Yun's algorithm decides.
     """
     a = poly.primitive()
     if a.leading < 0:
         a = -a
     if a.degree < 1:
         return []
+    if a.leading % _SQUARE_FREE_PRIME and _gcd_degree_mod(
+            a.coeffs, a.derivative().coeffs, _SQUARE_FREE_PRIME) == 0:
+        return [(a, 1)]
+    return _yun(a)
+
+
+def _yun(a):
+    """Yun's algorithm on a primitive ``a`` with a positive leading term."""
     da = a.derivative()
     g = poly_gcd(a, da)
     if g.degree == 0:
@@ -292,6 +335,11 @@ def _magnitude(z):
     """|z| to 24 bits: enough for a comparison, and no full-precision sqrt."""
     with mp.workprec(24):
         return abs(+z)
+
+
+def _norm(x):
+    """x conj(x) = |x|^2, with no square root."""
+    return x.real ** 2 + x.imag ** 2
 
 
 def cheb_eval_large(w, n, precision=None):
@@ -450,25 +498,76 @@ def _newton_refine(poly, dpoly, z, start_bits, precision):
     return z, radius
 
 
+def _seed_mirrors(seeds):
+    """{mirror index: representative index} over double-precision seeds.
+
+    A seed z clearly off the axis, imag z > 1e-6 max(1, |z|), represents a
+    conjugate pair when the seed nearest conj z lies within that tolerance
+    of it; that seed is its mirror.  Near-real seeds are never paired.
+    """
+    mirrors = {}
+    for i, z in enumerate(seeds):
+        near = 1e-6 * max(1.0, abs(z))
+        if z.imag > near:
+            c = z.conjugate()
+            j = min(range(len(seeds)), key=lambda k: abs(seeds[k] - c))
+            if abs(seeds[j] - c) <= near and j not in mirrors:
+                mirrors[j] = i
+    return mirrors
+
+
+def _conjugate_mirrors(roots, precision):
+    """{mirror index: representative index} over certified roots.
+
+    A root with positive imaginary part whose exact conjugate is also among
+    ``roots`` represents the pair, and that conjugate is its mirror.  Roots
+    carry at most ``precision + 64`` bits, so conjugation there is exact.
+    """
+    with mp.workprec(precision + 64):
+        where = {z: i for i, z in enumerate(roots)}
+        return {where[c]: i for i, z in enumerate(roots)
+                if z.imag > 0 and (c := mp.conj(z)) in where}
+
+
+def _pair_representatives(cr):
+    """(root, multiplicity, paired) for every root of ``cr`` but the mirrors.
+
+    A paired root stands for itself and its conjugate: a real polynomial's
+    value at the mirror is the conjugate of its value at the root.
+    """
+    mirrors = _conjugate_mirrors(cr.roots, cr.working_precision)
+    paired = set(mirrors.values())
+    return [(z, mult, i in paired) for i, (z, mult)
+            in enumerate(zip(cr.roots, cr.multiplicities)) if i not in mirrors]
+
+
 def _refine_roots(poly, precision, previous=None):
     """Certified roots of ``poly`` at ``precision`` bits.
 
     Newton starts from the double-precision seeds or, given ``previous``
     (certified roots of the same polynomial at another precision), from
     those roots.  Yun factors have distinct multiplicities, so a root's
-    multiplicity names the factor it is refined on.
+    multiplicity names the factor it is refined on.  Factors are real, so
+    only one root of each conjugate pair is refined; its mirror is its exact
+    conjugate, with the same radius.
     """
     roots, radii, mults = [], [], []
     for factor, dfactor, mult, seeds in _root_setup(poly):
         if previous is None:
             starts, start_bits = seeds, 53      # a double's mantissa
+            mirrors = _seed_mirrors(seeds)
         else:
             starts = [z for z, m in zip(previous.roots,
                                         previous.multiplicities) if m == mult]
             start_bits = previous.working_precision
-        refined = [_newton_refine(factor, dfactor, z, start_bits, precision)
-                   for z in starts]
+            mirrors = _conjugate_mirrors(starts, start_bits)
+        refined = [None if i in mirrors else
+                   _newton_refine(factor, dfactor, z, start_bits, precision)
+                   for i, z in enumerate(starts)]
         with mp.workprec(precision + 64):
+            for i, j in mirrors.items():
+                z, radius = refined[j]
+                refined[i] = mp.conj(z), radius
             for i, (zi, ri) in enumerate(refined):
                 for zj, rj in refined[:i]:
                     if abs(zi - zj) <= 16 * (ri + rj):
@@ -488,12 +587,12 @@ def _refine_roots(poly, precision, previous=None):
 def find_roots(poly, precision):
     """All complex roots of ``poly`` at ``precision`` bits, certified.
 
-    Multiple roots are detected exactly (gcd with the derivative, Yun
-    decomposition) and each square-free factor is solved by Aberth-Ehrlich
-    seeds refined with Newton iteration in mpmath, at precisions doubling
-    up to ``precision``.  Raises :class:`RootRefinementError` when
-    refinement stalls or two iterates collapse onto one root; callers
-    escalate precision and retry.
+    Multiple roots are detected exactly (a square-free test modulo a
+    prime, else Yun decomposition) and each square-free factor is solved by
+    Aberth-Ehrlich seeds refined with Newton iteration in mpmath, at
+    precisions doubling up to ``precision``, once per conjugate pair.
+    Raises :class:`RootRefinementError` when refinement stalls or two
+    iterates collapse onto one root; callers escalate precision and retry.
     """
     if poly.degree < 1:
         raise ValueError("find_roots requires a nonconstant polynomial")
@@ -642,10 +741,9 @@ def tau_even(spec, n=None):
         with mp.workprec(bits):
             product = mp.mpf(n)
             if char.degree >= 1:
-                cr = roots(bits)
-                for w, mult in zip(cr.roots, cr.multiplicities):
-                    t = cheb_eval_large(w, n)
-                    product *= abs(2 * t - 2) ** mult
+                for w, mult, paired in _pair_representatives(roots(bits)):
+                    x = 2 * cheb_eval_large(w, n) - 2
+                    product *= (_norm(x) if paired else abs(x)) ** mult
             return product
 
     start = 128 + _headroom_bits([char], n, n)
@@ -667,18 +765,16 @@ def tau_odd(spec, n=None):
     u_poly = (char - 1).div_exact(IntPolynomial([-1, 1]))
     v_poly = char + 1
     prefactor = n * 4 ** (s_max - 1)
-    u_roots, v_roots = _carried_roots(u_poly), _carried_roots(v_poly)
+    shifted = [(_carried_roots(u_poly), -1)] if u_poly.degree >= 1 else []
+    shifted.append((_carried_roots(v_poly), 1))
 
     def evaluate(bits):
         with mp.workprec(bits):
             product = mp.mpc(prefactor)
-            if u_poly.degree >= 1:
-                cr = u_roots(bits)
-                for u, mult in zip(cr.roots, cr.multiplicities):
-                    product *= (cheb_eval_large(u, n) - 1) ** mult
-            cr = v_roots(bits)
-            for v, mult in zip(cr.roots, cr.multiplicities):
-                product *= (cheb_eval_large(v, n) + 1) ** mult
+            for roots, shift in shifted:
+                for w, mult, paired in _pair_representatives(roots(bits)):
+                    x = cheb_eval_large(w, n) + shift
+                    product *= (_norm(x) if paired else x) ** mult
             if abs(product.imag) > mp.mpf(2) ** (-INTEGRALITY_TOL_BITS - 2) \
                     * max(1, abs(product.real)):
                 raise RootRefinementError(

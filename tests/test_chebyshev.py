@@ -3,6 +3,7 @@
 import logging
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,8 +19,8 @@ from circtrees import (CertificationError, DisconnectedGraphError,
                        tau_oracle)
 from circtrees import chebyshev
 from circtrees.chebyshev import (_double_precision_roots, _ordinary_image,
-                                 _refine_roots, poly_gcd,
-                                 square_free_decomposition)
+                                 _refine_roots, _seed_mirrors, _yun,
+                                 poly_gcd, square_free_decomposition)
 
 W = IntPolynomial([0, 1])
 STEP_SETS = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 4), (2, 5),
@@ -256,6 +257,41 @@ class TestFindRoots:
                            for f, fr, m in zip(fresh.roots, fresh.radii,
                                                fresh.multiplicities))
 
+    @pytest.mark.parametrize("precision, carried", [
+        (256, False), (4096, False), (256, True)])
+    def test_roots_closed_under_conjugation(self, precision, carried):
+        # one root of each pair is refined; its mirror is its exact
+        # conjugate, with the same radius and multiplicity
+        pairs = 0
+        for poly in seed_factors(6):
+            cr = find_roots(poly, precision)
+            if carried:
+                cr = _refine_roots(poly, 2 * precision, cr)
+            with mp.workprec(cr.working_precision + 64):
+                entries = list(zip(cr.roots, cr.radii, cr.multiplicities))
+                for z, radius, mult in entries:
+                    if z.imag != 0:
+                        assert (mp.conj(z), radius, mult) in entries, poly
+                        pairs += z.imag > 0
+        assert pairs > 200
+
+    def test_near_real_seeds_are_not_paired(self):
+        # roots 1 and 1 + 1e-7 stay unsnapped seeds with tiny imaginary
+        # parts of opposite sign; only +-i form a pair
+        poly = IntPolynomial([-10**7, 10**7]) \
+            * IntPolynomial([-10**7 - 1, 10**7]) * IntPolynomial([1, 0, 1])
+        seeds = _double_precision_roots(poly)
+        mirrors = _seed_mirrors(seeds)
+        assert len(mirrors) == 1
+        ((mirror, partner),) = mirrors.items()
+        assert abs(seeds[partner] - 1j) < 1e-12
+        assert abs(seeds[mirror] + 1j) < 1e-12
+        cr = find_roots(poly, 256)
+        assert cr.total_count == 4
+        with mp.workprec(256):
+            for want in (1, 1 + mp.mpf(10) ** -7, 1j, -1j):
+                assert min(abs(z - want) for z in cr.roots) < 2 ** -200
+
     def test_mixed_multiplicities(self):
         poly = IntPolynomial([-1, 1]) * IntPolynomial([-1, 1]) \
             * IntPolynomial([-1, 1]) * IntPolynomial([1, 1]) \
@@ -286,6 +322,40 @@ def seed_factors(s_max):
                         for factor, _ in square_free_decomposition(poly):
                             factors[factor] = None
     return tuple(factors)
+
+
+def positive_primitive(poly):
+    a = poly.primitive()
+    return -a if a.leading < 0 else a
+
+
+class TestSquareFreeTest:
+    """The test modulo 2^61 - 1 decides as Yun's algorithm does."""
+
+    def test_agrees_with_yun(self):
+        single_steps = [build_even_char((s,)) for s in range(3, 40)]
+        corpus = [f for factor in seed_factors(8)
+                  for f in (factor, factor * factor)] + single_steps
+        for poly in corpus:
+            assert square_free_decomposition(poly) \
+                == _yun(positive_primitive(poly)), poly
+        # single-step sets give perfect squares (times w + 1 at even s)
+        assert all(any(m > 1 for _, m in square_free_decomposition(p))
+                   for p in single_steps)
+
+    def test_prime_dividing_the_leading_coefficient_falls_back(self):
+        p = 2 ** 61 - 1
+        poly = IntPolynomial([-1, 0, p])           # p w^2 - 1: square-free
+        assert square_free_decomposition(poly) == [(poly, 1)]
+        cube = IntPolynomial([1, p]) * IntPolynomial([1, p]) \
+            * IntPolynomial([1, p])
+        assert square_free_decomposition(cube) == [(IntPolynomial([1, p]), 3)]
+
+    def test_large_step_returns_quickly(self):
+        poly = build_even_char((1, 1200))
+        start = time.perf_counter()
+        assert square_free_decomposition(poly) == [(poly, 1)]
+        assert time.perf_counter() - start < 2
 
 
 class TestSeeds:
@@ -358,6 +428,34 @@ class TestClosedFormCounts:
         assert tau.bit_length() == bits
         certified = tau_odd if spec.diagonal else tau_even
         assert certified(spec) == tau
+
+    @pytest.mark.parametrize("literal", ["C40(1,2,5)", "C20(1,3,4;d)"])
+    def test_chebyshev_values_once_per_conjugate_pair(self, monkeypatch,
+                                                       literal):
+        calls = []
+
+        def counted(w, n, precision=None):
+            calls.append(w)
+            return cheb_eval_large(w, n, precision)
+
+        monkeypatch.setattr(chebyshev, "cheb_eval_large", counted)
+        spec = parse_spec(literal)
+        certified = tau_odd if spec.diagonal else tau_even
+        assert certified(spec) == tau_oracle(spec)
+        if spec.diagonal:
+            char = build_odd_char(spec.steps)
+            polys = [(char - 1).div_exact(IntPolynomial([-1, 1])), char + 1]
+        else:
+            polys = [build_even_char(spec.steps)]
+        real = pairs = 0
+        for poly in polys:
+            for z in find_roots(poly, 128).roots:
+                real += z.imag == 0
+                pairs += z.imag > 0
+        assert pairs > 0
+        # one value per real root and per pair, at each of two passes
+        assert len(calls) == 2 * (real + pairs)
+        assert all(w.imag >= 0 for w in calls)
 
     def test_escalations_are_logged(self, monkeypatch, caplog):
         # a start too low for a 261-bit count must escalate, and say why

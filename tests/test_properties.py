@@ -3,11 +3,13 @@ the integer polynomial layer.
 
 Random step sets from {1..6} in either family, on at most 40 vertices
 where the determinant oracle takes part and at most 250 where only the two
-closed forms are compared.  Polynomials are products of small integer
-factors with leading coefficients 2..5, repeated factors and a content,
-checked against a Euclid over the rationals written here.  Examples are
-derandomized and have no deadline, so the suite is deterministic and does
-not depend on the speed of the machine.
+closed forms are compared; gcd-1 step sets from {1..9} at orders up to 600
+compare the two closed forms at counts of thousands of bits.  Polynomials
+are products of small integer factors with leading coefficients 2..5,
+repeated factors and a content, checked against a Euclid over the
+rationals written here.  Examples are derandomized and have no deadline,
+so the suite is deterministic and does not depend on the speed of the
+machine.
 """
 
 import math
@@ -105,6 +107,28 @@ def test_exact_route_equals_certified_product(case):
     except (SpecError, DisconnectedGraphError):
         assume(False)
     assert tau_closed_form(spec) == certified_product(spec)
+
+
+@st.composite
+def large_order_specs(draw, s_max=9, n_max=600):
+    """A gcd-1 step set with s_k <= s_max at an order up to n_max.
+
+    The order is drawn down from n_max, so examples shrink toward the
+    largest counts, where certification is hardest.
+    """
+    steps = draw(st.sets(st.integers(1, s_max), min_size=1, max_size=s_max)
+                 .map(lambda s: tuple(sorted(s))))
+    assume(math.gcd(*steps) == 1)
+    family = draw(family_st)
+    smallest = max(steps) + 1 if family == "diagonal" else 2 * max(steps) + 1
+    n = n_max - draw(st.integers(0, n_max - smallest))
+    return family_spec(steps, family, n)
+
+
+@PROPERTY
+@given(large_order_specs())
+def test_certified_product_equals_exact_at_large_orders(spec):
+    assert certified_product(spec) == tau_closed_form(spec)
 
 
 small_factor_st = st.builds(
