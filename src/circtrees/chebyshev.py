@@ -402,6 +402,9 @@ def _double_precision_roots(poly):
     other within 1e-6 max(1, |z|) is returned with imaginary part exactly
     0.0, so Newton refines a real root in real arithmetic; a conjugate pair
     is never snapped, its partner lying within twice the imaginary part.
+    A division by zero in the iteration (the start radius underflows to 0.0
+    when the coefficients span too many binades) raises
+    :class:`RootRefinementError`.
     """
     coeffs = poly.coeffs
     d = len(coeffs) - 1
@@ -420,8 +423,13 @@ def _double_precision_roots(poly):
             for c in a[1:]:
                 dp = dp * zi + p
                 p = p * zi + c
-            pull = sum(1 / (zi - zj) for j, zj in enumerate(z) if j != i)
-            step = p / (dp - p * pull)
+            try:
+                pull = sum(1 / (zi - zj) for j, zj in enumerate(z) if j != i)
+                step = p / (dp - p * pull)
+            except ZeroDivisionError as exc:
+                raise RootRefinementError(
+                    f"Aberth seeding of a degree-{d} polynomial divided by "
+                    f"zero near {zi}") from exc
             z[i] = zi - step
             if abs(step) <= 1e-13 * abs(z[i]):
                 moving.discard(i)
@@ -591,8 +599,9 @@ def find_roots(poly, precision):
     prime, else Yun decomposition) and each square-free factor is solved by
     Aberth-Ehrlich seeds refined with Newton iteration in mpmath, at
     precisions doubling up to ``precision``, once per conjugate pair.
-    Raises :class:`RootRefinementError` when refinement stalls or two
-    iterates collapse onto one root; callers escalate precision and retry.
+    Raises :class:`RootRefinementError` when seeding divides by zero,
+    refinement stalls or two iterates collapse onto one root; callers
+    escalate precision and retry.
     """
     if poly.degree < 1:
         raise ValueError("find_roots requires a nonconstant polynomial")

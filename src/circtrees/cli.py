@@ -24,6 +24,12 @@ oracle.  A disagreement with the product reads ``exact X != chebyshev Y``;
 a count above the product's precision cap or the oracle's ceiling is noted
 ``chebyshev skipped (cap)`` or ``oracle skipped (ceiling)``.
 
+In ``asymptote`` and ``sequence`` rows, an order below the family's smallest
+(its steps fold into a multigraph) has ``tau``, ``coefficient``, ``a`` and
+``ratio`` null, and a disconnected order the same but ``tau`` "0"; an order
+below 2 exits 2 with no rows.  ``verify`` skips a disconnected order of a
+sweep, and a disconnected literal exits 3.
+
 ``--timings`` gives each row the seconds spent since the previous row (the
 first row since the command started).
 
@@ -172,14 +178,32 @@ def cmd_tau(args):
     return EXIT_OK
 
 
-def _verify_one(spec, ceiling):
+def _family_rows(steps, family, orders):
+    """(n, spec, tau) per order of a sweep, as ``family_spec`` decides it.
+
+    Below the family's smallest order spec and tau are None, a disconnected
+    order has spec None and tau 0, and an order below 2 is invalid input.
+    """
+    for n in orders:
+        if n < 2:
+            raise ValueError(f"order {n} too small")
+        try:
+            spec = arithmetic.family_spec(steps, family, n)
+        except SpecError:
+            yield n, None, None
+        except DisconnectedGraphError:
+            yield n, None, 0
+        else:
+            yield n, spec, chebyshev.tau_closed_form(spec)
+
+
+def _verify_one(spec, formula, ceiling):
     """Run the checks on one connected spec; returns (ok, detail).
 
-    The exact closed form must equal the certified Chebyshev product (unless
-    that is over its precision cap) and the oracle (unless over its ceiling),
-    then decompose as c n a^2 and match a multiplier conjugate's count.
+    The exact closed form ``formula`` must equal the certified Chebyshev
+    product (unless over its precision cap) and the oracle (unless over its
+    ceiling), then decompose as c n a^2 and match a conjugate's count.
     """
-    formula = chebyshev.tau_closed_form(spec)
     notes = []
     ok = True
     certified_form = chebyshev.tau_odd if spec.diagonal else chebyshev.tau_even
@@ -240,33 +264,29 @@ def cmd_verify(args):
         if not m:
             raise SpecParseError(f"cannot parse pattern {args.pattern!r}")
         steps = _parse_steps(m.group(1).replace(" ", ""))
-        diagonal = m.group(2) is not None
-        family = "diagonal" if diagonal else "even"
-        orders = range(graph.CirculantSpec.smallest_order(steps, diagonal),
-                       args.n_max + 1)
+        family = "diagonal" if m.group(2) else "even"
+        orders = range(2, args.n_max + 1)
     else:
         spec = graph.parse_spec(args.pattern)
         steps, family, orders = spec.steps, spec.family, [spec.order]
     failures = []
     checked = 0
-    first_detail = None
-    for n in orders:
-        try:
-            spec = arithmetic.family_spec(steps, family, n)
-        except DisconnectedGraphError:
-            print(f"n={n:4d}  skip (disconnected)")
+    for n, spec, formula in _family_rows(steps, family, orders):
+        if formula is None:     # below the family's smallest order
             continue
-        ok, detail = _verify_one(spec, args.oracle_ceiling)
+        if spec is None:
+            print(f"n={n:4d}  skip (disconnected)")
+            if not sweep:
+                return EXIT_DISCONNECTED
+            continue
+        ok, detail = _verify_one(spec, formula, args.oracle_ceiling)
         checked += 1
         print(f"n={n:4d}  {'PASS' if ok else 'FAIL'}  {detail}")
         if not ok:
-            failures.append(n)
-            if first_detail is None:
-                first_detail = (spec, detail)
+            failures.append(f"{spec}: {detail}")
     print(f"checked {checked} orders, {len(failures)} failures")
     if failures:
-        spec, detail = first_detail
-        print(f"first counterexample: {spec}: {detail}")
+        print(f"first counterexample: {failures[0]}")
         return EXIT_VERIFY
     if checked == 0:
         print("nothing to check in range")
@@ -307,18 +327,13 @@ def cmd_asymptote(args):
     timed = _row_timer(args.timings)
     measure = mahler.mahler_root_product(
         mahler.associated_laurent(steps, args.family))
-    rows = []
-    for n in args.n:
-        try:
-            tau = mahler._family_tau(steps, args.family, n)
-        except DisconnectedGraphError:
-            tau, ratio = 0, None
-        else:
-            ratio = mahler._growth_ratio(tau, steps, args.family, n, measure)
-        rows.append(make_record(spec=_family_pattern(steps, args.family),
-                                n=n, family=args.family, tau=str(tau),
-                                mahler=measure.value, ratio=ratio,
-                                timings=timed()))
+    rows = [make_record(spec=_family_pattern(steps, args.family), n=n,
+                        family=args.family, mahler=measure.value,
+                        tau=None if tau is None else str(tau),
+                        ratio=None if spec is None
+                        else mahler._growth_ratio(tau, spec, measure),
+                        timings=timed())
+            for n, spec, tau in _family_rows(steps, args.family, args.n)]
     _emit(rows, args)
     return EXIT_OK
 
@@ -348,33 +363,24 @@ def cmd_sequence(args):
                                  f"{args.check_recursion!r}")
     timed = _row_timer(args.timings)
     rows = []
-    values = {}
-    for n in args.n:
-        try:
-            spec = arithmetic.family_spec(steps, args.family, n)
-            tau = chebyshev.tau_closed_form(spec)
+    values = {}     # a(n) over the last run of consecutive defined orders
+    for n, spec, tau in _family_rows(steps, args.family, args.n):
+        counts = {}
+        if spec is None:
+            values = {}
+        else:
             dec = arithmetic.decompose(spec, tau)
-        except (SpecError, DisconnectedGraphError):
-            rows.append(make_record(spec=_family_pattern(steps, args.family),
-                                    n=n, family=args.family,
-                                    timings=timed()))
-            continue
-        values[n] = dec.a
+            values[n] = dec.a
+            counts = {"coefficient": dec.coefficient, "a": str(dec.a)}
         rows.append(make_record(spec=_family_pattern(steps, args.family),
-                                n=n, family=args.family, tau=str(tau),
-                                coefficient=dec.coefficient, a=str(dec.a),
-                                timings=timed()))
+                                n=n, family=args.family,
+                                tau=None if tau is None else str(tau),
+                                timings=timed(), **counts))
     _emit(rows, args)
     if coeffs is None:
         return EXIT_OK
     order = len(coeffs)
-    # check over the longest contiguous tail of defined values
-    ns = sorted(values)
-    tail = []
-    for n in ns:
-        if tail and n != tail[-1] + 1:
-            tail = []
-        tail.append(n)
+    tail = list(values)
     if len(tail) < order + 1:
         print(f"recursion check needs {order + 1} consecutive defined "
               f"values, have {len(tail)}", file=sys.stderr)

@@ -24,10 +24,11 @@ from functools import lru_cache
 
 import mpmath as mp
 
+from .arithmetic import family_spec
 from .chebyshev import (IntPolynomial, _ordinary_image, find_roots,
                         tau_closed_form)
 from .errors import CertificationError, QuadratureError
-from .graph import CirculantSpec, diagonal_flag
+from .graph import diagonal_flag
 
 _MAX_MEASURE_BITS = 4096
 
@@ -136,10 +137,9 @@ def mahler_root_product(spectrum):
             raise CertificationError(
                 f"roots of {spectrum.steps} straddle the unit circle at "
                 f"{current.precision} bits")
-        was_reduced = spectrum.reduced or spectrum.steps == spectrum.reduced_steps
         current = associated_laurent(
             spectrum.steps, spectrum.family,
-            precision=current.precision * 2, reduce=was_reduced)
+            precision=current.precision * 2, reduce=spectrum.reduced)
     with mp.workprec(current.precision):
         value = mp.mpf(abs(current.poly.leading))
         rel_err = mp.mpf(2) ** (-50)
@@ -229,36 +229,26 @@ def mahler_quadrature(spectrum, tol=1e-10, max_panels=4096):
         f"within {max_panels} panels")
 
 
-def _family_tau(steps, family, n):
-    """tau of the (steps, family) family at order ``n`` by its closed form."""
-    diagonal = diagonal_flag(family)
-    spec = CirculantSpec(CirculantSpec.smallest_order(steps, diagonal), steps,
-                         diagonal)
-    return tau_closed_form(spec, n)
-
-
-def _growth_ratio(tau, steps, family, n, measure):
+def _growth_ratio(tau, spec, measure):
     """tau q / (n d^2 M^n), with 2q in place of q for the diagonal family."""
-    q = sum(s * s for s in steps)
-    if diagonal_flag(family):
-        q *= 2
-    return math.exp(math.log(tau) + math.log(q) - math.log(n)
-                    - 2 * math.log(math.gcd(*steps))
-                    - n * measure.small_measure)
+    q = sum(s * s for s in spec.steps) * (2 if spec.diagonal else 1)
+    return math.exp(math.log(tau) + math.log(q) - math.log(spec.order)
+                    - 2 * math.log(math.gcd(*spec.steps))
+                    - spec.order * measure.small_measure)
 
 
 def asymptotic_ratio(steps, family, n, measure=None):
     """tau(n) q / (n d^2 M^n) for the even family (2q for diagonal).
 
-    Tends to 1 as n grows; the exact count comes from
-    :func:`~circtrees.chebyshev.tau_closed_form`.  Orders sharing a factor
-    with gcd(steps) are disconnected and rejected.
+    Tends to 1 as n grows; tau(n) is the closed form at the spec of
+    :func:`~circtrees.arithmetic.family_spec`, so an order below the
+    family's smallest raises :class:`SpecError` and a disconnected one
+    :class:`DisconnectedGraphError`.
     """
-    steps = tuple(sorted(steps))
-    tau = _family_tau(steps, family, n)
+    spec = family_spec(steps, family, n)
     if measure is None:
         measure = mahler_root_product(associated_laurent(steps, family))
-    return _growth_ratio(tau, steps, family, n, measure)
+    return _growth_ratio(tau_closed_form(spec), spec, measure)
 
 
 @dataclass(frozen=True)
@@ -271,9 +261,12 @@ class ThermoSeries:
 
 
 def thermo_limit(steps, family, orders, measure=None):
-    """log tau(n) / n over the given orders, with the limit m(L) or m(R)."""
-    steps = tuple(sorted(steps))
+    """log tau(n) / n over the given orders, with the limit m(L) or m(R).
+
+    An order outside the family raises as in :func:`asymptotic_ratio`.
+    """
     if measure is None:
         measure = mahler_root_product(associated_laurent(steps, family))
-    values = [math.log(_family_tau(steps, family, n)) / n for n in orders]
+    values = [math.log(tau_closed_form(family_spec(steps, family, n))) / n
+              for n in orders]
     return ThermoSeries(tuple(orders), tuple(values), measure.small_measure)

@@ -390,6 +390,15 @@ class TestSeeds:
                                                          2**1100]))
         assert root == 3
 
+    def test_zero_division_is_a_refinement_error(self):
+        # 2^2200 w^2 + 1: the start radius 2^-1100 underflows to 0.0, so
+        # every seed starts at 0 and the Aberth pull divides by zero
+        poly = IntPolynomial([1, 0, 2**2200])
+        with pytest.raises(RootRefinementError, match="divided by zero"):
+            _double_precision_roots(poly)
+        with pytest.raises(RootRefinementError, match="divided by zero"):
+            find_roots(poly, 128)
+
 
 class TestClosedFormCounts:
     def test_even_frozen(self):

@@ -180,6 +180,10 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "C*(2,4)", "--n-max", "13")
         assert code == 0 and "skip (disconnected)" in out
 
+    def test_disconnected_literal_exit_3(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "C10(2,4)")
+        assert code == 3 and "skip (disconnected)" in out
+
 
 class TestMahlerCommand:
     def test_single_value(self, capsys):
@@ -228,6 +232,19 @@ class TestAsymptote:
         assert by_n[10]["tau"] == "0" and by_n[10]["ratio"] is None
         assert by_n[11]["ratio"] is not None
 
+    def test_orders_below_the_family_are_null(self, capsys):
+        # C3(1,2) and C4(1,2) are multigraphs, not members of the family
+        code, out, _ = run_cli(capsys, "asymptote", "1,2", "--n", "3..6")
+        assert code == 0
+        rows = json_rows(out)
+        assert [r["n"] for r in rows] == [3, 4, 5, 6]
+        for row in rows[:2]:
+            assert (row["tau"], row["ratio"], row["a"]) == (None, None, None)
+        assert [r["tau"] for r in rows[2:]] == ["125", "384"]
+        assert rows[2]["ratio"] == pytest.approx(1.016327344472919, abs=1e-15)
+        assert rows[3]["ratio"] == pytest.approx(0.9937984048453938,
+                                                 abs=1e-15)
+
 
 class TestDecompose:
     def test_json_row(self, capsys):
@@ -269,6 +286,18 @@ class TestSequence:
         code, _, err = run_cli(capsys, "sequence", "1,2", "--n", "5..15",
                                "--check-recursion", "1,1")
         assert code == 0 and "recursion verified" in err
+
+    def test_disconnected_order_has_tau_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "sequence", "2,4", "--n", "9..11")
+        assert code == 0
+        by_n = {r["n"]: r for r in json_rows(out)}
+        assert by_n[10]["tau"] == "0"
+        assert by_n[10]["coefficient"] is None and by_n[10]["a"] is None
+        assert (by_n[9]["a"], by_n[11]["a"]) == ("34", "89")
+
+    def test_invalid_order_exit_2_without_rows(self, capsys):
+        code, out, err = run_cli(capsys, "sequence", "1,2", "--n", "1..4")
+        assert code == 2 and out == "" and "order 1 too small" in err
 
     def test_bad_recursion_rejected_before_any_row(self, capsys):
         code, out, err = run_cli(capsys, "sequence", "1,2", "--n", "5..9",

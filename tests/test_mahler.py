@@ -6,9 +6,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from circtrees import (DisconnectedGraphError, associated_laurent,
+from circtrees import (DisconnectedGraphError, SpecError, associated_laurent,
                        asymptotic_ratio, find_roots, mahler_quadrature,
                        mahler_root_product, thermo_limit)
+from circtrees import mahler
 from circtrees.chebyshev import _ordinary_image
 from circtrees.mahler import _gauss_legendre
 
@@ -134,6 +135,26 @@ class TestScalingInvariance:
             associated_laurent(scaled_steps, "even", reduce=False))
         assert abs(plain.value - scaled.value) < 1e-9
 
+    def test_escalation_keeps_the_unreduced_polynomial(self, monkeypatch):
+        built, calls = [], []
+        build, classify = mahler.associated_laurent, mahler._classify_roots
+
+        def spy_build(*args, **kwargs):
+            built.append(kwargs["reduce"])
+            return build(*args, **kwargs)
+
+        def ambiguous_once(spectrum):
+            calls.append(spectrum.precision)
+            return None if len(calls) == 1 else classify(spectrum)
+
+        monkeypatch.setattr(mahler, "associated_laurent", spy_build)
+        monkeypatch.setattr(mahler, "_classify_roots", ambiguous_once)
+        raw = build((2, 4), "even", reduce=False)
+        est = mahler_root_product(raw)
+        assert built == [False] and calls == [256, 512]
+        base = mahler_root_product(build((1, 2), "even"))
+        assert abs(est.value - base.value) < 1e-9
+
     def test_scaled_rebuild_reduces(self):
         auto = mahler_root_product(associated_laurent((2, 4), "even"))
         base = mahler_root_product(associated_laurent((1, 2), "even"))
@@ -173,6 +194,13 @@ class TestAsymptotics:
         assert abs(asymptotic_ratio((2, 4), "even", 29) - 1) < 0.05
         with pytest.raises(DisconnectedGraphError):
             asymptotic_ratio((2, 4), "even", 12)
+
+    def test_orders_below_the_family_rejected(self):
+        # at n = 4 the steps 1 and 2 = 4 - 2 fold together: a multigraph
+        with pytest.raises(SpecError):
+            asymptotic_ratio((1, 2), "even", 4)
+        with pytest.raises(SpecError):
+            thermo_limit((1, 2), "even", [4])
 
     @pytest.mark.parametrize("steps,family", [
         ((1, 2), "even"), ((1, 3), "even"), ((2, 3), "even"),

@@ -4,7 +4,9 @@ the integer polynomial layer.
 Random step sets from {1..6} in either family, on at most 40 vertices
 where the determinant oracle takes part and at most 250 where only the two
 closed forms are compared; gcd-1 step sets from {1..9} at orders up to 600
-compare the two closed forms at counts of thousands of bits.  Polynomials
+compare the two closed forms at counts of thousands of bits.  The
+``asymptote`` and ``sequence`` rows at orders 2..40 carry the family
+rule's count.  Polynomials
 are products of small integer factors with leading coefficients 2..5,
 repeated factors and a content, checked against a Euclid over the
 rationals written here.  Examples are derandomized and have no deadline,
@@ -12,7 +14,10 @@ so the suite is deterministic and does not depend on the speed of the
 machine.
 """
 
+import io
+import json
 import math
+from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,6 +31,7 @@ from circtrees import (DisconnectedGraphError, IntPolynomial,
                        tau_even, tau_odd, tau_oracle)
 from circtrees.arithmetic import family_spec
 from circtrees.chebyshev import poly_gcd, square_free_decomposition
+from circtrees.cli import main
 
 MAX_VERTICES = 40
 MAX_CLOSED_FORM_VERTICES = 250
@@ -81,6 +87,24 @@ def test_family_spec_follows_the_family_rule(case):
         return
     assert n >= smallest and connected
     assert (spec.order, spec.steps, spec.family) == (n, steps, family)
+
+
+@PROPERTY
+@given(steps_st, family_st, st.integers(2, 40))
+def test_sweep_rows_carry_the_family_spec_count(steps, family, n):
+    try:
+        expected = str(tau_closed_form(family_spec(steps, family, n)))
+    except SpecError:
+        expected = None
+    except DisconnectedGraphError:
+        expected = "0"
+    for command in ("asymptote", "sequence"):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main([command, ",".join(map(str, steps)),
+                         "--family", family, "--n", f"{n}..{n}"])
+        (row,) = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert code == 0 and (row["n"], row["tau"]) == (n, expected)
 
 
 @PROPERTY
