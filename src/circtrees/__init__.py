@@ -6,21 +6,26 @@ Functionality is organized along independent, cross-validating routes:
   Laplacians, eigenvalues;
 * :mod:`circtrees.exact` -- ground-truth counts via Bareiss fraction-free
   determinants (matrix-tree theorem);
-* :mod:`circtrees.chebyshev` -- integer Chebyshev algebra, exact
-  resultant closed-form counts for both valency families, and the certified
-  Chebyshev products that cross-check them;
+* :mod:`circtrees.algebra` -- integer polynomials and the exact resultant
+  closed-form counts for both valency families (the method of record);
+* :mod:`circtrees.chebyshev` -- integer Chebyshev algebra and the certified
+  Chebyshev products that cross-check the closed form;
 * :mod:`circtrees.arithmetic` -- square-free decompositions
   tau = c n a(n)^2 and the integer sequences a(n);
 * :mod:`circtrees.mahler` -- Mahler measures of the associated Laurent
   polynomials, growth ratios, thermodynamic limits;
 * :mod:`circtrees.cli` -- the ``circtrees`` command-line tool.
+
+The exact modules are imported with the package.  :mod:`chebyshev` and
+:mod:`mahler` need mpmath, so their names here are resolved on first use
+(PEP 562): exact counting never loads the floating-point machinery.
 """
 
+import importlib
+
+from .algebra import IntPolynomial, tau_closed_form
 from .arithmetic import (Decomposition, decompose, expected_coefficient,
                          sequence_a, square_free_part)
-from .chebyshev import (CertifiedRoots, IntPolynomial, build_even_char,
-                        build_odd_char, cheb_eval_large, cheb_t, cheb_u,
-                        find_roots, tau_closed_form, tau_even, tau_odd)
 from .errors import (CertificationError, CirctreesError,
                      DisconnectedGraphError, InternalConsistencyError,
                      OracleCeilingError, QuadratureError, RootRefinementError,
@@ -28,9 +33,6 @@ from .errors import (CertificationError, CirctreesError,
 from .exact import bareiss_determinant, tau_oracle
 from .graph import (CirculantSpec, canonicalize, component_count, eigenvalue,
                     is_connected, laplacian, multiplier_conjugate, parse_spec)
-from .mahler import (LaurentSpectrum, MahlerEstimate, ThermoSeries,
-                     associated_laurent, asymptotic_ratio,
-                     mahler_quadrature, mahler_root_product, thermo_limit)
 
 __version__ = "0.1.0"
 
@@ -48,3 +50,24 @@ __all__ = [
     "square_free_part", "tau_closed_form", "tau_even", "tau_odd",
     "tau_oracle", "thermo_limit",
 ]
+
+_LAZY = {
+    **dict.fromkeys(("CertifiedRoots", "build_even_char", "build_odd_char",
+                     "cheb_eval_large", "cheb_t", "cheb_u", "find_roots",
+                     "tau_even", "tau_odd"), "chebyshev"),
+    **dict.fromkeys(("LaurentSpectrum", "MahlerEstimate", "ThermoSeries",
+                     "associated_laurent", "asymptotic_ratio",
+                     "mahler_quadrature", "mahler_root_product",
+                     "thermo_limit"), "mahler"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    return getattr(module, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -19,7 +19,7 @@ failure is a theorem violation, not a recoverable condition.
 import math
 from dataclasses import dataclass
 
-from . import chebyshev
+from . import algebra
 from .errors import DisconnectedGraphError, InternalConsistencyError
 from .graph import CirculantSpec, component_count, diagonal_flag
 
@@ -122,5 +122,5 @@ def sequence_a(steps, family, orders):
     values = []
     for n in orders:
         spec = family_spec(steps, family, n)
-        values.append(decompose(spec, chebyshev.tau_closed_form(spec)).a)
+        values.append(decompose(spec, algebra.tau_closed_form(spec)).a)
     return values

@@ -1,4 +1,4 @@
-"""Integer Chebyshev algebra and closed-form spanning-tree counts.
+"""Integer Chebyshev algebra and the certified Chebyshev products.
 
 The spanning-tree count of a connected circulant graph factors through
 Chebyshev polynomials of the first kind:
@@ -18,21 +18,22 @@ Chebyshev polynomials of the first kind:
   than u = 1 (removed by exact division), and v_p the roots of P(v) = -1.
 
 Both products are norms of algebraic integers, and
-:func:`tau_closed_form`, the method of record, computes them as such: as
-determinants over the integers, with no floating point and no size limit.
-:func:`tau_even` and :func:`tau_odd` keep the products in the form above as
-the independent cross-check.  They are evaluated in arbitrary-precision
-floating point and *certified*: the value must sit within 2^-20 of an
-integer with the right divisibility, and recomputation at doubled precision
-must reproduce the same integer, otherwise the precision escalates (up to a
-hard cap) and finally fails loudly.  Newton refines the roots at doubling
-precisions, and the confirm pass starts from the roots of the pass it
-confirms; escalations are logged at DEBUG level.  The polynomials are
-real, so each conjugate pair of roots costs one refinement and one T_n:
-the second root is the exact conjugate of the first, and the pair
-contributes the squared modulus of its one value.  Correctness is anchored
-by agreement with the exact determinant oracle in :mod:`circtrees.exact`
-at small sizes.
+:func:`circtrees.algebra.tau_closed_form`, the method of record, computes
+them as such, with no floating point.  :func:`tau_even` and :func:`tau_odd`
+keep the products in the form above as the independent cross-check, with
+the integer algebra only they use (gcd and square-free factoring in Z[w],
+T_m and U_m, the characteristic polynomials).  They are evaluated in
+arbitrary-precision floating point and *certified*: the value must sit
+within 2^-20 of an integer with the right divisibility, and recomputation
+at doubled precision must reproduce the same integer, otherwise the
+precision escalates (up to a hard cap) and finally fails loudly.  Newton
+refines the roots at doubling precisions, and the confirm pass starts from
+the roots of the pass it confirms; escalations are logged at DEBUG level.
+The polynomials are real, so each conjugate pair of roots costs one
+refinement and one T_n: the second root is the exact conjugate of the
+first, and the pair contributes the squared modulus of its one value.
+Correctness is anchored by agreement with the exact determinant oracle in
+:mod:`circtrees.exact` at small sizes.
 """
 
 import cmath
@@ -44,165 +45,14 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .errors import (CertificationError, DisconnectedGraphError,
-                     InternalConsistencyError, RootRefinementError)
-from .exact import bareiss_determinant
-from .graph import family_components
+from .algebra import IntPolynomial, _require_family
+from .errors import (CertificationError, InternalConsistencyError,
+                     RootRefinementError)
 
 MAX_CERTIFY_BITS = 8192
 INTEGRALITY_TOL_BITS = 20
 
 _log = logging.getLogger(__name__)
-
-
-class IntPolynomial:
-    """Dense univariate polynomial with arbitrary-precision integer coefficients.
-
-    Coefficients are stored lowest degree first; the leading coefficient is
-    nonzero except for the zero polynomial, which has an empty tuple.
-    Instances are immutable and support +, -, * (with ints or polynomials),
-    exact division, and evaluation at anything Horner's rule accepts.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        c = list(coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        object.__setattr__(self, "coeffs", tuple(c))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntPolynomial is immutable")
-
-    @property
-    def degree(self):
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    @property
-    def leading(self):
-        return self.coeffs[-1] if self.coeffs else 0
-
-    def __eq__(self, other):
-        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = IntPolynomial([other])
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return IntPolynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return IntPolynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = IntPolynomial([other])
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial([c * other for c in self.coeffs])
-        if self.is_zero or other.is_zero:
-            return IntPolynomial([])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def derivative(self):
-        return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def content(self):
-        g = 0
-        for c in self.coeffs:
-            g = math.gcd(g, c)
-        return g
-
-    def primitive(self):
-        """Divide out the content; sign of the leading coefficient is kept."""
-        g = self.content()
-        if g <= 1:
-            return self
-        return IntPolynomial([c // g for c in self.coeffs])
-
-    def __call__(self, x):
-        """Horner evaluation; works for int, Fraction, float, complex, mpmath."""
-        acc = 0 * x
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def divmod_exact(self, divisor):
-        """Quotient and remainder by long division over the integers.
-
-        Raises :class:`InternalConsistencyError` when a quotient coefficient
-        is not a multiple of the divisor's leading coefficient; used only
-        where the division is exact by construction (a divisor with leading
-        coefficient +-1, a primitive factor, or a pseudo-remainder).
-        """
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dv = divisor.coeffs
-        dd = len(dv) - 1
-        quot = [0] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            f, r = divmod(rem[i], dv[-1])
-            if r:
-                raise InternalConsistencyError(
-                    f"non-integer quotient dividing {self} by {divisor}")
-            quot[i - dd] = f
-            if f:
-                for j, d in enumerate(dv):
-                    rem[i - dd + j] -= f * d
-        return IntPolynomial(quot), IntPolynomial(rem[:dd])
-
-    def div_exact(self, divisor):
-        """Exact quotient; the remainder must vanish."""
-        q, r = self.divmod_exact(divisor)
-        if not r.is_zero:
-            raise InternalConsistencyError(
-                f"nonzero remainder {r} dividing {self} by {divisor}")
-        return q
-
-    def __repr__(self):
-        if self.is_zero:
-            return "IntPolynomial(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append(f"{c}*w")
-            else:
-                terms.append(f"{c}*w^{i}")
-        return "IntPolynomial(" + " + ".join(terms) + ")"
 
 
 def poly_gcd(a, b):
@@ -717,20 +567,6 @@ def _certified_integer(evaluate, divisor, initial_bits, what):
         f"{what} failed to certify as an integer below {MAX_CERTIFY_BITS} bits")
 
 
-def _require_family(spec, diagonal, n):
-    if spec.diagonal != diagonal:
-        wanted = "diagonal" if diagonal else "even-valency"
-        raise ValueError(f"{spec} is not a {wanted} spec")
-    if n is None:
-        n = spec.order
-    if n < 2:
-        raise ValueError(f"order {n} too small")
-    if family_components(spec.steps, n) != 1:
-        raise DisconnectedGraphError(
-            f"steps {spec.steps} give a disconnected graph at order {n}",
-            spec=spec)
-    return n
-
 
 def tau_even(spec, n=None):
     """Spanning-tree count of the even-valency family at order ``n``.
@@ -792,73 +628,3 @@ def tau_odd(spec, n=None):
 
     start = 128 + _headroom_bits([u_poly, v_poly], n, prefactor)
     return _certified_integer(evaluate, q, start, f"tau_odd({spec}, n={n})")
-
-
-def _ordinary_image(steps, shift=0):
-    """IntPolynomial image z^{s_k} * (2k + shift - sum_i (z^{s_i}+z^{-s_i}))."""
-    smax = max(steps)
-    coeffs = [0] * (2 * smax + 1)
-    coeffs[smax] = 2 * len(steps) + shift
-    for s in steps:
-        coeffs[smax + s] -= 1
-        coeffs[smax - s] -= 1
-    return IntPolynomial(coeffs)
-
-
-def _power_norm(modulus, n, shift):
-    """prod (r^n + shift) over the roots r of ``modulus``, exactly.
-
-    ``modulus`` has leading coefficient +-1, so Z[z]/(modulus) is free with
-    basis 1, z, ..., z^{d-1}.  z^n is reduced in it by binary powering over
-    the integers, and the norm is the determinant of multiplication by
-    z^n + shift in that basis.  A constant modulus has no roots: norm 1.
-    """
-    if abs(modulus.leading) != 1:
-        raise InternalConsistencyError(
-            f"{modulus} does not have leading coefficient +-1")
-    d = modulus.degree
-    if d < 1:
-        return 1
-    z = IntPolynomial([0, 1])
-    power = IntPolynomial([1])
-    for bit in bin(n)[2:]:
-        power = power * power
-        if bit == "1":
-            power = power * z
-        power = power.divmod_exact(modulus)[1]
-    rows = [power + shift]
-    for _ in range(d - 1):
-        rows.append((rows[-1] * z).divmod_exact(modulus)[1])
-    return bareiss_determinant(
-        [list(row.coeffs) + [0] * (d - len(row.coeffs)) for row in rows])
-
-
-def tau_closed_form(spec, n=None):
-    """Spanning-tree count of the family of ``spec`` at order ``n``, exactly.
-
-    Write p_L = z^{s_k} L(z) = -(z - 1)^2 Q(z) and Q_2 = z^{s_k} (L + 2);
-    both have leading coefficient +-1.  The Chebyshev products of
-    :func:`tau_even` and :func:`tau_odd` are then norms over their roots:
-
-        even:     tau(n) = n |prod_Q (r^n - 1)| / q
-        diagonal: tau(n) = n |prod_Q (r^n - 1)| |prod_Q_2 (r^n + 1)| / 2q
-
-    each an integer determinant, so no precision is involved and no count
-    is too large.  ``n`` and the errors are as for :func:`tau_even` and
-    :func:`tau_odd`; a count that is not a positive multiple of q (2q)
-    raises :class:`InternalConsistencyError`.
-    """
-    n = _require_family(spec, spec.diagonal, n)
-    steps = spec.steps
-    q = sum(s * s for s in steps)
-    reduced = _ordinary_image(steps).div_exact(IntPolynomial([-1, 2, -1]))
-    count = n * abs(_power_norm(reduced, n, -1))
-    if spec.diagonal:
-        q *= 2
-        count *= abs(_power_norm(_ordinary_image(steps, shift=2), n, 1))
-    tau, rest = divmod(count, q)
-    if tau <= 0 or rest:
-        raise InternalConsistencyError(
-            f"norm product {count} of {spec} at order {n} is not a positive "
-            f"multiple of {q}")
-    return tau

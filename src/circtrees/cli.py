@@ -47,7 +47,8 @@ import re
 import sys
 import time
 
-from . import arithmetic, chebyshev, exact, graph, mahler
+# chebyshev and mahler load mpmath: only the commands using them import them
+from . import algebra, arithmetic, exact, graph
 from .errors import (CertificationError, CirctreesError,
                      DisconnectedGraphError, InternalConsistencyError,
                      OracleCeilingError, QuadratureError, RootRefinementError,
@@ -163,7 +164,7 @@ def cmd_tau(args):
         return _emit_disconnected(spec, args, timed)
     values = {}
     if args.method in ("formula", "both"):
-        values["formula"] = chebyshev.tau_closed_form(spec)
+        values["formula"] = algebra.tau_closed_form(spec)
     if args.method in ("oracle", "both"):
         values["oracle"] = exact.tau_oracle(spec, ceiling=args.oracle_ceiling)
     distinct = sorted(set(values.values()))
@@ -181,20 +182,24 @@ def cmd_tau(args):
 def _family_rows(steps, family, orders):
     """(n, spec, tau) per order of a sweep, as ``family_spec`` decides it.
 
-    Below the family's smallest order spec and tau are None, a disconnected
-    order has spec None and tau 0, and an order below 2 is invalid input.
+    Below the family's smallest order spec and tau are None, and a
+    disconnected order has spec None and tau 0.  An order below 2 is invalid
+    input, rejected here before any row is computed.
     """
-    for n in orders:
-        if n < 2:
-            raise ValueError(f"order {n} too small")
-        try:
-            spec = arithmetic.family_spec(steps, family, n)
-        except SpecError:
-            yield n, None, None
-        except DisconnectedGraphError:
-            yield n, None, 0
-        else:
-            yield n, spec, chebyshev.tau_closed_form(spec)
+    low = min(orders, default=2)
+    if low < 2:
+        raise ValueError(f"order {low} too small")
+    return (_family_row(steps, family, n) for n in orders)
+
+
+def _family_row(steps, family, n):
+    try:
+        spec = arithmetic.family_spec(steps, family, n)
+    except SpecError:
+        return n, None, None
+    except DisconnectedGraphError:
+        return n, None, 0
+    return n, spec, algebra.tau_closed_form(spec)
 
 
 def _verify_one(spec, formula, ceiling):
@@ -204,6 +209,7 @@ def _verify_one(spec, formula, ceiling):
     product (unless over its precision cap) and the oracle (unless over its
     ceiling), then decompose as c n a^2 and match a conjugate's count.
     """
+    from . import chebyshev
     notes = []
     ok = True
     certified_form = chebyshev.tau_odd if spec.diagonal else chebyshev.tau_even
@@ -239,7 +245,7 @@ def _verify_one(spec, formula, ceiling):
     r = next(r for r in range(2, n_vertices + 1)
              if math.gcd(r, n_vertices) == 1)
     conj = graph.multiplier_conjugate(spec, r)
-    conj_tau = chebyshev.tau_closed_form(conj)
+    conj_tau = algebra.tau_closed_form(conj)
     if conj_tau != formula:
         ok = False
         notes.append(f"conjugate {conj} gave {conj_tau}")
@@ -295,6 +301,7 @@ def cmd_verify(args):
 
 
 def cmd_mahler(args):
+    from . import mahler
     steps = _parse_steps(args.steps)
     timed = _row_timer(args.timings)
     spectrum = mahler.associated_laurent(steps, args.family)
@@ -325,6 +332,8 @@ def cmd_mahler(args):
 def cmd_asymptote(args):
     steps = _parse_steps(args.steps)
     timed = _row_timer(args.timings)
+    sweep = _family_rows(steps, args.family, args.n)
+    from . import mahler    # after the order check: a bad range loads no mpmath
     measure = mahler.mahler_root_product(
         mahler.associated_laurent(steps, args.family))
     rows = [make_record(spec=_family_pattern(steps, args.family), n=n,
@@ -333,7 +342,7 @@ def cmd_asymptote(args):
                         ratio=None if spec is None
                         else mahler._growth_ratio(tau, spec, measure),
                         timings=timed())
-            for n, spec, tau in _family_rows(steps, args.family, args.n)]
+            for n, spec, tau in sweep]
     _emit(rows, args)
     return EXIT_OK
 
@@ -343,7 +352,7 @@ def cmd_decompose(args):
     timed = _row_timer(args.timings)
     if not graph.is_connected(spec):
         return _emit_disconnected(spec, args, timed)
-    tau = chebyshev.tau_closed_form(spec)
+    tau = algebra.tau_closed_form(spec)
     dec = arithmetic.decompose(spec, tau)
     _emit([make_record(spec=spec.literal, n=spec.order, family=spec.family,
                        tau=str(tau), coefficient=dec.coefficient,

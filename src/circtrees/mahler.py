@@ -24,9 +24,9 @@ from functools import lru_cache
 
 import mpmath as mp
 
+from .algebra import IntPolynomial, _ordinary_image, tau_closed_form
 from .arithmetic import family_spec
-from .chebyshev import (IntPolynomial, _ordinary_image, find_roots,
-                        tau_closed_form)
+from .chebyshev import find_roots
 from .errors import CertificationError, QuadratureError
 from .graph import diagonal_flag
 
@@ -263,10 +263,12 @@ class ThermoSeries:
 def thermo_limit(steps, family, orders, measure=None):
     """log tau(n) / n over the given orders, with the limit m(L) or m(R).
 
-    An order outside the family raises as in :func:`asymptotic_ratio`.
+    An order outside the family raises as in :func:`asymptotic_ratio`,
+    before the measure is computed.
     """
+    specs = [family_spec(steps, family, n) for n in orders]
     if measure is None:
         measure = mahler_root_product(associated_laurent(steps, family))
-    values = [math.log(tau_closed_form(family_spec(steps, family, n))) / n
-              for n in orders]
+    values = [math.log(tau_closed_form(spec)) / n
+              for n, spec in zip(orders, specs)]
     return ThermoSeries(tuple(orders), tuple(values), measure.small_measure)

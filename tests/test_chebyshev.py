@@ -18,9 +18,10 @@ from circtrees import (CertificationError, DisconnectedGraphError,
                        parse_spec, tau_closed_form, tau_even, tau_odd,
                        tau_oracle)
 from circtrees import chebyshev
-from circtrees.chebyshev import (_double_precision_roots, _ordinary_image,
-                                 _refine_roots, _seed_mirrors, _yun,
-                                 poly_gcd, square_free_decomposition)
+from circtrees.algebra import _ordinary_image
+from circtrees.chebyshev import (_double_precision_roots, _refine_roots,
+                                 _seed_mirrors, _yun, poly_gcd,
+                                 square_free_decomposition)
 
 W = IntPolynomial([0, 1])
 STEP_SETS = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 4), (2, 5),

@@ -69,10 +69,18 @@ class TestTau:
         code, out, err = run_cli(capsys, "asymptote", "1,2", "--n", "1..6")
         assert code == 2 and out == "" and "order 1 too small" in err
 
+    def test_invalid_order_rejected_before_the_measure(self, capsys,
+                                                       monkeypatch):
+        def refuse(spectrum):
+            raise AssertionError("measure computed for a rejected range")
+        monkeypatch.setattr("circtrees.mahler.mahler_root_product", refuse)
+        code, out, err = run_cli(capsys, "asymptote", "1,40", "--n", "1..3")
+        assert code == 2 and out == "" and "order 1 too small" in err
+
     def test_internal_error_exit_6(self, capsys, monkeypatch):
         # a count that is not c n a^2 breaks a theorem: an internal error,
         # not a verification failure
-        monkeypatch.setattr("circtrees.chebyshev.tau_closed_form",
+        monkeypatch.setattr("circtrees.algebra.tau_closed_form",
                             lambda spec, n=None: 7)
         code, _, err = run_cli(capsys, "decompose", "C12(1,3)")
         assert code == 6 and "internal error" in err
@@ -183,6 +191,10 @@ class TestVerify:
     def test_disconnected_literal_exit_3(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "C10(2,4)")
         assert code == 3 and "skip (disconnected)" in out
+
+    def test_empty_sweep_exit_1(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "C*(1,2)", "--n-max", "1")
+        assert code == 1 and "nothing to check in range" in out
 
 
 class TestMahlerCommand:

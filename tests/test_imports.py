@@ -1,0 +1,108 @@
+"""The package boundary: what importing circtrees loads, and what it exports.
+
+The exact route (``algebra``, ``arithmetic``, ``exact``, ``graph``) imports
+no mpmath; ``chebyshev`` and ``mahler`` do, and the package resolves their
+names on first use.  The import checks run in fresh interpreters, since
+this test process has long since loaded everything.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import circtrees
+from circtrees import chebyshev, mahler
+
+ALL = [
+    "CertificationError", "CertifiedRoots", "CirculantSpec", "CirctreesError",
+    "Decomposition", "DisconnectedGraphError", "IntPolynomial",
+    "InternalConsistencyError", "LaurentSpectrum", "MahlerEstimate",
+    "OracleCeilingError", "QuadratureError", "RootRefinementError",
+    "SpecError", "SpecParseError", "ThermoSeries", "associated_laurent",
+    "asymptotic_ratio", "bareiss_determinant", "build_even_char",
+    "build_odd_char", "canonicalize", "cheb_eval_large", "cheb_t", "cheb_u",
+    "component_count", "decompose", "eigenvalue", "expected_coefficient",
+    "find_roots", "is_connected", "laplacian", "mahler_quadrature",
+    "mahler_root_product", "multiplier_conjugate", "parse_spec", "sequence_a",
+    "square_free_part", "tau_closed_form", "tau_even", "tau_odd",
+    "tau_oracle", "thermo_limit",
+]
+
+EXACT_COMMANDS = [
+    ["tau", "C97(2,3;d)", "--method", "both"],
+    ["decompose", "C149(3,4)"],
+    ["sequence", "2,3", "--n", "4..20", "--check-recursion", "1,1,1,-1"],
+]
+
+RUN_SCRIPT = """
+import contextlib, io, json, sys
+
+class RefuseMpmath:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "mpmath":
+            raise ImportError(f"{name} refused")
+        return None
+
+if sys.argv[1] == "block":
+    sys.meta_path.insert(0, RefuseMpmath())
+from circtrees.cli import main
+runs = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    runs.append([code, out.getvalue()])
+print(json.dumps({"runs": runs, "mpmath": "mpmath" in sys.modules}))
+"""
+
+
+def python(*args):
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(filter(None, [os.path.join(root, "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestImportBoundary:
+    @pytest.mark.parametrize("module", ["circtrees", "circtrees.cli"])
+    def test_import_leaves_mpmath_unloaded(self, module):
+        out = python("-c", f"import sys, {module}; "
+                           "print('mpmath' in sys.modules)")
+        assert out.strip() == "False"
+
+    def test_exact_commands_run_with_mpmath_refused(self):
+        commands = json.dumps(EXACT_COMMANDS)
+        blocked = json.loads(python("-c", RUN_SCRIPT, "block", commands))
+        free = json.loads(python("-c", RUN_SCRIPT, "free", commands))
+        assert [code for code, _ in blocked["runs"]] == [0, 0, 0]
+        assert blocked["runs"] == free["runs"]
+        assert not blocked["mpmath"] and not free["mpmath"]
+
+
+class TestExports:
+    def test_all_is_pinned_and_resolves(self):
+        assert circtrees.__all__ == ALL
+        for name in ALL:
+            assert getattr(circtrees, name) is not None
+
+    def test_dir_lists_every_export(self):
+        assert set(circtrees.__all__) <= set(dir(circtrees))
+
+    def test_lazy_names_are_the_module_objects(self):
+        assert circtrees.tau_even is chebyshev.tau_even
+        assert circtrees.thermo_limit is mahler.thermo_limit
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError):
+            circtrees.no_such_name
+
+    def test_star_import(self):
+        out = python("-c", "from circtrees import *; import circtrees; "
+                           "print(sorted(set(circtrees.__all__) - set(dir())))")
+        assert out.strip() == "[]"

@@ -10,7 +10,7 @@ from circtrees import (DisconnectedGraphError, SpecError, associated_laurent,
                        asymptotic_ratio, find_roots, mahler_quadrature,
                        mahler_root_product, thermo_limit)
 from circtrees import mahler
-from circtrees.chebyshev import _ordinary_image
+from circtrees.algebra import _ordinary_image
 from circtrees.mahler import _gauss_legendre
 
 # closed forms verified to high precision; the two-decimal figures carry a
@@ -201,6 +201,13 @@ class TestAsymptotics:
             asymptotic_ratio((1, 2), "even", 4)
         with pytest.raises(SpecError):
             thermo_limit((1, 2), "even", [4])
+
+    def test_orders_rejected_before_the_measure(self, monkeypatch):
+        def refuse(spectrum):
+            raise AssertionError("measure computed for a rejected order")
+        monkeypatch.setattr(mahler, "mahler_root_product", refuse)
+        with pytest.raises(SpecError):
+            thermo_limit((1, 40), "even", [4])
 
     @pytest.mark.parametrize("steps,family", [
         ((1, 2), "even"), ((1, 3), "even"), ((2, 3), "even"),
