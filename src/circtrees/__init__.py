@@ -25,7 +25,7 @@ import importlib
 
 from .algebra import IntPolynomial, tau_closed_form
 from .arithmetic import (Decomposition, decompose, expected_coefficient,
-                         sequence_a, square_free_part)
+                         family_spec, sequence_a, square_free_part)
 from .errors import (CertificationError, CirctreesError,
                      DisconnectedGraphError, InternalConsistencyError,
                      OracleCeilingError, QuadratureError, RootRefinementError,
@@ -45,10 +45,10 @@ __all__ = [
     "asymptotic_ratio", "bareiss_determinant", "build_even_char",
     "build_odd_char", "canonicalize", "cheb_eval_large", "cheb_t", "cheb_u",
     "component_count", "decompose", "eigenvalue", "expected_coefficient",
-    "find_roots", "is_connected", "laplacian", "mahler_quadrature",
-    "mahler_root_product", "multiplier_conjugate", "parse_spec", "sequence_a",
-    "square_free_part", "tau_closed_form", "tau_even", "tau_odd",
-    "tau_oracle", "thermo_limit",
+    "family_spec", "find_roots", "is_connected", "laplacian",
+    "mahler_quadrature", "mahler_root_product", "multiplier_conjugate",
+    "parse_spec", "sequence_a", "square_free_part", "tau_closed_form",
+    "tau_even", "tau_odd", "tau_oracle", "thermo_limit",
 ]
 
 _LAZY = {

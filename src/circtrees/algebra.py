@@ -15,7 +15,7 @@ import math
 
 from .errors import DisconnectedGraphError, InternalConsistencyError
 from .exact import bareiss_determinant
-from .graph import family_components
+from .graph import component_count
 
 
 class IntPolynomial:
@@ -168,19 +168,12 @@ class IntPolynomial:
         return "IntPolynomial(" + " + ".join(terms) + ")"
 
 
-def _require_family(spec, diagonal, n):
-    if spec.diagonal != diagonal:
-        wanted = "diagonal" if diagonal else "even-valency"
-        raise ValueError(f"{spec} is not a {wanted} spec")
-    if n is None:
-        n = spec.order
-    if n < 2:
-        raise ValueError(f"order {n} too small")
-    if family_components(spec.steps, n) != 1:
+def _require_connected(spec):
+    """Raise :class:`DisconnectedGraphError` unless ``spec`` is connected."""
+    if component_count(spec) != 1:
         raise DisconnectedGraphError(
-            f"steps {spec.steps} give a disconnected graph at order {n}",
-            spec=spec)
-    return n
+            f"steps {spec.steps} give a disconnected graph at order "
+            f"{spec.order}", spec=spec)
 
 
 def _ordinary_image(steps, shift=0):
@@ -222,24 +215,27 @@ def _power_norm(modulus, n, shift):
         [list(row.coeffs) + [0] * (d - len(row.coeffs)) for row in rows])
 
 
-def tau_closed_form(spec, n=None):
-    """Spanning-tree count of the family of ``spec`` at order ``n``, exactly.
+def tau_closed_form(spec):
+    """Spanning-tree count of ``spec``, exactly.
 
     Write p_L = z^{s_k} L(z) = -(z - 1)^2 Q(z) and Q_2 = z^{s_k} (L + 2);
     both have leading coefficient +-1.  The Chebyshev products of
     :func:`~circtrees.chebyshev.tau_even` and
-    :func:`~circtrees.chebyshev.tau_odd` are then norms over their roots:
+    :func:`~circtrees.chebyshev.tau_odd` are then norms over their roots,
+    at the order n of ``spec`` (the half-order for the diagonal family):
 
-        even:     tau(n) = n |prod_Q (r^n - 1)| / q
-        diagonal: tau(n) = n |prod_Q (r^n - 1)| |prod_Q_2 (r^n + 1)| / 2q
+        even:     tau = n |prod_Q (r^n - 1)| / q
+        diagonal: tau = n |prod_Q (r^n - 1)| |prod_Q_2 (r^n + 1)| / 2q
 
     each an integer determinant, so no precision is involved and no count
-    is too large.  ``n`` and the errors are as for :func:`tau_even` and
-    :func:`tau_odd`; a count that is not a positive multiple of q (2q)
-    raises :class:`InternalConsistencyError`.
+    is too large.  A disconnected spec raises
+    :class:`DisconnectedGraphError`; a count that is not a positive
+    multiple of q (2q) raises :class:`InternalConsistencyError`.  Other
+    orders of a family are counted from their own specs
+    (:func:`~circtrees.arithmetic.family_spec`).
     """
-    n = _require_family(spec, spec.diagonal, n)
-    steps = spec.steps
+    _require_connected(spec)
+    n, steps = spec.order, spec.steps
     q = sum(s * s for s in steps)
     reduced = _ordinary_image(steps).div_exact(IntPolynomial([-1, 2, -1]))
     count = n * abs(_power_norm(reduced, n, -1))

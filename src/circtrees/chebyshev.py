@@ -12,17 +12,20 @@ Chebyshev polynomials of the first kind:
 
 * odd valency (diagonal step), steps s_1 < ... < s_k < n on 2n vertices:
 
-      tau(n) = (n 4^{s_k-1} / q) * prod(T_n(u_p) - 1) * prod(T_n(v_p) + 1),
+      tau(n) = (n / 2q) * prod_p (2 T_n(w_p) - 2) * prod_r (2 T_n(v_r) + 2),
 
-  with P(w) = 2k + 1 - 2 sum_j T_{s_j}(w), u_p the roots of P(u) = 1 other
-  than u = 1 (removed by exact division), and v_p the roots of P(v) = -1.
+  with w_p the same roots of P and v_r the s_k roots of P_odd(v) + 1,
+  where P_odd(w) = 2k + 1 - 2 sum_j T_{s_j}(w).  The roots of
+  P_odd(u) = 1 other than u = 1 are those of P, since
+  (P_odd - 1) / (w - 1) = -2 P.
 
 Both products are norms of algebraic integers, and
 :func:`circtrees.algebra.tau_closed_form`, the method of record, computes
 them as such, with no floating point.  :func:`tau_even` and :func:`tau_odd`
-keep the products in the form above as the independent cross-check, with
-the integer algebra only they use (gcd and square-free factoring in Z[w],
-T_m and U_m, the characteristic polynomials).  They are evaluated in
+keep the products in the form above as the independent cross-check, one
+evaluator for both families, with the integer algebra only they use (gcd
+and square-free factoring in Z[w], T_m and U_m, the characteristic
+polynomials).  They are evaluated in
 arbitrary-precision floating point and *certified*: the value must sit
 within 2^-20 of an integer with the right divisibility, and recomputation
 at doubled precision must reproduce the same integer, otherwise the
@@ -45,7 +48,7 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .algebra import IntPolynomial, _require_family
+from .algebra import IntPolynomial, _require_connected
 from .errors import (CertificationError, InternalConsistencyError,
                      RootRefinementError)
 
@@ -508,12 +511,10 @@ def build_odd_char(steps):
     return p
 
 
-def _headroom_bits(char_polys, n, prefactor):
+def _headroom_bits(polys, n):
     """Upper estimate of log2 of the certified product, from double roots."""
-    bits = math.log2(max(prefactor, 1)) + 8
-    for poly in char_polys:
-        if poly.degree < 1:
-            continue
+    bits = math.log2(n) + 8
+    for poly in polys:
         for _, _, mult, seeds in _root_setup(poly):
             for w in seeds:
                 s = (w * w - 1) ** 0.5
@@ -567,64 +568,58 @@ def _certified_integer(evaluate, divisor, initial_bits, what):
         f"{what} failed to certify as an integer below {MAX_CERTIFY_BITS} bits")
 
 
-
-def tau_even(spec, n=None):
-    """Spanning-tree count of the even-valency family at order ``n``.
+def tau_even(spec):
+    """Spanning-tree count of an even-valency spec, certified.
 
     Evaluates (n/q) * prod |2 T_n(w_p) - 2| over the certified roots of the
-    characteristic polynomial and returns the certified integer.  ``n``
-    defaults to ``spec.order``; other connected orders evaluate the family
-    closed form (for n <= 2 s_k this is the cyclic multigraph count, since
-    steps then fold together or onto n/2).
+    characteristic polynomial P and returns the certified integer.
     """
-    n = _require_family(spec, False, n)
-    q = sum(s * s for s in spec.steps)
-    char = build_even_char(spec.steps)
-    roots = _carried_roots(char)
+    return _certified_product(spec, diagonal=False)
+
+
+def tau_odd(spec):
+    """Spanning-tree count of a diagonal spec at half-order n, certified.
+
+    Evaluates (n/2q) * prod (2 T_n(w_p) - 2) * prod (2 T_n(v_r) + 2) over
+    the certified roots w_p of P and v_r of P_odd + 1.
+    """
+    return _certified_product(spec, diagonal=True)
+
+
+def _certified_product(spec, diagonal):
+    """The certified product of :func:`tau_even` or :func:`tau_odd`.
+
+    Each (polynomial, shift) factor contributes 2 T_n(w) + shift over the
+    roots w of its polynomial; the product starts at n and must be a
+    multiple of q (even) or 2q (diagonal).  The diagonal product is signed,
+    so a negative value fails; the even one is certified in absolute value.
+    """
+    if spec.diagonal != diagonal:
+        wanted = "diagonal" if diagonal else "even-valency"
+        raise ValueError(f"{spec} is not a {wanted} spec")
+    _require_connected(spec)
+    n, steps = spec.order, spec.steps
+    divisor = sum(s * s for s in steps)
+    factors = [(build_even_char(steps), -2)]
+    if diagonal:
+        divisor *= 2
+        factors.append((build_odd_char(steps) + 1, 2))
+    factors = [(poly, shift) for poly, shift in factors if poly.degree >= 1]
+    shifted = [(_carried_roots(poly), shift) for poly, shift in factors]
 
     def evaluate(bits):
         with mp.workprec(bits):
-            product = mp.mpf(n)
-            if char.degree >= 1:
-                for w, mult, paired in _pair_representatives(roots(bits)):
-                    x = 2 * cheb_eval_large(w, n) - 2
-                    product *= (_norm(x) if paired else abs(x)) ** mult
-            return product
-
-    start = 128 + _headroom_bits([char], n, n)
-    return _certified_integer(evaluate, q, start, f"tau_even({spec}, n={n})")
-
-
-def tau_odd(spec, n=None):
-    """Spanning-tree count of the diagonal family at half-order ``n``.
-
-    Evaluates (n 4^{s_k-1}/q) * prod(T_n(u_p)-1) * prod(T_n(v_p)+1) with
-    u_p the roots of (P(u)-1)/(u-1) (the forced root u = 1 removed by exact
-    polynomial division) and v_p the roots of P(v)+1.
-    """
-    n = _require_family(spec, True, n)
-    steps = spec.steps
-    q = sum(s * s for s in steps)
-    s_max = steps[-1]
-    char = build_odd_char(steps)
-    u_poly = (char - 1).div_exact(IntPolynomial([-1, 1]))
-    v_poly = char + 1
-    prefactor = n * 4 ** (s_max - 1)
-    shifted = [(_carried_roots(u_poly), -1)] if u_poly.degree >= 1 else []
-    shifted.append((_carried_roots(v_poly), 1))
-
-    def evaluate(bits):
-        with mp.workprec(bits):
-            product = mp.mpc(prefactor)
+            product = mp.mpc(n)
             for roots, shift in shifted:
                 for w, mult, paired in _pair_representatives(roots(bits)):
-                    x = cheb_eval_large(w, n) + shift
+                    x = 2 * cheb_eval_large(w, n) + shift
                     product *= (_norm(x) if paired else x) ** mult
             if abs(product.imag) > mp.mpf(2) ** (-INTEGRALITY_TOL_BITS - 2) \
                     * max(1, abs(product.real)):
                 raise RootRefinementError(
                     f"product has stray imaginary part {product.imag}")
-            return product.real
+            return product.real if diagonal else abs(product.real)
 
-    start = 128 + _headroom_bits([u_poly, v_poly], n, prefactor)
-    return _certified_integer(evaluate, q, start, f"tau_odd({spec}, n={n})")
+    start = 128 + _headroom_bits([poly for poly, _ in factors], n)
+    what = f"{'tau_odd' if diagonal else 'tau_even'}({spec})"
+    return _certified_integer(evaluate, divisor, start, what)

@@ -132,10 +132,13 @@ def tau_oracle(spec, ceiling=None):
     """Exact spanning-tree count of ``spec`` by reduced-Laplacian determinant.
 
     Returns 0 for disconnected graphs.  Refuses graphs larger than the
-    ceiling (default :func:`oracle_ceiling`) instead of approximating.
+    ceiling (default :func:`oracle_ceiling`) instead of approximating; a
+    ceiling below 0 is invalid input and raises ``ValueError``.
     """
     n = spec.vertex_count
     limit = ceiling if ceiling is not None else oracle_ceiling()
+    if limit < 0:
+        raise ValueError(f"oracle ceiling {limit} is negative")
     if n > limit:
         raise OracleCeilingError(
             f"{spec} has {n} vertices, above the oracle ceiling {limit}")

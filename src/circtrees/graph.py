@@ -146,19 +146,14 @@ def diagonal_flag(family):
     return family == "diagonal"
 
 
-def family_components(steps, n):
-    """Connected components of the family with these steps at order ``n``.
-
-    This is gcd(steps, n) in both families: for the diagonal family ``n``
-    is the half-order, and the diagonal step n adds nothing to the gcd
-    with the vertex count 2n.
-    """
-    return math.gcd(n, *steps)
-
-
 def component_count(spec):
-    """Number of connected components of ``spec``."""
-    return family_components(spec.steps, spec.order)
+    """Number of connected components of ``spec``.
+
+    This is gcd(steps, order) in both families: for the diagonal family the
+    order is the half-order n, and the diagonal step n adds nothing to the
+    gcd with the vertex count 2n.
+    """
+    return math.gcd(spec.order, *spec.steps)
 
 
 def is_connected(spec):

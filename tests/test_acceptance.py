@@ -83,15 +83,15 @@ def test_criterion_01_formula_equals_oracle(sweep_results):
 
 def test_criterion_02_fibonacci_family():
     fib = fibonacci(EVEN_N_MAX)
-    template = canonicalize(5, [1, 2])
-    for n in range(3, EVEN_N_MAX + 1):
-        assert tau_even(template, n) == n * fib[n] ** 2, n
+    for n in range(5, EVEN_N_MAX + 1):
+        spec = family_spec((1, 2), "even", n)
+        assert tau_even(spec) == n * fib[n] ** 2, n
     ratio = asymptotic_ratio((1, 2), "even", 30)
     target = (3 + math.sqrt(5)) / 2
     measured = mahler_root_product(associated_laurent((1, 2), "even"))
     assert abs(measured.value - target) < 1e-12
     assert abs(ratio - 1) < 1e-4
-    print(f"\ncriterion 2: PASS - tau = n F_n^2 for n=3..40; "
+    print(f"\ncriterion 2: PASS - tau = n F_n^2 for n=5..40; "
           f"|ratio(30) - 1| = {abs(ratio - 1):.2e} < 1e-4")
 
 

@@ -185,9 +185,9 @@ class TestSequences:
             call(family)
 
     def test_tau_growth_is_fibonacci_squared(self):
-        spec = canonicalize(7, [1, 2])
         fib = [0, 1]
         while len(fib) < 31:
             fib.append(fib[-1] + fib[-2])
         for n in (7, 12, 19, 30):
-            assert tau_even(spec, n) == n * fib[n] ** 2
+            spec = family_spec((1, 2), "even", n)
+            assert tau_even(spec) == n * fib[n] ** 2

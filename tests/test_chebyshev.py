@@ -14,9 +14,9 @@ import pytest
 from circtrees import (CertificationError, DisconnectedGraphError,
                        IntPolynomial, RootRefinementError, asymptotic_ratio,
                        build_even_char, build_odd_char, canonicalize,
-                       cheb_eval_large, cheb_t, cheb_u, decompose, find_roots,
-                       parse_spec, tau_closed_form, tau_even, tau_odd,
-                       tau_oracle)
+                       cheb_eval_large, cheb_t, cheb_u, decompose, family_spec,
+                       find_roots, parse_spec, tau_closed_form, tau_even,
+                       tau_odd, tau_oracle)
 from circtrees import chebyshev
 from circtrees.algebra import _ordinary_image
 from circtrees.chebyshev import (_double_precision_roots, _refine_roots,
@@ -420,9 +420,25 @@ class TestClosedFormCounts:
         assert tau_closed_form(spec) == tau_oracle(spec) == tau_even(spec)
         moebius = parse_spec("C3(1;d)")
         assert tau_closed_form(moebius) == tau_odd(moebius) == 81
-        assert tau_closed_form(moebius, 5) == tau_odd(moebius, 5)
+        moebius = family_spec(moebius.steps, moebius.family, 5)
+        assert tau_closed_form(moebius) == tau_odd(moebius)
         with pytest.raises(DisconnectedGraphError):
-            tau_closed_form(canonicalize(9, [2, 4]), 12)
+            tau_closed_form(canonicalize(12, [2, 4]))
+
+    def test_diagonal_u_polynomial_is_the_even_one(self):
+        # (P_odd - 1) / (w - 1) = -2 P: both families take the roots of P
+        for size in range(1, 9):
+            for steps in combinations(range(1, 9), size):
+                u_poly = (build_odd_char(steps) - 1).div_exact(
+                    IntPolynomial([-1, 1]))
+                assert u_poly == -2 * build_even_char(steps), steps
+
+    @pytest.mark.parametrize("count, literal", [
+        (tau_even, "C5(1,2)"), (tau_odd, "C3(1;d)"),
+        (tau_closed_form, "C5(1,2)")])
+    def test_counts_take_only_the_spec(self, count, literal):
+        with pytest.raises(TypeError):
+            count(parse_spec(literal), 7)
 
     def test_over_cap_refused_without_attempt(self):
         with pytest.raises(CertificationError,
@@ -538,13 +554,13 @@ class TestClosedFormCounts:
             assert tau_odd(spec) == tau_oracle(spec), (steps, n)
 
     def test_family_evaluation_at_other_orders(self):
-        # same step set swept over n without rebuilding specs
-        spec = canonicalize(5, [1, 2])
+        # same step set swept over n, one spec per order
         fib = [0, 1]
         while len(fib) < 30:
             fib.append(fib[-1] + fib[-2])
         for n in (5, 9, 16, 25):
-            assert tau_even(spec, n) == n * fib[n] ** 2
+            spec = family_spec((1, 2), "even", n)
+            assert tau_even(spec) == n * fib[n] ** 2
 
     def test_gcd_step_sets_still_certify(self):
         for n in (9, 11, 15, 21):
@@ -553,7 +569,7 @@ class TestClosedFormCounts:
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
-            tau_even(canonicalize(9, [2, 4]), n=12)
+            tau_even(canonicalize(12, [2, 4]))
         with pytest.raises(DisconnectedGraphError):
             tau_odd(canonicalize(8, [2, 4]))
 

@@ -65,6 +65,19 @@ class TestTau:
                                "oracle", "--oracle-ceiling", "8")
         assert code == 4 and "certification" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["tau", "C12(1,3)", "--method", "oracle"], ["verify", "C12(1,3)"]])
+    def test_negative_ceiling_exit_2(self, capsys, monkeypatch, argv):
+        code, out, err = run_cli(capsys, *argv, "--oracle-ceiling", "-5")
+        assert code == 2 and out == ""
+        assert "invalid input: oracle ceiling -5 is negative" in err
+        monkeypatch.setenv("CIRC_ORACLE_CEILING", "-5")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "is negative" in err
+        monkeypatch.setenv("CIRC_ORACLE_CEILING", "x")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4 and out == "" and "is not an integer" in err
+
     def test_invalid_order_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "asymptote", "1,2", "--n", "1..6")
         assert code == 2 and out == "" and "order 1 too small" in err

@@ -138,6 +138,16 @@ class TestTauOracle:
             tau_oracle(spec, ceiling=39)
         assert tau_oracle(spec, ceiling=40) > 0
 
+    def test_negative_ceiling_is_invalid_input(self, monkeypatch):
+        spec = canonicalize(12, [1, 3])
+        with pytest.raises(ValueError, match="oracle ceiling -5 is negative"):
+            tau_oracle(spec, ceiling=-5)
+        monkeypatch.setenv("CIRC_ORACLE_CEILING", "-1")
+        with pytest.raises(ValueError, match="oracle ceiling -1 is negative"):
+            tau_oracle(spec)
+        with pytest.raises(OracleCeilingError):
+            tau_oracle(spec, ceiling=0)
+
     def test_ceiling_env_override(self, monkeypatch):
         monkeypatch.setenv("CIRC_ORACLE_CEILING", "10")
         assert oracle_ceiling() == 10

@@ -25,10 +25,10 @@ ALL = [
     "asymptotic_ratio", "bareiss_determinant", "build_even_char",
     "build_odd_char", "canonicalize", "cheb_eval_large", "cheb_t", "cheb_u",
     "component_count", "decompose", "eigenvalue", "expected_coefficient",
-    "find_roots", "is_connected", "laplacian", "mahler_quadrature",
-    "mahler_root_product", "multiplier_conjugate", "parse_spec", "sequence_a",
-    "square_free_part", "tau_closed_form", "tau_even", "tau_odd",
-    "tau_oracle", "thermo_limit",
+    "family_spec", "find_roots", "is_connected", "laplacian",
+    "mahler_quadrature", "mahler_root_product", "multiplier_conjugate",
+    "parse_spec", "sequence_a", "square_free_part", "tau_closed_form",
+    "tau_even", "tau_odd", "tau_oracle", "thermo_limit",
 ]
 
 EXACT_COMMANDS = [
