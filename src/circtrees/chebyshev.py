@@ -30,8 +30,11 @@ arbitrary-precision floating point and *certified*: the value must sit
 within 2^-20 of an integer with the right divisibility, and recomputation
 at doubled precision must reproduce the same integer, otherwise the
 precision escalates (up to a hard cap) and finally fails loudly.  Newton
-refines the roots at doubling precisions, and the confirm pass starts from
-the roots of the pass it confirms; escalations are logged at DEBUG level.
+refines the roots at doubling precisions.  A per-process root store keeps,
+per characteristic polynomial, the most precise certified roots any pass
+has produced, and every later pass (at any order, the confirm pass and
+escalations included) starts Newton there and certifies the roots again
+at its own precision; escalations are logged at DEBUG level.
 The polynomials are real, so each conjugate pair of roots costs one
 refinement and one T_n: the second root is the exact conjugate of the
 first, and the pair contributes the squared modulus of its one value.
@@ -185,9 +188,12 @@ def _to_mpc(w):
 
 
 def _magnitude(z):
-    """|z| to 24 bits: enough for a comparison, and no full-precision sqrt."""
-    with mp.workprec(24):
-        return abs(+z)
+    """|z| rounded up to 24 bits: a bound fit for a comparison or an error
+    radius, and no full-precision square root."""
+    lib, up = mp.libmp, mp.libmp.round_up
+    re, im = (lib.mpf_pos(x, 24, up) for x in mp.mpc(z)._mpc_)
+    square = lib.mpf_add(lib.mpf_mul(re, re), lib.mpf_mul(im, im), 24, up)
+    return mp.make_mpf(lib.mpf_sqrt(square, 24, up))
 
 
 def _norm(x):
@@ -296,18 +302,29 @@ def _double_precision_roots(poly):
     return z
 
 
+@dataclass
+class _RootEntry:
+    """One polynomial's entry in the root store of :func:`_root_setup`."""
+
+    factors: tuple
+    best: CertifiedRoots = None
+
+
 @lru_cache(maxsize=64)
 def _root_setup(poly):
-    """The part of root finding that depends on neither precision nor order.
+    """The root store: what root finding keeps of ``poly`` in this process.
 
-    One ``(factor, derivative, multiplicity, seeds)`` per square-free
-    factor of ``poly``, ``seeds`` being its double-precision roots.  Cached
-    per polynomial, so a family evaluated at many orders and precisions
-    factors and seeds its characteristic polynomials once.
+    ``factors`` holds one ``(factor, derivative, multiplicity, seeds)`` per
+    square-free factor of ``poly``, ``seeds`` being its double-precision
+    roots; ``best`` holds the most precise certified roots any
+    certification has produced, None until one has.  Neither depends on the
+    order, so a family evaluated at many orders and precisions factors and
+    seeds each characteristic polynomial once, and Newton starts every later
+    pass at a root.  Beyond 64 polynomials the least recently used goes.
     """
-    return tuple((factor, factor.derivative(), mult,
-                  tuple(_double_precision_roots(factor)))
-                 for factor, mult in square_free_decomposition(poly))
+    return _RootEntry(tuple((factor, factor.derivative(), mult,
+                             tuple(_double_precision_roots(factor)))
+                            for factor, mult in square_free_decomposition(poly)))
 
 
 def _newton_step(poly, dpoly, z):
@@ -339,8 +356,10 @@ def _newton_refine(poly, dpoly, z, start_bits, precision):
     precisions that double up to ``precision``: the lowest rung, at 1-2x
     ``start_bits``, iterates to convergence (seeds may be poor), each middle
     rung takes one step, and the top rung iterates until the step is below
-    2^-precision relative.  That last step, evaluated at full precision,
-    gives the radius: four times its size plus 2^(4-precision) max(1, |z|).
+    2^-precision relative; from a start already right to ``precision``
+    bits, that is one step.  That last step, evaluated at full precision,
+    gives the radius: four times its size plus 2^(4-precision) max(1, |z|),
+    rounded up to 24 bits.
     """
     ladder = [precision]
     while ladder[-1] > 2 * start_bits:
@@ -354,9 +373,9 @@ def _newton_refine(poly, dpoly, z, start_bits, precision):
                 z, step = _newton_converge(poly, dpoly, z, bits)
             else:
                 step = _newton_step(poly, dpoly, z)
-    with mp.workprec(precision + 64):
-        radius = 4 * abs(step) + mp.mpf(2) ** (4 - precision) * max(1, abs(z))
-    return z, radius
+    return z, mp.fadd(4 * _magnitude(step),
+                      mp.ldexp(max(1, _magnitude(z)), 4 - precision),
+                      prec=24, rounding="u")
 
 
 def _seed_mirrors(seeds):
@@ -406,14 +425,14 @@ def _refine_roots(poly, precision, previous=None):
     """Certified roots of ``poly`` at ``precision`` bits.
 
     Newton starts from the double-precision seeds or, given ``previous``
-    (certified roots of the same polynomial at another precision), from
-    those roots.  Yun factors have distinct multiplicities, so a root's
+    (certified roots of the same polynomial at any precision), from those
+    roots.  Yun factors have distinct multiplicities, so a root's
     multiplicity names the factor it is refined on.  Factors are real, so
     only one root of each conjugate pair is refined; its mirror is its exact
     conjugate, with the same radius.
     """
     roots, radii, mults = [], [], []
-    for factor, dfactor, mult, seeds in _root_setup(poly):
+    for factor, dfactor, mult, seeds in _root_setup(poly).factors:
         if previous is None:
             starts, start_bits = seeds, 53      # a double's mantissa
             mirrors = _seed_mirrors(seeds)
@@ -431,7 +450,7 @@ def _refine_roots(poly, precision, previous=None):
                 refined[i] = mp.conj(z), radius
             for i, (zi, ri) in enumerate(refined):
                 for zj, rj in refined[:i]:
-                    if abs(zi - zj) <= 16 * (ri + rj):
+                    if _magnitude(zi - zj) <= 16 * (ri + rj):
                         raise RootRefinementError(
                             f"root iterates collapsed near {zi} for {factor}")
         for z, rad in refined:
@@ -461,24 +480,21 @@ def find_roots(poly, precision):
     return _refine_roots(poly, precision)
 
 
-def _carried_roots(poly):
-    """Roots of ``poly`` at the precisions one certification asks for.
+def _stored_roots(poly, bits):
+    """Roots of ``poly`` certified afresh at ``bits`` bits.
 
-    The first request runs :func:`find_roots`; each later one refines the
-    roots of the request before, so the doubled-precision confirm pass and
-    the escalations start Newton at a root instead of at the seeds.
+    Newton starts from the store's most precise roots of ``poly`` or, the
+    first time the polynomial is seen, from its seeds through
+    :func:`find_roots`; either way each root gets its radius from a Newton
+    step at ``bits``.  The store keeps the result if it is more precise.
     """
-    last = None
-
-    def at(bits):
-        nonlocal last
-        if last is None:
-            last = find_roots(poly, bits)
-        elif last.working_precision != bits:
-            last = _refine_roots(poly, bits, last)
-        return last
-
-    return at
+    entry = _root_setup(poly)
+    best = entry.best
+    roots = (find_roots(poly, bits) if best is None
+             else _refine_roots(poly, bits, best))
+    if best is None or bits > best.working_precision:
+        entry.best = roots
+    return roots
 
 
 def build_even_char(steps):
@@ -515,7 +531,7 @@ def _headroom_bits(polys, n):
     """Upper estimate of log2 of the certified product, from double roots."""
     bits = math.log2(n) + 8
     for poly in polys:
-        for _, _, mult, seeds in _root_setup(poly):
+        for _, _, mult, seeds in _root_setup(poly).factors:
             for w in seeds:
                 s = (w * w - 1) ** 0.5
                 grow = max(abs(w + s), abs(w - s))
@@ -605,13 +621,13 @@ def _certified_product(spec, diagonal):
         divisor *= 2
         factors.append((build_odd_char(steps) + 1, 2))
     factors = [(poly, shift) for poly, shift in factors if poly.degree >= 1]
-    shifted = [(_carried_roots(poly), shift) for poly, shift in factors]
 
     def evaluate(bits):
         with mp.workprec(bits):
             product = mp.mpc(n)
-            for roots, shift in shifted:
-                for w, mult, paired in _pair_representatives(roots(bits)):
+            for poly, shift in factors:
+                roots = _stored_roots(poly, bits)
+                for w, mult, paired in _pair_representatives(roots):
                     x = 2 * cheb_eval_large(w, n) + shift
                     product *= (_norm(x) if paired else x) ** mult
             if abs(product.imag) > mp.mpf(2) ** (-INTEGRALITY_TOL_BITS - 2) \

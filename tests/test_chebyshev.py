@@ -19,13 +19,20 @@ from circtrees import (CertificationError, DisconnectedGraphError,
                        tau_odd, tau_oracle)
 from circtrees import chebyshev
 from circtrees.algebra import _ordinary_image
-from circtrees.chebyshev import (_double_precision_roots, _refine_roots,
-                                 _seed_mirrors, _yun, poly_gcd,
+from circtrees.chebyshev import (_double_precision_roots, _newton_step,
+                                 _refine_roots, _seed_mirrors, _yun, poly_gcd,
                                  square_free_decomposition)
 
 W = IntPolynomial([0, 1])
 STEP_SETS = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 4), (2, 5),
              (1, 2, 3), (1, 3, 5), (2, 3, 7), (1, 2, 3, 4), (3, 5, 12)]
+
+
+@pytest.fixture(autouse=True)
+def empty_root_store():
+    # each test starts with no stored roots, so a test cannot pass only on
+    # roots another test left behind
+    chebyshev._root_setup.cache_clear()
 
 
 class TestIntPolynomial:
@@ -276,6 +283,45 @@ class TestFindRoots:
                         pairs += z.imag > 0
         assert pairs > 200
 
+    @pytest.mark.parametrize("precision", [256, 4096])
+    def test_radius_bounds_the_last_step_and_the_root(self, precision):
+        # the 24-bit radius is at least the full-precision bound on the last
+        # Newton step, and holds the root refined to four times the
+        # precision; for roots refined from the seeds and from roots twice
+        # as precise.  A mirror is its representative's exact conjugate,
+        # with its radius, so it is checked through the representative.
+        def check(cr, finest):
+            # refinement keeps the order of the roots, so finest[i] is the
+            # refined roots[i]
+            with mp.workprec(precision + 64):
+                entries = list(zip(cr.roots, cr.radii, cr.multiplicities))
+                for (z, radius, mult), root in zip(entries, finest):
+                    if z.imag < 0:
+                        assert (mp.conj(z), radius, mult) in entries
+                        continue
+                    # the last step, recomputed where Newton stopped
+                    step = _newton_step(factors[mult], derivatives[mult], z)
+                    bound = 4 * abs(step) \
+                        + mp.mpf(2) ** (4 - precision) * max(1, abs(z))
+                    assert radius >= bound, (factors[mult], z)
+                    assert abs(z - root) <= radius, (factors[mult], z)
+
+        mirrors = 0
+        for poly in seed_factors(6):
+            factors = {m: f for f, m in square_free_decomposition(poly)}
+            derivatives = {m: f.derivative() for m, f in factors.items()}
+            cr = find_roots(poly, precision)
+            finer = _refine_roots(poly, 2 * precision, cr)
+            # one Newton step at 4x from the 2x roots, at representatives
+            with mp.workprec(4 * precision + 64):
+                finest = [z - _newton_step(factors[m], derivatives[m], z)
+                          if z.imag >= 0 else None
+                          for z, m in zip(finer.roots, finer.multiplicities)]
+            check(cr, finest)
+            check(_refine_roots(poly, precision, finer), finest)
+            mirrors += sum(z.imag < 0 for z in cr.roots)
+        assert mirrors > 400
+
     def test_near_real_seeds_are_not_paired(self):
         # roots 1 and 1 + 1e-7 stay unsnapped seeds with tiny imaginary
         # parts of opposite sign; only +-i form a pair
@@ -482,6 +528,56 @@ class TestClosedFormCounts:
         # one value per real root and per pair, at each of two passes
         assert len(calls) == 2 * (real + pairs)
         assert all(w.imag >= 0 for w in calls)
+
+    @pytest.mark.parametrize("literal, larger", [
+        ("C40(1,2,5)", "C400(1,2,5)"), ("C20(1,3,4;d)", "C300(1,3,4;d)")])
+    def test_passes_recertify_stored_roots(self, monkeypatch, literal,
+                                           larger):
+        # a larger order fills the store at a higher precision; a later
+        # count starts Newton there, with no find_roots call, and each pass
+        # multiplies roots certified at that pass's own precision
+        spec = parse_spec(literal)
+        certified = tau_odd if spec.diagonal else tau_even
+        certified(parse_spec(larger))
+        polys = [build_even_char(spec.steps)]
+        if spec.diagonal:
+            polys.append(build_odd_char(spec.steps) + 1)
+        stored = [chebyshev._root_setup(p).best for p in polys]
+        passes, multiplied = [], []
+        certify = chebyshev._certified_integer
+        representatives = chebyshev._pair_representatives
+
+        def spied_certify(evaluate, *args):
+            def spied(bits):
+                passes.append(bits)
+                return evaluate(bits)
+            return certify(spied, *args)
+
+        def spied_representatives(cr):
+            # each pass takes the polynomials in the order of ``polys``
+            previous = stored[len(multiplied) % len(polys)]
+            with mp.workprec(cr.working_precision + 64):
+                assert all(abs(z - s) <= r + sr for z, r, s, sr in zip(
+                    cr.roots, cr.radii, previous.roots, previous.radii))
+            # mantissas of at most bits + 64: rounded at this pass
+            assert max(x._mpf_[3] for z in cr.roots
+                       for x in (z.real, z.imag)) <= cr.working_precision + 64
+            multiplied.append(cr.working_precision)
+            return representatives(cr)
+
+        def unexpected(*args):
+            raise AssertionError("find_roots called on a filled store")
+
+        monkeypatch.setattr(chebyshev, "_certified_integer", spied_certify)
+        monkeypatch.setattr(chebyshev, "_pair_representatives",
+                            spied_representatives)
+        monkeypatch.setattr(chebyshev, "find_roots", unexpected)
+        assert certified(spec) == tau_closed_form(spec)
+        start = passes[0]
+        assert passes == [start, 2 * start]
+        assert multiplied == [bits for bits in passes for _ in polys]
+        assert all(cr.working_precision > 2 * start for cr in stored)
+        assert [chebyshev._root_setup(p).best for p in polys] == stored
 
     def test_escalations_are_logged(self, monkeypatch, caplog):
         # a start too low for a 261-bit count must escalate, and say why

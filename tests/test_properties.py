@@ -4,7 +4,8 @@ the integer polynomial layer.
 Random step sets from {1..6} in either family, on at most 40 vertices
 where the determinant oracle takes part and at most 250 where only the two
 closed forms are compared; gcd-1 step sets from {1..9} at orders up to 600
-compare the two closed forms at counts of thousands of bits.  The
+compare the two closed forms at counts of thousands of bits, and at
+orders up to 300 over sequences of orders counted one after another.  The
 ``asymptote`` and ``sequence`` rows at orders 2..40 carry the family
 rule's count.  Polynomials
 are products of small integer factors with leading coefficients 2..5,
@@ -153,6 +154,36 @@ def large_order_specs(draw, s_max=9, n_max=600):
 @given(large_order_specs())
 def test_certified_product_equals_exact_at_large_orders(spec):
     assert certified_product(spec) == tau_closed_form(spec)
+
+
+@st.composite
+def order_sequences(draw, s_max=9, n_max=300):
+    """A gcd-1 step set with s_k <= s_max, a family and orders up to n_max.
+
+    Two to five orders come ascending, descending or as drawn, and one of
+    them is counted again at the end.
+    """
+    steps = draw(st.sets(st.integers(1, s_max), min_size=1, max_size=s_max)
+                 .map(lambda s: tuple(sorted(s))))
+    assume(math.gcd(*steps) == 1)
+    family = draw(family_st)
+    smallest = max(steps) + 1 if family == "diagonal" else 2 * max(steps) + 1
+    orders = draw(st.lists(st.integers(smallest, n_max), min_size=2,
+                           max_size=5))
+    arrange = draw(st.sampled_from(
+        (sorted, lambda o: sorted(o, reverse=True), list)))
+    orders = arrange(orders)
+    return steps, family, orders + [draw(st.sampled_from(orders))]
+
+
+@PROPERTY
+@given(order_sequences())
+def test_certified_product_over_a_sequence_of_orders(case):
+    # roots stored by one order start Newton at the next, in this process
+    steps, family, orders = case
+    for n in orders:
+        spec = family_spec(steps, family, n)
+        assert certified_product(spec) == tau_closed_form(spec), spec
 
 
 small_factor_st = st.builds(
