@@ -38,6 +38,13 @@ at its own precision; escalations are logged at DEBUG level.
 The polynomials are real, so each conjugate pair of roots costs one
 refinement and one T_n: the second root is the exact conjugate of the
 first, and the pair contributes the squared modulus of its one value.
+The two hot kernels, T_n and the Newton step, run on Python-int
+mantissas that share one exponent, at the pass's precision plus
+GUARD_BITS = 16 guard bits, and each division first trims its divisor to
+that width, since CPython's integer division costs the product of the
+operands' sizes.  The magnitude bound behind every radius and stopping
+test takes the top 30 bits of each part and an integer square root.
+mpmath holds the roots, radii and products between them.
 Correctness is anchored by agreement with the exact determinant oracle in
 :mod:`circtrees.exact` at small sizes.
 """
@@ -57,6 +64,7 @@ from .errors import (CertificationError, InternalConsistencyError,
 
 MAX_CERTIFY_BITS = 8192
 INTEGRALITY_TOL_BITS = 20
+GUARD_BITS = 16
 
 _log = logging.getLogger(__name__)
 
@@ -181,19 +189,93 @@ def cheb_u(m):
     return _chebyshev(m, first_kind=False)
 
 
-def _to_mpc(w):
-    if isinstance(w, Fraction):
-        return mp.mpc(mp.mpf(w.numerator) / w.denominator)
-    return mp.mpc(w)
+def _parts(z):
+    """The (real, imaginary) mpf tuples of ``z``; an mpc is not copied."""
+    return (z if isinstance(z, mp.mpc) else mp.mpc(z))._mpc_
+
+
+def _fixed(w, prec):
+    """``w`` as mantissas sharing one exponent: w ~ (x + iy) 2^e.
+
+    The larger part keeps about ``prec`` bits and the smaller is truncated
+    at the same exponent, so the error is below 2^(2-prec) |w|.  An int or
+    a Fraction is converted exactly before it is truncated; an infinity or
+    a NaN raises :class:`ValueError`.
+    """
+    if isinstance(w, (int, Fraction)):
+        num, den = w.numerator, w.denominator
+        shift = prec - num.bit_length() + den.bit_length()
+        x = (num << shift) // den if shift >= 0 else num // (den << -shift)
+        return x, 0, -shift
+    parts = _parts(w)
+    if min(bc for *_, bc in parts) < 0:     # mpmath's special values
+        raise ValueError(f"{w} is not a finite number")
+    tops = [exp + bc for _, man, exp, bc in parts if man]
+    if not tops:
+        return 0, 0, 0
+    e = max(tops) - prec
+    x, y = (man << (exp - e) if exp >= e else man >> (e - exp)
+            for _, man, exp, bc in parts)
+    return (-x if parts[0][0] else x), (-y if parts[1][0] else y), e
+
+
+def _trim(x, y, e, prec):
+    """Drop low bits until the larger mantissa has at most ``prec`` bits."""
+    k = max(x.bit_length(), y.bit_length()) - prec
+    return (x >> k, y >> k, e + k) if k > 0 else (x, y, e)
+
+
+def _complex(x, y, e):
+    """(x + iy) 2^e as an mpc, rounded to the ambient precision."""
+    lib, prec = mp.libmp, mp.mp.prec
+    return mp.make_mpc((lib.from_man_exp(x, e, prec, lib.round_nearest),
+                        lib.from_man_exp(y, e, prec, lib.round_nearest)))
+
+
+def _inverse(x, y, e, prec):
+    """1 / ((x + iy) 2^e) from one division by the trimmed |x + iy|^2."""
+    den, _, de = _trim(x * x + y * y, 0, 2 * e, prec)
+    inv = (1 << 2 * prec) // den
+    return _trim(x * inv, -y * inv, e - 2 * prec - de, prec)
+
+
+def _sqrt(m, e, prec):
+    """sqrt(m 2^e) for an integer m >= 0, to about ``prec`` bits."""
+    if e % 2:
+        m, e = m << 1, e - 1
+    k = max(prec - m.bit_length() // 2 + 1, 0)
+    return math.isqrt(m << 2 * k), e // 2 - k
+
+
+def _add(x, y, e, u, v, f):
+    """(x + iy) 2^e + (u + iv) 2^f, exactly, at the smaller exponent."""
+    if e > f:
+        return (x << (e - f)) + u, (y << (e - f)) + v, f
+    return x + (u << (f - e)), y + (v << (f - e)), e
 
 
 def _magnitude(z):
-    """|z| rounded up to 24 bits: a bound fit for a comparison or an error
-    radius, and no full-precision square root."""
-    lib, up = mp.libmp, mp.libmp.round_up
-    re, im = (lib.mpf_pos(x, 24, up) for x in mp.mpc(z)._mpc_)
-    square = lib.mpf_add(lib.mpf_mul(re, re), lib.mpf_mul(im, im), 24, up)
-    return mp.make_mpf(lib.mpf_sqrt(square, 24, up))
+    """An upper bound on |z| with 24 bits, below |z| (1 + 2^-20).
+
+    Each part's top 30 bits, rounded up, are squared and summed, and the
+    integer square root is rounded up; no full-precision square root.
+    """
+    tops = []
+    for _, man, exp, bc in _parts(z):
+        if man:
+            k = bc - 30
+            tops.append((-(-man >> k) if k > 0 else man << -k, exp + k))
+    if not tops:
+        return mp.mpf(0)
+    e = max(exp for _, exp in tops)
+    square = sum((-(-m >> (e - exp))) ** 2 for m, exp in tops)
+    root = math.isqrt(square)
+    root += root * root < square
+    k = root.bit_length() - 24
+    root = -(-root >> k)
+    zeros = (root & -root).bit_length() - 1     # an mpf mantissa is odd
+    root >>= zeros
+    return mp.make_mpf((0, root, e + k + zeros, root.bit_length()))
 
 
 def _norm(x):
@@ -207,23 +289,62 @@ def cheb_eval_large(w, n, precision=None):
     Here b = w + sqrt(w^2 - 1) on whichever square-root branch gives
     |b| >= 1, so b^n dominates and the reciprocal term cannot cancel
     catastrophically.  Runs at the caller's mpmath precision unless
-    ``precision`` (bits) is given.
+    ``precision`` (bits) is given, and returns an mpc rounded to it.
+
+    The arithmetic is on Python-int mantissas sharing one exponent, with
+    GUARD_BITS bits beyond the precision: w^2 - 1 is formed exactly and
+    its root taken with ``math.isqrt``, a complex square costs two
+    products and a product by b three, and a real w with |w| >= 1 stays
+    on real mantissas.  b^-n is one division, by b^n or by |b^n|^2
+    trimmed to the working width (CPython's division is quadratic in the
+    divisor), and is skipped when it falls below the last bit of b^n.
     """
     if precision is not None:
         with mp.workprec(precision):
             return cheb_eval_large(w, n)
-    z = _to_mpc(w)
-    s = mp.sqrt(z * z - 1)
-    b = z + s
-    if _magnitude(b) < 1:
-        b = z - s
-    # binary powering: mpmath's own b ** n takes exp(n log b) for large n
-    bn = mp.mpc(1)
-    for bit in bin(abs(n))[2:]:
-        bn = bn ** 2            # squaring: three real products, not four
+    n = abs(n)
+    if n == 0:
+        return mp.mpc(1)
+    prec = mp.mp.prec + GUARD_BITS
+    x, y, e = _fixed(w, prec)
+    if e >= 0:                  # |w| >= 2^prec: keep the exponent negative
+        x, y, e = x << e, y << e, 0
+    one = 1 << -e
+    if y == 0 and abs(x) >= one:
+        # real b = w + sign(w) sqrt(w^2 - 1), |b| >= 1
+        root, f = _sqrt(x * x - one * one, 2 * e, prec)
+        b, _, be = _trim(*_add(x, 0, e, root if x > 0 else -root, 0, f),
+                         prec)
+        bn, en = b, be
+        for bit in bin(n)[3:]:
+            bn, _, en = _trim(bn * bn, 0, 2 * en, prec)
+            if bit == "1":
+                bn, _, en = _trim(bn * b, 0, en + be, prec)
+        # b^-n counts only while |b^n|^2 < 2^(prec + 1)
+        if 2 * (bn.bit_length() + en) <= prec + 2:
+            bn, _, en = _add(bn, 0, en, (1 << 2 * prec) // bn, 0,
+                             -2 * prec - en)
+        return _complex(bn, 0, en - 1)
+    # complex b: u = w^2 - 1 exactly, then one root s with isqrt
+    ux, uy, ue = _trim(x * x - y * y - one * one, 2 * x * y, 2 * e, prec)
+    t, te = _sqrt(math.isqrt(ux * ux + uy * uy) + abs(ux), ue - 1, prec)
+    shift = ue - 2 * te - 1                     # uy / 2t at exponent te
+    v = (uy << shift) // t if shift >= 0 else (uy >> -shift) // t
+    s, si = (t, v) if ux >= 0 else (abs(v), t if uy >= 0 else -t)
+    if x * s + y * si < 0:                      # Re(w conj s) < 0: |w - s| > 1
+        s, si = -s, -si
+    b, bi, be = _trim(*_add(x, y, e, s, si, te), prec)
+    bsum, bdiff = b + bi, bi - b
+    bn, bni, en = b, bi, be
+    for bit in bin(n)[3:]:
+        bn, bni, en = _trim((bn + bni) * (bn - bni), 2 * bn * bni, 2 * en,
+                            prec)
         if bit == "1":
-            bn = bn * b
-    return (bn + 1 / bn) / 2
+            k = b * (bn + bni)
+            bn, bni, en = _trim(k - bni * bsum, k + bn * bdiff, en + be, prec)
+    if 2 * (max(bn.bit_length(), bni.bit_length()) + en) <= prec + 2:
+        bn, bni, en = _add(bn, bni, en, *_inverse(bn, bni, en, prec))
+    return _complex(bn, bni, en - 1)
 
 
 @dataclass(frozen=True)
@@ -314,24 +435,59 @@ class _RootEntry:
 def _root_setup(poly):
     """The root store: what root finding keeps of ``poly`` in this process.
 
-    ``factors`` holds one ``(factor, derivative, multiplicity, seeds)`` per
-    square-free factor of ``poly``, ``seeds`` being its double-precision
-    roots; ``best`` holds the most precise certified roots any
-    certification has produced, None until one has.  Neither depends on the
-    order, so a family evaluated at many orders and precisions factors and
-    seeds each characteristic polynomial once, and Newton starts every later
-    pass at a root.  Beyond 64 polynomials the least recently used goes.
+    ``factors`` holds one ``(factor, derivative, multiplicity, seeds,
+    mirrors)`` per square-free factor of ``poly``: ``seeds`` are its
+    double-precision roots, laid out by :func:`_paired_seeds` so that each
+    index in ``mirrors`` follows its conjugate pair's representative.
+    ``best`` holds the most precise certified roots any certification has
+    produced, None until one has.  None of it depends on the order, so a
+    family evaluated at many orders and precisions factors, seeds and pairs
+    each characteristic polynomial once, and Newton starts every later pass
+    at a root.  Beyond 64 polynomials the least recently used goes.
     """
-    return _RootEntry(tuple((factor, factor.derivative(), mult,
-                             tuple(_double_precision_roots(factor)))
-                            for factor, mult in square_free_decomposition(poly)))
+    return _RootEntry(tuple(
+        (factor, factor.derivative(), mult,
+         *_paired_seeds(_double_precision_roots(factor)))
+        for factor, mult in square_free_decomposition(poly)))
 
 
 def _newton_step(poly, dpoly, z):
-    dv = dpoly(z)
-    if dv == 0:
+    """The Newton step P(z) / P'(z) as an mpc, given P and ``dpoly`` = P'.
+
+    One Horner pass evaluates P and P' on Python-int mantissas at the
+    ambient precision plus GUARD_BITS, each value keeping its own exponent
+    (a real z stays on real mantissas); the quotient takes one division,
+    by P'(z) or by |P'(z)|^2, trimmed to that width.
+    """
+    prec = mp.mp.prec + GUARD_BITS
+    zx, zy, ze = _fixed(z, prec)
+    zsum, zdiff = zx + zy, zy - zx
+
+    def times_z_plus(x, y, e, c):
+        if zy:
+            k = zx * (x + y)
+            x, y = k - y * zsum, k + x * zdiff
+        else:
+            x *= zx
+        e += ze
+        if e > 0:
+            x, y, e = x << e, y << e, 0
+        return _trim(x + (c << -e), y, e, prec)
+
+    p, dp = (poly.leading, 0, 0), (0, 0, 0)
+    for a, da in zip(reversed(poly.coeffs[:-1]), reversed(dpoly.coeffs)):
+        p, dp = times_z_plus(*p, a), times_z_plus(*dp, da)
+    (px, py, pe), (dx, dy, de) = p, dp
+    if dx == dy == 0:
         raise RootRefinementError(f"derivative vanished near {z}")
-    return poly(z) / dv
+    if zy == 0:
+        shift = prec + dx.bit_length() - px.bit_length()
+        x = (px << shift) // dx if shift >= 0 else (px >> -shift) // dx
+        return _complex(x, 0, pe - de - shift)
+    rx, ry, f = _inverse(dx, dy, de, prec)
+    k = rx * (px + py)
+    return _complex(*_trim(k - py * (rx + ry), k + px * (ry - rx), pe + f,
+                           prec))
 
 
 def _newton_converge(poly, dpoly, z, bits):
@@ -396,17 +552,17 @@ def _seed_mirrors(seeds):
     return mirrors
 
 
-def _conjugate_mirrors(roots, precision):
-    """{mirror index: representative index} over certified roots.
-
-    A root with positive imaginary part whose exact conjugate is also among
-    ``roots`` represents the pair, and that conjugate is its mirror.  Roots
-    carry at most ``precision + 64`` bits, so conjugation there is exact.
-    """
-    with mp.workprec(precision + 64):
-        where = {z: i for i, z in enumerate(roots)}
-        return {where[c]: i for i, z in enumerate(roots)
-                if z.imag > 0 and (c := mp.conj(z)) in where}
+def _paired_seeds(seeds):
+    """(seeds, mirrors): each mirror seed moved right after its pair's
+    representative, and the set of the mirrors' new indices."""
+    mirrors = _seed_mirrors(seeds)
+    partner = {rep: mirror for mirror, rep in mirrors.items()}
+    order = []
+    for i in range(len(seeds)):
+        if i not in mirrors:
+            order += [i, partner[i]] if i in partner else [i]
+    return (tuple(seeds[i] for i in order),
+            frozenset(k for k, i in enumerate(order) if i in mirrors))
 
 
 def _pair_representatives(cr):
@@ -414,11 +570,18 @@ def _pair_representatives(cr):
 
     A paired root stands for itself and its conjugate: a real polynomial's
     value at the mirror is the conjugate of its value at the root.
+    :func:`_refine_roots` puts each mirror right after its representative,
+    so a root above the axis whose successor is its exact conjugate is
+    paired with it.
     """
-    mirrors = _conjugate_mirrors(cr.roots, cr.working_precision)
-    paired = set(mirrors.values())
-    return [(z, mult, i in paired) for i, (z, mult)
-            in enumerate(zip(cr.roots, cr.multiplicities)) if i not in mirrors]
+    out, roots, i = [], cr.roots, 0
+    while i < len(roots):
+        re, im = roots[i]._mpc_
+        paired = (i + 1 < len(roots) and im[0] == 0 and im[1] != 0
+                  and roots[i + 1]._mpc_ == (re, mp.libmp.mpf_neg(im)))
+        out.append((roots[i], cr.multiplicities[i], paired))
+        i += 1 + paired
+    return out
 
 
 def _refine_roots(poly, precision, previous=None):
@@ -428,25 +591,24 @@ def _refine_roots(poly, precision, previous=None):
     (certified roots of the same polynomial at any precision), from those
     roots.  Yun factors have distinct multiplicities, so a root's
     multiplicity names the factor it is refined on.  Factors are real, so
-    only one root of each conjugate pair is refined; its mirror is its exact
-    conjugate, with the same radius.
+    only one root of each conjugate pair is refined; its mirror, laid out
+    right after it as in the store entry's seeds, is its exact conjugate,
+    with the same radius.
     """
     roots, radii, mults = [], [], []
-    for factor, dfactor, mult, seeds in _root_setup(poly).factors:
+    for factor, dfactor, mult, seeds, mirrors in _root_setup(poly).factors:
         if previous is None:
             starts, start_bits = seeds, 53      # a double's mantissa
-            mirrors = _seed_mirrors(seeds)
         else:
             starts = [z for z, m in zip(previous.roots,
                                         previous.multiplicities) if m == mult]
             start_bits = previous.working_precision
-            mirrors = _conjugate_mirrors(starts, start_bits)
         refined = [None if i in mirrors else
                    _newton_refine(factor, dfactor, z, start_bits, precision)
                    for i, z in enumerate(starts)]
         with mp.workprec(precision + 64):
-            for i, j in mirrors.items():
-                z, radius = refined[j]
+            for i in mirrors:
+                z, radius = refined[i - 1]
                 refined[i] = mp.conj(z), radius
             for i, (zi, ri) in enumerate(refined):
                 for zj, rj in refined[:i]:
@@ -531,7 +693,7 @@ def _headroom_bits(polys, n):
     """Upper estimate of log2 of the certified product, from double roots."""
     bits = math.log2(n) + 8
     for poly in polys:
-        for _, _, mult, seeds in _root_setup(poly).factors:
+        for _, _, mult, seeds, _ in _root_setup(poly).factors:
             for w in seeds:
                 s = (w * w - 1) ** 0.5
                 grow = max(abs(w + s), abs(w - s))
@@ -546,8 +708,10 @@ def _certified_integer(evaluate, divisor, initial_bits, what):
     Accepts when the value is within 2^-20 of a positive integer divisible
     by ``divisor`` and recomputation at doubled precision reproduces it;
     otherwise doubles the working precision up to MAX_CERTIFY_BITS.  A
-    starting precision already above that cap is refused without an attempt.
-    Each escalation and its cause is logged at DEBUG level.
+    value of 2^(bits - 21) or more is a multiple of 2^-20 at ``bits`` bits,
+    so that pass cannot resolve 2^-20 and is rejected without a confirm
+    pass.  A starting precision already above the cap is refused without
+    an attempt.  Each escalation and its cause is logged at DEBUG level.
     """
     tol = mp.mpf(2) ** (-INTEGRALITY_TOL_BITS)
     bits = max(initial_bits, 128)
@@ -557,13 +721,15 @@ def _certified_integer(evaluate, divisor, initial_bits, what):
             f"{MAX_CERTIFY_BITS}-bit cap")
     while bits <= MAX_CERTIFY_BITS:
         try:
+            resolved = mp.ldexp(1, bits - INTEGRALITY_TOL_BITS - 1)
             # rounding and comparison must run at full precision: the
             # candidate integer can need far more than the ambient 53 bits
             with mp.workprec(bits + 64):
                 value = evaluate(bits)
                 candidate = int(mp.nint(value))
                 accepted = (candidate > 0 and candidate % divisor == 0
-                            and abs(value - candidate) < tol)
+                            and abs(value - candidate) < tol
+                            and abs(value) < resolved)
             if accepted:
                 with mp.workprec(2 * bits + 64):
                     confirm = evaluate(2 * bits)

@@ -1,6 +1,7 @@
 """Integer Chebyshev algebra, certified roots, and closed-form counts."""
 
 import logging
+import math
 import subprocess
 import sys
 import time
@@ -12,11 +13,12 @@ import numpy as np
 import pytest
 
 from circtrees import (CertificationError, DisconnectedGraphError,
-                       IntPolynomial, RootRefinementError, asymptotic_ratio,
-                       build_even_char, build_odd_char, canonicalize,
-                       cheb_eval_large, cheb_t, cheb_u, decompose, family_spec,
-                       find_roots, parse_spec, tau_closed_form, tau_even,
-                       tau_odd, tau_oracle)
+                       IntPolynomial, RootRefinementError, associated_laurent,
+                       asymptotic_ratio, build_even_char, build_odd_char,
+                       canonicalize, cheb_eval_large, cheb_t, cheb_u,
+                       decompose, family_spec, find_roots, mahler_root_product,
+                       parse_spec, tau_closed_form, tau_even, tau_odd,
+                       tau_oracle)
 from circtrees import chebyshev
 from circtrees.algebra import _ordinary_image
 from circtrees.chebyshev import (_double_precision_roots, _newton_step,
@@ -151,6 +153,12 @@ class TestQuantumEvaluation:
             reference = (b ** 6000 + b ** -6000) / 2
             got = cheb_eval_large(w, 6000)
             assert abs(got - reference) <= abs(reference) * mp.mpf(2) ** -4000
+
+    def test_non_finite_argument_is_rejected(self):
+        # mantissas have no infinity or NaN to carry
+        for w in (float("inf"), float("nan"), mp.mpc(1, mp.inf)):
+            with pytest.raises(ValueError, match="not a finite number"):
+                cheb_eval_large(w, 3, precision=64)
 
     def test_second_kind_evaluation(self):
         # T_m = (U_m - U_{m-2}) / 2 checks the evaluator against U_m,
@@ -592,6 +600,22 @@ class TestClosedFormCounts:
         assert "at 128 bits: not within 2^-20 of a positive multiple of 14;" \
             " escalating to 256 bits" in messages[0]
 
+    def test_unresolved_pass_is_rejected(self, caplog):
+        # 14 * 2^200 is a multiple of 2^-20 at 128 bits whatever its error,
+        # so that pass proves nothing: it is rejected without a confirm pass
+        calls = []
+
+        def evaluate(bits):
+            calls.append(bits)
+            return mp.mpf(14 * 2 ** 200)
+
+        with caplog.at_level(logging.DEBUG, logger="circtrees.chebyshev"):
+            assert chebyshev._certified_integer(evaluate, 14, 128, "v") \
+                == 2 ** 200
+        assert calls == [128, 256, 512]
+        assert "v at 128 bits: not within 2^-20 of a positive multiple of " \
+            "14; escalating to 256 bits" in caplog.text
+
     def test_root_failure_escalation_is_logged(self, monkeypatch, caplog):
         calls = []
 
@@ -618,6 +642,32 @@ class TestClosedFormCounts:
                               capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stdout.strip().isdigit()
         assert proc.stderr == ""
+
+    @pytest.mark.parametrize("family", ["even", "diagonal"])
+    def test_grid_certifies_without_escalation(self, family, caplog):
+        # a kernel short of precision still counts right after escalating,
+        # so only the log shows it: gcd-1 steps within 1..7, at most three,
+        # at the smallest order, seven above it, and an order whose count
+        # has about 6000 bits (none for the cycle, whose count is n), all
+        # certify at the first pass
+        step_sets = [steps for size in (1, 2, 3)
+                     for steps in combinations(range(1, 8), size)
+                     if math.gcd(*steps) == 1]
+        with caplog.at_level(logging.DEBUG, logger="circtrees.chebyshev"):
+            for steps in step_sets:
+                smallest = (max(steps) + 1 if family == "diagonal"
+                            else 2 * max(steps) + 1)
+                log_m = mahler_root_product(
+                    associated_laurent(steps, family)).small_measure
+                orders = [smallest, smallest + 7]
+                if log_m > 0:
+                    orders.append(round(6000 * math.log(2) / log_m))
+                for n in orders:
+                    spec = family_spec(steps, family, n)
+                    certified = tau_odd if spec.diagonal else tau_even
+                    assert certified(spec) == tau_closed_form(spec), spec
+        assert [r.getMessage() for r in caplog.records
+                if r.name == "circtrees.chebyshev"] == []
 
     @pytest.mark.parametrize("literal", ["C3000(1,2,3,4,5)",
                                          "C2000(1,2,3;d)"])

@@ -10,9 +10,11 @@ orders up to 300 over sequences of orders counted one after another.  The
 rule's count.  Polynomials
 are products of small integer factors with leading coefficients 2..5,
 repeated factors and a content, checked against a Euclid over the
-rationals written here.  Examples are derandomized and have no deadline,
-so the suite is deterministic and does not depend on the speed of the
-machine.
+rationals written here.  The mantissa kernels of the certified products
+(T_n, the Newton step, the magnitude bound) are checked against mpmath at
+three times their precision, from 64 to 4096 bits.  Examples are
+derandomized and have no deadline, so the suite is deterministic and does
+not depend on the speed of the machine.
 """
 
 import io
@@ -22,6 +24,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations
 
+import mpmath as mp
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -31,7 +34,9 @@ from circtrees import (DisconnectedGraphError, IntPolynomial,
                        multiplier_conjugate, parse_spec, tau_closed_form,
                        tau_even, tau_odd, tau_oracle)
 from circtrees.arithmetic import family_spec
-from circtrees.chebyshev import poly_gcd, square_free_decomposition
+from circtrees.chebyshev import (RootRefinementError, _magnitude,
+                                 _newton_step, cheb_eval_large, poly_gcd,
+                                 square_free_decomposition)
 from circtrees.cli import main
 
 MAX_VERTICES = 40
@@ -184,6 +189,111 @@ def test_certified_product_over_a_sequence_of_orders(case):
     for n in orders:
         spec = family_spec(steps, family, n)
         assert certified_product(spec) == tau_closed_form(spec), spec
+
+
+def exact_mpf(q):
+    """The dyadic rational ``q`` as an mpf, with no rounding."""
+    q = Fraction(q)
+    return mp.make_mpf(mp.libmp.from_man_exp(
+        q.numerator, 1 - q.denominator.bit_length()))
+
+
+def exact_value(x):
+    """An mpf as a Fraction."""
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+@st.composite
+def exact_arguments(draw, bits):
+    """A point the kernels hold exactly at ``bits`` bits plus guard bits.
+
+    Near w = +-1, T_n magnifies the rounding of its argument up to n^2
+    times, whatever evaluates it, so the points are exact: w = +-1 as an
+    int, a Fraction or an mpc, ints, dyadic Fractions, and real or complex
+    mpc whose parts are both dyadic with at most 80 bits or both full
+    ``bits``-bit mantissas below 4 in size.
+    """
+    kind = draw(st.sampled_from(
+        ("branch point", "int", "fraction", "real", "complex")))
+    if kind == "branch point":
+        return draw(st.sampled_from((1, -1, Fraction(-1), mp.mpc(1),
+                                     mp.mpc(-1))))
+    if kind == "int":
+        return draw(st.integers(-40, 40))
+    part = draw(st.sampled_from((
+        st.builds(lambda k, j: Fraction(k, 2 ** j),
+                  st.integers(-2 ** 39, 2 ** 39), st.integers(0, 40)),
+        st.integers(-2 ** bits, 2 ** bits).map(
+            lambda k: Fraction(k, 2 ** (bits - 2))))))
+    if kind == "fraction":
+        return draw(part)
+    imag = draw(part) if kind == "complex" else 0
+    return mp.mpc(exact_mpf(draw(part)), exact_mpf(imag))
+
+
+def as_mpc(w):
+    return w if isinstance(w, mp.mpc) else mp.mpc(exact_mpf(w))
+
+
+@PROPERTY
+@given(st.data(), st.integers(64, 4096), st.integers(0, 10 ** 4))
+def test_chebyshev_kernel_against_mpmath(data, bits, n):
+    # (b^n + b^-n) / 2 at three times the precision, within 2^-bits |b^n|
+    w = data.draw(exact_arguments(bits))
+    got = cheb_eval_large(w, n, precision=bits)
+    with mp.workprec(3 * bits):
+        z = as_mpc(w)
+        s = mp.sqrt(z * z - 1)
+        b = z + s if abs(z + s) >= 1 else z - s
+        power = b ** n
+        want = (power + 1 / power) / 2
+        assert abs(got - want) <= mp.ldexp(max(1, abs(power)), -bits)
+
+
+@PROPERTY
+@given(st.data(), st.integers(64, 4096),
+       st.lists(st.integers(-2 ** 60, 2 ** 60), min_size=2, max_size=13)
+       .filter(lambda c: c[-1] != 0))
+def test_newton_step_kernel_against_mpmath(data, bits, coeffs):
+    # P(z) / P'(z) at three times the precision, within the error of
+    # evaluating P and P' at ``bits`` bits
+    poly = IntPolynomial(coeffs)
+    dpoly = poly.derivative()
+    z = data.draw(exact_arguments(bits))
+    with mp.workprec(3 * bits):
+        zc = as_mpc(z)
+        p, dp = poly(zc), dpoly(zc)
+    if dp == 0:
+        with pytest.raises(RootRefinementError, match="derivative vanished"):
+            with mp.workprec(bits):
+                _newton_step(poly, dpoly, z)
+        return
+    with mp.workprec(bits):
+        got = _newton_step(poly, dpoly, z)
+    with mp.workprec(3 * bits):
+        size, dsize = (sum(abs(c) * abs(zc) ** i
+                           for i, c in enumerate(f.coeffs))
+                       for f in (poly, dpoly))
+        step = p / dp
+        assert abs(got - step) \
+            <= mp.ldexp(size + abs(step) * dsize, -bits) / abs(dp)
+
+
+mpf_st = st.builds(
+    lambda man, exp: mp.make_mpf(mp.libmp.from_man_exp(man, exp)),
+    st.integers(-2 ** 300, 2 ** 300), st.integers(-3000, 3000))
+
+
+@PROPERTY
+@given(mpf_st, mpf_st)
+def test_magnitude_bounds_the_modulus(re, im):
+    # a 24-bit upper bound on |z|, below |z| (1 + 2^-20)
+    bound = _magnitude(mp.mpc(re, im))
+    square = exact_value(re) ** 2 + exact_value(im) ** 2
+    assert bound._mpf_[3] <= 24
+    assert square <= exact_value(bound) ** 2 \
+        <= square * (1 + Fraction(1, 2 ** 20)) ** 2
 
 
 small_factor_st = st.builds(
