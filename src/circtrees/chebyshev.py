@@ -32,9 +32,11 @@ at doubled precision must reproduce the same integer, otherwise the
 precision escalates (up to a hard cap) and finally fails loudly.  Newton
 refines the roots at doubling precisions.  A per-process root store keeps,
 per characteristic polynomial, the most precise certified roots any pass
-has produced, and every later pass (at any order, the confirm pass and
-escalations included) starts Newton there and certifies the roots again
-at its own precision; escalations are logged at DEBUG level.
+has produced.  A later pass (at any order, the confirm pass and
+escalations included) at or below that precision rounds the stored roots
+to its own and widens their radii, with no Newton step; only a pass above
+it starts Newton there, and its roots replace the stored ones.
+Escalations are logged at DEBUG level.
 The polynomials are real, so each conjugate pair of roots costs one
 refinement and one T_n: the second root is the exact conjugate of the
 first, and the pair contributes the squared modulus of its one value.
@@ -442,8 +444,9 @@ def _root_setup(poly):
     ``best`` holds the most precise certified roots any certification has
     produced, None until one has.  None of it depends on the order, so a
     family evaluated at many orders and precisions factors, seeds and pairs
-    each characteristic polynomial once, and Newton starts every later pass
-    at a root.  Beyond 64 polynomials the least recently used goes.
+    each characteristic polynomial once; a later pass rounds ``best`` or,
+    above its precision, starts Newton at it.  Beyond 64 polynomials the
+    least recently used goes.
     """
     return _RootEntry(tuple(
         (factor, factor.derivative(), mult,
@@ -534,6 +537,22 @@ def _newton_refine(poly, dpoly, z, start_bits, precision):
                       prec=24, rounding="u")
 
 
+def _rounded_root(z, radius, precision):
+    """A root certified at ``precision`` bits or more, served at ``precision``.
+
+    ``z`` lies within ``radius`` of a root.  It is rounded to precision + 64
+    bits, the width a Newton pass leaves, which moves it by less than
+    2^(-precision-63) |z|, and the radius grows by 2^(5-precision)
+    max(1, |z|), rounded up to 24 bits.  That term is twice the floor of a
+    Newton radius, so the radius still bounds four times a Newton step
+    taken at the rounded root, with room for four times the rounding.
+    """
+    with mp.workprec(precision + 64):
+        z = +mp.mpc(z)
+    return z, mp.fadd(radius, mp.ldexp(max(1, _magnitude(z)), 5 - precision),
+                      prec=24, rounding="u")
+
+
 def _seed_mirrors(seeds):
     """{mirror index: representative index} over double-precision seeds.
 
@@ -587,25 +606,31 @@ def _pair_representatives(cr):
 def _refine_roots(poly, precision, previous=None):
     """Certified roots of ``poly`` at ``precision`` bits.
 
-    Newton starts from the double-precision seeds or, given ``previous``
-    (certified roots of the same polynomial at any precision), from those
-    roots.  Yun factors have distinct multiplicities, so a root's
-    multiplicity names the factor it is refined on.  Factors are real, so
-    only one root of each conjugate pair is refined; its mirror, laid out
-    right after it as in the store entry's seeds, is its exact conjugate,
-    with the same radius.
+    Given ``previous``, certified roots of the same polynomial at a
+    precision of at least ``precision``, each root is that root rounded,
+    with a widened radius (:func:`_rounded_root`), and no Newton step is
+    taken.  Otherwise Newton starts from ``previous`` (less precise roots)
+    or from the double-precision seeds.  Yun factors have distinct
+    multiplicities, so a root's multiplicity names the factor it is refined
+    on.  Factors are real, so only one root of each conjugate pair is
+    refined; its mirror, laid out right after it as in the store entry's
+    seeds, is its exact conjugate, with the same radius.  The collapse test
+    and the degree check run on every call.
     """
+    rounded = previous is not None and previous.working_precision >= precision
     roots, radii, mults = [], [], []
     for factor, dfactor, mult, seeds, mirrors in _root_setup(poly).factors:
         if previous is None:
-            starts, start_bits = seeds, 53      # a double's mantissa
+            starts, start_bits = [(z, None) for z in seeds], 53   # a double
         else:
-            starts = [z for z, m in zip(previous.roots,
-                                        previous.multiplicities) if m == mult]
+            starts = [(z, r) for z, r, m in zip(
+                previous.roots, previous.radii, previous.multiplicities)
+                if m == mult]
             start_bits = previous.working_precision
         refined = [None if i in mirrors else
+                   _rounded_root(z, r, precision) if rounded else
                    _newton_refine(factor, dfactor, z, start_bits, precision)
-                   for i, z in enumerate(starts)]
+                   for i, (z, r) in enumerate(starts)]
         with mp.workprec(precision + 64):
             for i in mirrors:
                 z, radius = refined[i - 1]
@@ -643,12 +668,13 @@ def find_roots(poly, precision):
 
 
 def _stored_roots(poly, bits):
-    """Roots of ``poly`` certified afresh at ``bits`` bits.
+    """Roots of ``poly`` certified at ``bits`` bits, through the root store.
 
-    Newton starts from the store's most precise roots of ``poly`` or, the
-    first time the polynomial is seen, from its seeds through
-    :func:`find_roots`; either way each root gets its radius from a Newton
-    step at ``bits``.  The store keeps the result if it is more precise.
+    The first time the polynomial is seen, :func:`find_roots` refines its
+    seeds.  Later, the store's most precise roots are rounded to ``bits``
+    when they are at least that precise, and otherwise start Newton at
+    ``bits``.  Only a Newton pass more precise than the stored roots
+    replaces them, so a stored radius never builds on a rounded one.
     """
     entry = _root_setup(poly)
     best = entry.best
@@ -747,7 +773,8 @@ def _certified_integer(evaluate, divisor, initial_bits, what):
                    what, bits, cause, 2 * bits)
         bits *= 2
     raise CertificationError(
-        f"{what} failed to certify as an integer below {MAX_CERTIFY_BITS} bits")
+        f"{what} failed to certify as an integer below {MAX_CERTIFY_BITS} bits",
+        attempted=True)
 
 
 def tau_even(spec):

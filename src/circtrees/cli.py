@@ -22,7 +22,9 @@ In ``verify`` output the formula is the exact closed form
 certified Chebyshev product (``tau_even``/``tau_odd``) and the determinant
 oracle.  A disagreement with the product reads ``exact X != chebyshev Y``;
 a count above the product's precision cap or the oracle's ceiling is noted
-``chebyshev skipped (cap)`` or ``oracle skipped (ceiling)``.
+``chebyshev skipped (cap)`` or ``oracle skipped (ceiling)``, and a product
+that was attempted but failed to certify at every precision up to the cap
+``chebyshev failed to certify``.
 
 In ``asymptote`` and ``sequence`` rows, an order below the family's smallest
 (its steps fold into a multigraph) has ``tau``, ``coefficient``, ``a`` and
@@ -206,7 +208,8 @@ def _verify_one(spec, formula, ceiling):
     """Run the checks on one connected spec; returns (ok, detail).
 
     The exact closed form ``formula`` must equal the certified Chebyshev
-    product (unless over its precision cap) and the oracle (unless over its
+    product (unless over its precision cap, or failing to certify below
+    it: both are noted, not failed) and the oracle (unless over its
     ceiling), then decompose as c n a^2 and match a conjugate's count.
     """
     from . import chebyshev
@@ -215,8 +218,9 @@ def _verify_one(spec, formula, ceiling):
     certified_form = chebyshev.tau_odd if spec.diagonal else chebyshev.tau_even
     try:
         certified = certified_form(spec)
-    except CertificationError:
-        notes.append("chebyshev skipped (cap)")
+    except CertificationError as exc:
+        notes.append("chebyshev failed to certify" if exc.attempted
+                     else "chebyshev skipped (cap)")
     else:
         if certified != formula:
             ok = False

@@ -587,6 +587,58 @@ class TestClosedFormCounts:
         assert all(cr.working_precision > 2 * start for cr in stored)
         assert [chebyshev._root_setup(p).best for p in polys] == stored
 
+    @pytest.mark.parametrize("literal, larger", [
+        ("C40(1,2,5)", "C400(1,2,5)"), ("C20(1,3,4;d)", "C300(1,3,4;d)")])
+    def test_stored_roots_serve_lower_passes_without_newton(
+            self, monkeypatch, literal, larger):
+        # passes at or below the store's precision round the stored roots,
+        # take no Newton step and keep the store as it is; a pass above it
+        # runs Newton, and its roots replace the stored ones
+        spec = parse_spec(literal)
+        certified = tau_odd if spec.diagonal else tau_even
+        certified(parse_spec(larger))
+        polys = [build_even_char(spec.steps)]
+        if spec.diagonal:
+            polys.append(build_odd_char(spec.steps) + 1)
+        entries = [chebyshev._root_setup(p) for p in polys]
+        stored = [entry.best for entry in entries]
+        newton_step = chebyshev._newton_step
+
+        def no_newton(*args):
+            raise AssertionError("Newton step on a store-served pass")
+
+        monkeypatch.setattr(chebyshev, "_newton_step", no_newton)
+        assert certified(spec) == tau_closed_form(spec)
+        assert all(entry.best is cr for entry, cr in zip(entries, stored))
+
+        steps = []
+
+        def counted(*args):
+            steps.append(args)
+            return newton_step(*args)
+
+        # both passes above the store: 128 + headroom = top + 1 bits
+        top = max(cr.working_precision for cr in stored)
+        monkeypatch.setattr(chebyshev, "_newton_step", counted)
+        monkeypatch.setattr(chebyshev, "_headroom_bits",
+                            lambda *args: top - 127)
+        assert certified(spec) == tau_closed_form(spec)
+        assert steps
+        assert all(entry.best.working_precision == 2 * (top + 1)
+                   for entry in entries)
+
+    def test_failed_certification_is_flagged_as_attempted(self):
+        # a refusal above the cap was not attempted; a failure at every
+        # precision up to it was
+        with pytest.raises(CertificationError) as refused:
+            tau_even(canonicalize(3000, [1, 2, 3, 4, 5]))
+        assert not refused.value.attempted
+        with pytest.raises(CertificationError,
+                           match="failed to certify") as failed:
+            chebyshev._certified_integer(lambda bits: mp.mpf(0.5), 1, 128,
+                                         "v")
+        assert failed.value.attempted
+
     def test_escalations_are_logged(self, monkeypatch, caplog):
         # a start too low for a 261-bit count must escalate, and say why
         monkeypatch.setattr(chebyshev, "_headroom_bits", lambda *args: 0)

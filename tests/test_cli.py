@@ -194,6 +194,15 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "C9(1,2)")
         assert code == 1 and "FAIL  exact 10404 != chebyshev 7" in out
 
+    def test_failed_certification_is_not_a_cap_skip(self, capsys):
+        # the certified product of C130(1,60) runs and fails to certify far
+        # below its cap (the seeds of its degree-59 polynomial are poor):
+        # noted as a failure to certify, not as a skip
+        code, out, _ = run_cli(capsys, "verify", "C130(1,60)")
+        assert code == 0
+        assert "PASS  chebyshev failed to certify; formula=oracle" in out
+        assert "skipped" not in out
+
     def test_sweep_skips_disconnected(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "C*(2,3)", "--n-max", "12")
         assert code == 0

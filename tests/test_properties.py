@@ -12,7 +12,9 @@ are products of small integer factors with leading coefficients 2..5,
 repeated factors and a content, checked against a Euclid over the
 rationals written here.  The mantissa kernels of the certified products
 (T_n, the Newton step, the magnitude bound) are checked against mpmath at
-three times their precision, from 64 to 4096 bits.  Examples are
+three times their precision, from 64 to 4096 bits, and roots served
+from the root store by rounding keep a radius that bounds a Newton step
+and holds the root refined further.  Examples are
 derandomized and have no deadline, so the suite is deterministic and does
 not depend on the speed of the machine.
 """
@@ -30,13 +32,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from circtrees import (DisconnectedGraphError, IntPolynomial,
-                       InternalConsistencyError, SpecError, canonicalize,
+                       InternalConsistencyError, SpecError, build_even_char,
+                       build_odd_char, canonicalize, find_roots,
                        multiplier_conjugate, parse_spec, tau_closed_form,
                        tau_even, tau_odd, tau_oracle)
 from circtrees.arithmetic import family_spec
 from circtrees.chebyshev import (RootRefinementError, _magnitude,
-                                 _newton_step, cheb_eval_large, poly_gcd,
-                                 square_free_decomposition)
+                                 _newton_step, _refine_roots, cheb_eval_large,
+                                 poly_gcd, square_free_decomposition)
 from circtrees.cli import main
 
 MAX_VERTICES = 40
@@ -278,6 +281,47 @@ def test_newton_step_kernel_against_mpmath(data, bits, coeffs):
         step = p / dp
         assert abs(got - step) \
             <= mp.ldexp(size + abs(step) * dsize, -bits) / abs(dp)
+
+
+@st.composite
+def stored_root_cases(draw):
+    """(poly, stored, bits): a characteristic polynomial of a gcd-1 step set
+    within 1..9 (P for the even family, P_odd + 1 for the diagonal one), a
+    store precision in 128..4096 and a pass precision in 64..stored."""
+    steps = draw(st.sets(st.integers(1, 9), min_size=1, max_size=9)
+                 .map(lambda s: tuple(sorted(s))))
+    assume(math.gcd(*steps) == 1)
+    family = draw(family_st)
+    poly = (build_even_char(steps) if family == "even"
+            else build_odd_char(steps) + 1)
+    assume(poly.degree >= 1)
+    stored = draw(st.integers(128, 4096))
+    return poly, stored, draw(st.integers(64, stored))
+
+
+@PROPERTY
+@given(stored_root_cases())
+def test_rounded_stored_roots_stay_certified(case):
+    # roots certified at a higher precision, served at ``bits`` by
+    # rounding: at most bits + 64 bits of mantissa, a radius above four
+    # times a Newton step taken at the rounded root plus the Newton floor,
+    # and holding the root refined to four times the stored precision
+    poly, stored, bits = case
+    source = find_roots(poly, stored)
+    cr = _refine_roots(poly, bits, source)
+    finest = _refine_roots(poly, 4 * stored, source)
+    factors = {m: f for f, m in square_free_decomposition(poly)}
+    assert cr.working_precision == bits
+    assert cr.multiplicities == source.multiplicities
+    with mp.workprec(bits + 64):
+        for z, radius, mult, root in zip(cr.roots, cr.radii,
+                                         cr.multiplicities, finest.roots):
+            assert max(z.real._mpf_[3], z.imag._mpf_[3]) <= bits + 64
+            factor = factors[mult]
+            step = _newton_step(factor, factor.derivative(), z)
+            assert radius >= 4 * abs(step) \
+                + mp.ldexp(max(1, abs(z)), 4 - bits), (poly, z)
+            assert abs(z - root) <= radius, (poly, z)
 
 
 mpf_st = st.builds(
