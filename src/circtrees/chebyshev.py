@@ -33,9 +33,10 @@ precision escalates (up to a hard cap) and finally fails loudly.  Newton
 refines the roots at doubling precisions.  A per-process root store keeps,
 per characteristic polynomial, the most precise certified roots any pass
 has produced.  A later pass (at any order, the confirm pass and
-escalations included) at or below that precision rounds the stored roots
-to its own and widens their radii, with no Newton step; only a pass above
-it starts Newton there, and its roots replace the stored ones.
+escalations included) at or below that precision multiplies the stored
+roots as they are, with no Newton step, since T_n cuts each root to the
+pass's width; only a pass above it starts Newton there, and its roots
+replace the stored ones.
 Escalations are logged at DEBUG level.
 The polynomials are real, so each conjugate pair of roots costs one
 refinement and one T_n: the second root is the exact conjugate of the
@@ -444,9 +445,9 @@ def _root_setup(poly):
     ``best`` holds the most precise certified roots any certification has
     produced, None until one has.  None of it depends on the order, so a
     family evaluated at many orders and precisions factors, seeds and pairs
-    each characteristic polynomial once; a later pass rounds ``best`` or,
-    above its precision, starts Newton at it.  Beyond 64 polynomials the
-    least recently used goes.
+    each characteristic polynomial once; a later pass takes ``best`` as it
+    is or, above its precision, starts Newton at it.  Beyond 64 polynomials
+    the least recently used goes.
     """
     return _RootEntry(tuple(
         (factor, factor.derivative(), mult,
@@ -537,22 +538,6 @@ def _newton_refine(poly, dpoly, z, start_bits, precision):
                       prec=24, rounding="u")
 
 
-def _rounded_root(z, radius, precision):
-    """A root certified at ``precision`` bits or more, served at ``precision``.
-
-    ``z`` lies within ``radius`` of a root.  It is rounded to precision + 64
-    bits, the width a Newton pass leaves, which moves it by less than
-    2^(-precision-63) |z|, and the radius grows by 2^(5-precision)
-    max(1, |z|), rounded up to 24 bits.  That term is twice the floor of a
-    Newton radius, so the radius still bounds four times a Newton step
-    taken at the rounded root, with room for four times the rounding.
-    """
-    with mp.workprec(precision + 64):
-        z = +mp.mpc(z)
-    return z, mp.fadd(radius, mp.ldexp(max(1, _magnitude(z)), 5 - precision),
-                      prec=24, rounding="u")
-
-
 def _seed_mirrors(seeds):
     """{mirror index: representative index} over double-precision seeds.
 
@@ -604,33 +589,27 @@ def _pair_representatives(cr):
 
 
 def _refine_roots(poly, precision, previous=None):
-    """Certified roots of ``poly`` at ``precision`` bits.
+    """Certified roots of ``poly`` at ``precision`` bits, by Newton.
 
-    Given ``previous``, certified roots of the same polynomial at a
-    precision of at least ``precision``, each root is that root rounded,
-    with a widened radius (:func:`_rounded_root`), and no Newton step is
-    taken.  Otherwise Newton starts from ``previous`` (less precise roots)
-    or from the double-precision seeds.  Yun factors have distinct
-    multiplicities, so a root's multiplicity names the factor it is refined
-    on.  Factors are real, so only one root of each conjugate pair is
-    refined; its mirror, laid out right after it as in the store entry's
-    seeds, is its exact conjugate, with the same radius.  The collapse test
-    and the degree check run on every call.
+    Newton starts from ``previous``, certified roots of the same polynomial
+    at another precision, or from the double-precision seeds.  Yun factors
+    have distinct multiplicities, so a root's multiplicity names the factor
+    it is refined on.  Factors are real, so only one root of each conjugate
+    pair is refined; its mirror, laid out right after it as in the store
+    entry's seeds, is its exact conjugate, with the same radius.  The
+    collapse test and the degree check run on every call.
     """
-    rounded = previous is not None and previous.working_precision >= precision
     roots, radii, mults = [], [], []
     for factor, dfactor, mult, seeds, mirrors in _root_setup(poly).factors:
         if previous is None:
-            starts, start_bits = [(z, None) for z in seeds], 53   # a double
+            starts, start_bits = seeds, 53   # a double
         else:
-            starts = [(z, r) for z, r, m in zip(
-                previous.roots, previous.radii, previous.multiplicities)
-                if m == mult]
+            starts = [z for z, m in zip(previous.roots,
+                                        previous.multiplicities) if m == mult]
             start_bits = previous.working_precision
         refined = [None if i in mirrors else
-                   _rounded_root(z, r, precision) if rounded else
                    _newton_refine(factor, dfactor, z, start_bits, precision)
-                   for i, (z, r) in enumerate(starts)]
+                   for i, z in enumerate(starts)]
         with mp.workprec(precision + 64):
             for i in mirrors:
                 z, radius = refined[i - 1]
@@ -671,18 +650,18 @@ def _stored_roots(poly, bits):
     """Roots of ``poly`` certified at ``bits`` bits, through the root store.
 
     The first time the polynomial is seen, :func:`find_roots` refines its
-    seeds.  Later, the store's most precise roots are rounded to ``bits``
-    when they are at least that precise, and otherwise start Newton at
-    ``bits``.  Only a Newton pass more precise than the stored roots
-    replaces them, so a stored radius never builds on a rounded one.
+    seeds.  Later, the store's most precise roots are served as they are
+    when they are at least that precise: the product never reads a radius
+    and :func:`cheb_eval_large` cuts each root to its own width.  Otherwise
+    Newton starts at them and its roots, more precise, replace them.
     """
     entry = _root_setup(poly)
     best = entry.best
-    roots = (find_roots(poly, bits) if best is None
-             else _refine_roots(poly, bits, best))
-    if best is None or bits > best.working_precision:
-        entry.best = roots
-    return roots
+    if best is not None and best.working_precision >= bits:
+        return best
+    entry.best = (find_roots(poly, bits) if best is None
+                  else _refine_roots(poly, bits, best))
+    return entry.best
 
 
 def build_even_char(steps):

@@ -18,13 +18,14 @@ explicit nulls, and big integers are decimal strings so nothing truncates
 downstream.
 
 In ``verify`` output the formula is the exact closed form
-(``tau_closed_form``), and ``formula=oracle`` means that it equals both the
-certified Chebyshev product (``tau_even``/``tau_odd``) and the determinant
-oracle.  A disagreement with the product reads ``exact X != chebyshev Y``;
-a count above the product's precision cap or the oracle's ceiling is noted
-``chebyshev skipped (cap)`` or ``oracle skipped (ceiling)``, and a product
-that was attempted but failed to certify at every precision up to the cap
-``chebyshev failed to certify``.
+(``tau_closed_form``), and ``formula=oracle`` means that it equals the
+determinant oracle.  The certified Chebyshev product
+(``tau_even``/``tau_odd``) adds a note only when it does not agree: a
+disagreement reads ``exact X != chebyshev Y``, a count above the product's
+precision cap is noted ``chebyshev skipped (cap)``, and a product that was
+attempted but failed to certify at every precision up to the cap
+``chebyshev failed to certify``.  A count above the oracle's ceiling is
+noted ``oracle skipped (ceiling)``.
 
 In ``asymptote`` and ``sequence`` rows, an order below the family's smallest
 (its steps fold into a multigraph) has ``tau``, ``coefficient``, ``a`` and
@@ -208,9 +209,11 @@ def _verify_one(spec, formula, ceiling):
     """Run the checks on one connected spec; returns (ok, detail).
 
     The exact closed form ``formula`` must equal the certified Chebyshev
-    product (unless over its precision cap, or failing to certify below
-    it: both are noted, not failed) and the oracle (unless over its
-    ceiling), then decompose as c n a^2 and match a conjugate's count.
+    product, which adds a note only when it disagrees, is over its
+    precision cap or fails to certify below it (the last two are noted,
+    not failed), and the oracle, noted ``formula=oracle`` when it agrees
+    (unless over its ceiling); then decompose as c n a^2 and match a
+    conjugate's count.
     """
     from . import chebyshev
     notes = []

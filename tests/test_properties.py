@@ -12,9 +12,9 @@ are products of small integer factors with leading coefficients 2..5,
 repeated factors and a content, checked against a Euclid over the
 rationals written here.  The mantissa kernels of the certified products
 (T_n, the Newton step, the magnitude bound) are checked against mpmath at
-three times their precision, from 64 to 4096 bits, and roots served
-from the root store by rounding keep a radius that bounds a Newton step
-and holds the root refined further.  Examples are
+three times their precision, from 64 to 4096 bits, and Newton from
+stored roots, below or above their precision, leaves a radius that bounds
+its last step and holds the root refined further.  Examples are
 derandomized and have no deadline, so the suite is deterministic and does
 not depend on the speed of the machine.
 """
@@ -287,7 +287,7 @@ def test_newton_step_kernel_against_mpmath(data, bits, coeffs):
 def stored_root_cases(draw):
     """(poly, stored, bits): a characteristic polynomial of a gcd-1 step set
     within 1..9 (P for the even family, P_odd + 1 for the diagonal one), a
-    store precision in 128..4096 and a pass precision in 64..stored."""
+    store precision in 128..4096 and a pass precision in 64..2 stored."""
     steps = draw(st.sets(st.integers(1, 9), min_size=1, max_size=9)
                  .map(lambda s: tuple(sorted(s))))
     assume(math.gcd(*steps) == 1)
@@ -296,16 +296,17 @@ def stored_root_cases(draw):
             else build_odd_char(steps) + 1)
     assume(poly.degree >= 1)
     stored = draw(st.integers(128, 4096))
-    return poly, stored, draw(st.integers(64, stored))
+    return poly, stored, draw(st.integers(64, 2 * stored))
 
 
 @PROPERTY
 @given(stored_root_cases())
-def test_rounded_stored_roots_stay_certified(case):
-    # roots certified at a higher precision, served at ``bits`` by
-    # rounding: at most bits + 64 bits of mantissa, a radius above four
-    # times a Newton step taken at the rounded root plus the Newton floor,
-    # and holding the root refined to four times the stored precision
+def test_newton_from_stored_roots_stays_certified(case):
+    # Newton at ``bits`` from roots certified at another precision, as a
+    # pass above the store runs it: at most bits + 64 bits of mantissa, a
+    # radius above four times a Newton step taken at the new root plus the
+    # Newton floor, and holding the root refined to four times the stored
+    # precision
     poly, stored, bits = case
     source = find_roots(poly, stored)
     cr = _refine_roots(poly, bits, source)
