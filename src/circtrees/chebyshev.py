@@ -30,21 +30,27 @@ arbitrary-precision floating point and *certified*: the value must sit
 within 2^-20 of an integer with the right divisibility, and recomputation
 at doubled precision must reproduce the same integer, otherwise the
 precision escalates (up to a hard cap) and finally fails loudly.  Newton
-refines the roots at doubling precisions.  A per-process root store keeps,
-per characteristic polynomial, the most precise certified roots any pass
-has produced.  A later pass (at any order, the confirm pass and
-escalations included) at or below that precision multiplies the stored
-roots as they are, with no Newton step, since T_n cuts each root to the
-pass's width; only a pass above it starts Newton there, and its roots
-replace the stored ones.
+refines the roots at doubling precisions.  T_n(w) = (b^n + b^-n)/2 with
+the branch b = w + sqrt(w^2 - 1), |b| >= 1, which does not depend on n
+either.  A per-process root store keeps, per characteristic polynomial,
+the most precise certified roots any pass has produced and, for each
+root it multiplies, the pair (b, 1/b) at their precision.  A later pass
+(at any order, the confirm pass and escalations included) at or below
+that precision multiplies the stored pairs as they are, with no Newton
+step and no square root, since the T_n ladder cuts each pair to the
+pass's width; only a pass above it starts Newton there, and its roots,
+with pairs branched from them, replace the stored ones.
 Escalations are logged at DEBUG level.
 The polynomials are real, so each conjugate pair of roots costs one
-refinement and one T_n: the second root is the exact conjugate of the
-first, and the pair contributes the squared modulus of its one value.
-The two hot kernels, T_n and the Newton step, run on Python-int
-mantissas that share one exponent, at the pass's precision plus
-GUARD_BITS = 16 guard bits, and each division first trims its divisor to
-that width, since CPython's integer division costs the product of the
+refinement, one branch and one T_n: the second root is the exact
+conjugate of the first, and the pair contributes the squared modulus of
+its one value.
+The two hot kernels, the T_n ladder and the Newton step, run on
+Python-int mantissas that share one exponent, at the pass's precision
+plus GUARD_BITS = 16 guard bits.  The ladder walks the signed digits of
+n, multiplying by b or by 1/b, and divides only for b^-n, at the width
+that small term needs.  Each division first trims its divisor to its
+width, since CPython's integer division costs the product of the
 operands' sizes.  The magnitude bound behind every radius and stopping
 test takes the top 30 bits of each part and an integer square root.
 mpmath holds the roots, radii and products between them.
@@ -236,7 +242,14 @@ def _complex(x, y, e):
 
 
 def _inverse(x, y, e, prec):
-    """1 / ((x + iy) 2^e) from one division by the trimmed |x + iy|^2."""
+    """1 / ((x + iy) 2^e) to about ``prec`` bits, from one division.
+
+    x + iy is first trimmed to ``prec`` bits; the division is by x when
+    y = 0, and otherwise by |x + iy|^2 trimmed to that width.
+    """
+    x, y, e = _trim(x, y, e, prec)
+    if not y:
+        return (1 << 2 * prec) // x, 0, -2 * prec - e
     den, _, de = _trim(x * x + y * y, 0, 2 * e, prec)
     inv = (1 << 2 * prec) // den
     return _trim(x * inv, -y * inv, e - 2 * prec - de, prec)
@@ -286,6 +299,81 @@ def _norm(x):
     return x.real ** 2 + x.imag ** 2
 
 
+def _branch(w, prec):
+    """The branch b = w + sqrt(w^2 - 1) with |b| >= 1, as (x, y, e).
+
+    w is cut to ``prec`` bits, w^2 - 1 is formed exactly and its root
+    taken with ``math.isqrt``; a real w with |w| >= 1 gives a real b, on
+    real mantissas (y = 0).  The result is trimmed to ``prec`` bits.
+    """
+    x, y, e = _fixed(w, prec)
+    if e >= 0:                  # |w| >= 2^prec: keep the exponent negative
+        x, y, e = x << e, y << e, 0
+    one = 1 << -e
+    if y == 0 and abs(x) >= one:
+        # real b = w + sign(w) sqrt(w^2 - 1)
+        root, f = _sqrt(x * x - one * one, 2 * e, prec)
+        return _trim(*_add(x, 0, e, root if x > 0 else -root, 0, f), prec)
+    # complex b: u = w^2 - 1 exactly, then one root s with isqrt
+    ux, uy, ue = _trim(x * x - y * y - one * one, 2 * x * y, 2 * e, prec)
+    t, te = _sqrt(math.isqrt(ux * ux + uy * uy) + abs(ux), ue - 1, prec)
+    shift = ue - 2 * te - 1                     # uy / 2t at exponent te
+    v = (uy << shift) // t if shift >= 0 else (uy >> -shift) // t
+    s, si = (t, v) if ux >= 0 else (abs(v), t if uy >= 0 else -t)
+    if x * s + y * si < 0:                      # Re(w conj s) < 0: |w - s| > 1
+        s, si = -s, -si
+    return _trim(*_add(x, y, e, s, si, te), prec)
+
+
+def _signed_digits(n):
+    """The non-adjacent form of n >= 1: digits in {-1, 0, 1}, top first.
+
+    No two adjacent digits are nonzero, so a ladder over them multiplies
+    at about a third of its squarings, not half.
+    """
+    digits = []
+    while n:
+        digit = 2 - (n & 3) if n & 1 else 0     # n = 1 or 3 mod 4: +1, -1
+        digits.append(digit)
+        n = (n - digit) >> 1
+    return digits[::-1]
+
+
+def _ladder(pair, n, prec):
+    """T_n(w) = (b^n + b^-n)/2 from the pair (b, 1/b) of w, as an mpc.
+
+    b and 1/b are trimmed to ``prec`` bits.  The ladder walks the
+    non-adjacent form of n: a square at every digit, then a product by b
+    on +1 and by 1/b on -1; a complex product costs three integer
+    products and a square two, and a real b stays on real mantissas.
+    b^-n is added only while |b^n|^2 < 2^(prec + 1), by one division at
+    the width it needs, about prec - 2 log2|b^n| + GUARD_BITS bits.  The
+    mpc is rounded to the ambient precision; n >= 1.
+    """
+    (b, bi, be), (c, ci, ce) = (_trim(*z, prec) for z in pair)
+    factors = {1: (b, b + bi, bi - b, be), -1: (c, c + ci, ci - c, ce)}
+    bn, bni, en = b, bi, be
+    for digit in _signed_digits(n)[1:]:
+        if bi:
+            bn, bni, en = _trim((bn + bni) * (bn - bni), 2 * bn * bni,
+                                2 * en, prec)
+        else:
+            bn, _, en = _trim(bn * bn, 0, 2 * en, prec)
+        if digit:
+            x, xsum, xdiff, xe = factors[digit]
+            if bi:
+                k = x * (bn + bni)
+                bn, bni, en = _trim(k - bni * xsum, k + bn * xdiff, en + xe,
+                                    prec)
+            else:
+                bn, _, en = _trim(bn * x, 0, en + xe, prec)
+    top = max(bn.bit_length(), bni.bit_length()) + en   # >= log2|b^n|
+    if 2 * top <= prec + 2:
+        width = min(prec, prec + GUARD_BITS - 2 * top)
+        bn, bni, en = _add(bn, bni, en, *_inverse(bn, bni, en, width))
+    return _complex(bn, bni, en - 1)
+
+
 def cheb_eval_large(w, n, precision=None):
     """T_n(w) in O(log n) multiplications via T_n(w) = (b^n + b^-n)/2.
 
@@ -295,12 +383,9 @@ def cheb_eval_large(w, n, precision=None):
     ``precision`` (bits) is given, and returns an mpc rounded to it.
 
     The arithmetic is on Python-int mantissas sharing one exponent, with
-    GUARD_BITS bits beyond the precision: w^2 - 1 is formed exactly and
-    its root taken with ``math.isqrt``, a complex square costs two
-    products and a product by b three, and a real w with |w| >= 1 stays
-    on real mantissas.  b^-n is one division, by b^n or by |b^n|^2
-    trimmed to the working width (CPython's division is quadratic in the
-    divisor), and is skipped when it falls below the last bit of b^n.
+    GUARD_BITS bits beyond the precision: :func:`_branch` gives b, one
+    division gives 1/b, and :func:`_ladder`, the kernel the certified
+    products run on the pairs the root store keeps, gives the value.
     """
     if precision is not None:
         with mp.workprec(precision):
@@ -309,45 +394,8 @@ def cheb_eval_large(w, n, precision=None):
     if n == 0:
         return mp.mpc(1)
     prec = mp.mp.prec + GUARD_BITS
-    x, y, e = _fixed(w, prec)
-    if e >= 0:                  # |w| >= 2^prec: keep the exponent negative
-        x, y, e = x << e, y << e, 0
-    one = 1 << -e
-    if y == 0 and abs(x) >= one:
-        # real b = w + sign(w) sqrt(w^2 - 1), |b| >= 1
-        root, f = _sqrt(x * x - one * one, 2 * e, prec)
-        b, _, be = _trim(*_add(x, 0, e, root if x > 0 else -root, 0, f),
-                         prec)
-        bn, en = b, be
-        for bit in bin(n)[3:]:
-            bn, _, en = _trim(bn * bn, 0, 2 * en, prec)
-            if bit == "1":
-                bn, _, en = _trim(bn * b, 0, en + be, prec)
-        # b^-n counts only while |b^n|^2 < 2^(prec + 1)
-        if 2 * (bn.bit_length() + en) <= prec + 2:
-            bn, _, en = _add(bn, 0, en, (1 << 2 * prec) // bn, 0,
-                             -2 * prec - en)
-        return _complex(bn, 0, en - 1)
-    # complex b: u = w^2 - 1 exactly, then one root s with isqrt
-    ux, uy, ue = _trim(x * x - y * y - one * one, 2 * x * y, 2 * e, prec)
-    t, te = _sqrt(math.isqrt(ux * ux + uy * uy) + abs(ux), ue - 1, prec)
-    shift = ue - 2 * te - 1                     # uy / 2t at exponent te
-    v = (uy << shift) // t if shift >= 0 else (uy >> -shift) // t
-    s, si = (t, v) if ux >= 0 else (abs(v), t if uy >= 0 else -t)
-    if x * s + y * si < 0:                      # Re(w conj s) < 0: |w - s| > 1
-        s, si = -s, -si
-    b, bi, be = _trim(*_add(x, y, e, s, si, te), prec)
-    bsum, bdiff = b + bi, bi - b
-    bn, bni, en = b, bi, be
-    for bit in bin(n)[3:]:
-        bn, bni, en = _trim((bn + bni) * (bn - bni), 2 * bn * bni, 2 * en,
-                            prec)
-        if bit == "1":
-            k = b * (bn + bni)
-            bn, bni, en = _trim(k - bni * bsum, k + bn * bdiff, en + be, prec)
-    if 2 * (max(bn.bit_length(), bni.bit_length()) + en) <= prec + 2:
-        bn, bni, en = _add(bn, bni, en, *_inverse(bn, bni, en, prec))
-    return _complex(bn, bni, en - 1)
+    b = _branch(w, prec)
+    return _ladder((b, _inverse(*b, prec)), n, prec)
 
 
 @dataclass(frozen=True)
@@ -428,10 +476,17 @@ def _double_precision_roots(poly):
 
 @dataclass
 class _RootEntry:
-    """One polynomial's entry in the root store of :func:`_root_setup`."""
+    """One polynomial's entry in the root store of :func:`_root_setup`.
+
+    ``pairs`` holds, for each root :func:`_pair_representatives` gives of
+    ``best`` and in its order, the pair (b, 1/b) that :func:`_ladder`
+    takes: b from :func:`_branch`, and 1/b from :func:`_inverse`, as
+    mantissas at ``best.working_precision + GUARD_BITS`` bits.
+    """
 
     factors: tuple
     best: CertifiedRoots = None
+    pairs: tuple = ()
 
 
 @lru_cache(maxsize=64)
@@ -443,11 +498,14 @@ def _root_setup(poly):
     double-precision roots, laid out by :func:`_paired_seeds` so that each
     index in ``mirrors`` follows its conjugate pair's representative.
     ``best`` holds the most precise certified roots any certification has
-    produced, None until one has.  None of it depends on the order, so a
-    family evaluated at many orders and precisions factors, seeds and pairs
-    each characteristic polynomial once; a later pass takes ``best`` as it
-    is or, above its precision, starts Newton at it.  Beyond 64 polynomials
-    the least recently used goes.
+    produced, None until one has, and ``pairs`` the branch b = w +
+    sqrt(w^2 - 1) of each representative root w of ``best`` with its
+    reciprocal.  None of it depends on the order, so a family evaluated at
+    many orders and precisions factors and seeds each characteristic
+    polynomial and lays out its conjugate pairs once, and takes each
+    branch once per ``best``; a later pass takes ``best`` and its pairs as they are or,
+    above its precision, starts Newton at it.  Beyond 64 polynomials the
+    least recently used goes, its pairs with it.
     """
     return _RootEntry(tuple(
         (factor, factor.derivative(), mult,
@@ -647,21 +705,29 @@ def find_roots(poly, precision):
 
 
 def _stored_roots(poly, bits):
-    """Roots of ``poly`` certified at ``bits`` bits, through the root store.
+    """The root store's entry of ``poly``, its roots certified at ``bits``.
 
     The first time the polynomial is seen, :func:`find_roots` refines its
-    seeds.  Later, the store's most precise roots are served as they are
-    when they are at least that precise: the product never reads a radius
-    and :func:`cheb_eval_large` cuts each root to its own width.  Otherwise
-    Newton starts at them and its roots, more precise, replace them.
+    seeds.  Later, the store's most precise roots and their pairs are
+    served as they are when they are at least that precise: the product
+    never reads a radius, and :func:`_ladder` cuts each pair to the pass's
+    own width.  Otherwise Newton starts at them, and its roots, more
+    precise, replace them, together with pairs (b, 1/b) branched at their
+    precision.
     """
     entry = _root_setup(poly)
     best = entry.best
     if best is not None and best.working_precision >= bits:
-        return best
-    entry.best = (find_roots(poly, bits) if best is None
-                  else _refine_roots(poly, bits, best))
-    return entry.best
+        return entry
+    best = (find_roots(poly, bits) if best is None
+            else _refine_roots(poly, bits, best))
+    prec = bits + GUARD_BITS
+    pairs = []
+    for w, _, _ in _pair_representatives(best):
+        b = _branch(w, prec)
+        pairs.append((b, _inverse(*b, prec)))
+    entry.best, entry.pairs = best, tuple(pairs)
+    return entry
 
 
 def build_even_char(steps):
@@ -795,12 +861,14 @@ def _certified_product(spec, diagonal):
     factors = [(poly, shift) for poly, shift in factors if poly.degree >= 1]
 
     def evaluate(bits):
+        prec = bits + GUARD_BITS
         with mp.workprec(bits):
             product = mp.mpc(n)
             for poly, shift in factors:
-                roots = _stored_roots(poly, bits)
-                for w, mult, paired in _pair_representatives(roots):
-                    x = 2 * cheb_eval_large(w, n) + shift
+                entry = _stored_roots(poly, bits)
+                for (_, mult, paired), pair in zip(
+                        _pair_representatives(entry.best), entry.pairs):
+                    x = 2 * _ladder(pair, n, prec) + shift
                     product *= (_norm(x) if paired else x) ** mult
             if abs(product.imag) > mp.mpf(2) ** (-INTEGRALITY_TOL_BITS - 2) \
                     * max(1, abs(product.real)):

@@ -36,9 +36,11 @@ sweep, and a disconnected literal exits 3.
 ``--timings`` gives each row the seconds spent since the previous row (the
 first row since the command started).
 
-Exit codes: 0 ok, 1 verification failure, 2 parse error or invalid input,
-3 disconnected graph, 4 certification failure, 5 I/O error, 6 internal
-error.
+Exit codes: 0 ok, 1 verification failure, 2 parse error, invalid input
+or a count not attempted (``tau --method oracle`` above the oracle's
+ceiling), 3 disconnected graph, 4 certification failure, 5 I/O error,
+6 internal error.  A ``CIRC_ORACLE_CEILING`` that is not an integer is
+invalid input.
 """
 
 import argparse
@@ -492,8 +494,10 @@ def main(argv=None):
     except DisconnectedGraphError as exc:
         print(f"disconnected: {exc}", file=sys.stderr)
         return EXIT_DISCONNECTED
-    except (CertificationError, RootRefinementError, QuadratureError,
-            OracleCeilingError) as exc:
+    except OracleCeilingError as exc:
+        print(f"not attempted: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except (CertificationError, RootRefinementError, QuadratureError) as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
     except InternalConsistencyError as exc:

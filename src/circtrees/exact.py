@@ -31,14 +31,18 @@ _ENV_CEILING = "CIRC_ORACLE_CEILING"
 
 
 def oracle_ceiling():
-    """Current oracle size limit (vertices); CIRC_ORACLE_CEILING overrides."""
+    """Current oracle size limit (vertices); CIRC_ORACLE_CEILING overrides.
+
+    A value that is not an integer is invalid input and raises
+    ``ValueError``, as a negative ceiling does in :func:`tau_oracle`.
+    """
     raw = os.environ.get(_ENV_CEILING)
     if raw is None:
         return DEFAULT_ORACLE_CEILING
     try:
         return int(raw)
     except ValueError:
-        raise OracleCeilingError(
+        raise ValueError(
             f"{_ENV_CEILING}={raw!r} is not an integer") from None
 
 

@@ -512,13 +512,23 @@ class TestClosedFormCounts:
     @pytest.mark.parametrize("literal", ["C40(1,2,5)", "C20(1,3,4;d)"])
     def test_chebyshev_values_once_per_conjugate_pair(self, monkeypatch,
                                                        literal):
-        calls = []
+        # the product runs the ladder once per value; the representatives
+        # it reads come from _pair_representatives
+        calls, representatives = [], []
+        ladder = chebyshev._ladder
+        pair_representatives = chebyshev._pair_representatives
 
-        def counted(w, n, precision=None):
-            calls.append(w)
-            return cheb_eval_large(w, n, precision)
+        def counted(pair, n, prec):
+            calls.append(pair)
+            return ladder(pair, n, prec)
 
-        monkeypatch.setattr(chebyshev, "cheb_eval_large", counted)
+        def spied(cr):
+            out = pair_representatives(cr)
+            representatives.extend(w for w, _, _ in out)
+            return out
+
+        monkeypatch.setattr(chebyshev, "_ladder", counted)
+        monkeypatch.setattr(chebyshev, "_pair_representatives", spied)
         spec = parse_spec(literal)
         certified = tau_odd if spec.diagonal else tau_even
         assert certified(spec) == tau_oracle(spec)
@@ -535,7 +545,8 @@ class TestClosedFormCounts:
         assert pairs > 0
         # one value per real root and per pair, at each of two passes
         assert len(calls) == 2 * (real + pairs)
-        assert all(w.imag >= 0 for w in calls)
+        assert representatives
+        assert all(w.imag >= 0 for w in representatives)
 
     @pytest.mark.parametrize("literal, larger", [
         ("C40(1,2,5)", "C400(1,2,5)"), ("C20(1,3,4;d)", "C300(1,3,4;d)")])
@@ -620,6 +631,60 @@ class TestClosedFormCounts:
         assert steps
         assert all(entry.best.working_precision == 2 * (top + 1)
                    for entry in entries)
+
+    @pytest.mark.parametrize("literal, larger", [
+        ("C40(1,2,5)", "C400(1,2,5)"), ("C20(1,3,4;d)", "C300(1,3,4;d)")])
+    def test_store_keeps_the_pairs_of_its_roots(self, monkeypatch, literal,
+                                                larger):
+        # a served pass branches nothing and takes no square root; a Newton
+        # refresh branches each representative once, and its pairs replace
+        # the stored ones together with the roots
+        spec = parse_spec(literal)
+        certified = tau_odd if spec.diagonal else tau_even
+        want = tau_closed_form(spec)
+        certified(parse_spec(larger))
+        polys = [build_even_char(spec.steps)]
+        if spec.diagonal:
+            polys.append(build_odd_char(spec.steps) + 1)
+        entries = [chebyshev._root_setup(p) for p in polys]
+        stored = [(entry.best, entry.pairs) for entry in entries]
+        branch, isqrt = chebyshev._branch, math.isqrt
+        branched = []
+
+        def counted(w, prec):
+            branched.append(w)
+            return branch(w, prec)
+
+        def no_isqrt(*args):
+            raise AssertionError("square root on a store-served pass")
+
+        def pairs_of(best):
+            prec = best.working_precision + chebyshev.GUARD_BITS
+            bs = [branch(w, prec)
+                  for w, _, _ in chebyshev._pair_representatives(best)]
+            return tuple((b, chebyshev._inverse(*b, prec)) for b in bs)
+
+        monkeypatch.setattr(chebyshev, "_branch", counted)
+        monkeypatch.setattr(chebyshev.math, "isqrt", no_isqrt)
+        assert certified(spec) == want
+        monkeypatch.setattr(chebyshev.math, "isqrt", isqrt)
+        assert branched == []
+        assert all(entry.best is cr and entry.pairs is pairs
+                   for entry, (cr, pairs) in zip(entries, stored))
+        assert all(pairs == pairs_of(cr) for cr, pairs in stored)
+
+        # both passes above the store: 128 + headroom = top + 1 bits
+        top = max(cr.working_precision for cr, _ in stored)
+        monkeypatch.setattr(chebyshev, "_headroom_bits",
+                            lambda *args: top - 127)
+        assert certified(spec) == want
+        representatives = sum(len(entry.pairs) for entry in entries)
+        assert representatives > 0
+        assert len(branched) == 2 * representatives
+        for entry, (cr, pairs) in zip(entries, stored):
+            assert entry.best is not cr and entry.pairs is not pairs
+            assert entry.best.working_precision == 2 * (top + 1)
+            assert entry.pairs == pairs_of(entry.best)
 
     def test_failed_certification_is_flagged_as_attempted(self):
         # a refusal above the cap was not attempted; a failure at every

@@ -60,10 +60,16 @@ class TestTau:
         code, _, _ = run_cli(capsys, "tau", "C5(2,3)")  # folds to multigraph
         assert code == 2
 
-    def test_ceiling_exit_4(self, capsys):
-        code, _, err = run_cli(capsys, "tau", "C16(1,2,7)", "--method",
-                               "oracle", "--oracle-ceiling", "8")
-        assert code == 4 and "certification" in err
+    @pytest.mark.parametrize("literal, ceiling", [("C16(1,2,7)", 8),
+                                                  ("C12(1,3)", 0)])
+    def test_ceiling_exit_2(self, capsys, literal, ceiling):
+        # a graph above the oracle's ceiling is refused, not a failed
+        # certification
+        code, out, err = run_cli(capsys, "tau", literal, "--method",
+                                 "oracle", "--oracle-ceiling", str(ceiling))
+        assert code == 2 and out == ""
+        assert err == (f"not attempted: {literal} has {literal[1:3]} "
+                       f"vertices, above the oracle ceiling {ceiling}\n")
 
     @pytest.mark.parametrize("argv", [
         ["tau", "C12(1,3)", "--method", "oracle"], ["verify", "C12(1,3)"]])
@@ -76,7 +82,9 @@ class TestTau:
         assert code == 2 and out == "" and "is negative" in err
         monkeypatch.setenv("CIRC_ORACLE_CEILING", "x")
         code, out, err = run_cli(capsys, *argv)
-        assert code == 4 and out == "" and "is not an integer" in err
+        assert code == 2 and out == ""
+        assert err == ("invalid input: CIRC_ORACLE_CEILING='x' is not an "
+                       "integer\n")
 
     def test_invalid_order_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "asymptote", "1,2", "--n", "1..6")
@@ -378,4 +386,5 @@ class TestEntryPoint:
              "--method", "oracle"],
             capture_output=True, text=True,
             env={**os.environ, "CIRC_ORACLE_CEILING": "8"})
-        assert proc.returncode == 4
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("not attempted: ")

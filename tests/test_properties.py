@@ -37,9 +37,10 @@ from circtrees import (DisconnectedGraphError, IntPolynomial,
                        multiplier_conjugate, parse_spec, tau_closed_form,
                        tau_even, tau_odd, tau_oracle)
 from circtrees.arithmetic import family_spec
-from circtrees.chebyshev import (RootRefinementError, _magnitude,
-                                 _newton_step, _refine_roots, cheb_eval_large,
-                                 poly_gcd, square_free_decomposition)
+from circtrees.chebyshev import (GUARD_BITS, RootRefinementError, _branch,
+                                 _inverse, _ladder, _magnitude, _newton_step,
+                                 _refine_roots, cheb_eval_large, poly_gcd,
+                                 square_free_decomposition)
 from circtrees.cli import main
 
 MAX_VERTICES = 40
@@ -245,6 +246,54 @@ def test_chebyshev_kernel_against_mpmath(data, bits, n):
     # (b^n + b^-n) / 2 at three times the precision, within 2^-bits |b^n|
     w = data.draw(exact_arguments(bits))
     got = cheb_eval_large(w, n, precision=bits)
+    with mp.workprec(3 * bits):
+        z = as_mpc(w)
+        s = mp.sqrt(z * z - 1)
+        b = z + s if abs(z + s) >= 1 else z - s
+        power = b ** n
+        want = (power + 1 / power) / 2
+        assert abs(got - want) <= mp.ldexp(max(1, abs(power)), -bits)
+
+
+@st.composite
+def ladder_orders(draw):
+    """An order in 1..10^4: 1, 2, 2^k - 1, 2^k, 2^k + 1, or any."""
+    k = draw(st.integers(2, 13))
+    return draw(st.sampled_from((1, 2, 2 ** k - 1, 2 ** k, 2 ** k + 1,
+                                 draw(st.integers(1, 10 ** 4)))))
+
+
+@st.composite
+def ladder_arguments(draw, bits):
+    """A point held exactly at ``bits`` bits: real with |w| > 1 of either
+    sign, complex, or within a dyadic 2^-j of +-1, real or complex."""
+    kind = draw(st.sampled_from(("real", "complex", "near one")))
+    part = st.builds(lambda k, j: Fraction(k, 2 ** j),
+                     st.integers(-2 ** 39, 2 ** 39), st.integers(0, 40))
+    if kind == "real":
+        w = draw(part.filter(lambda q: abs(q) > 1))
+        return draw(st.sampled_from((w, mp.mpc(exact_mpf(w)))))
+    if kind == "complex":
+        return mp.mpc(exact_mpf(draw(part)),
+                      exact_mpf(draw(part.filter(bool))))
+    j = draw(st.integers(1, bits - 8))
+    offset = draw(st.sampled_from((1, -1))) * Fraction(1, 2 ** j)
+    imag = draw(st.sampled_from((0, offset)))
+    return mp.mpc(exact_mpf(draw(st.sampled_from((1, -1))) + offset),
+                  exact_mpf(imag))
+
+
+@PROPERTY
+@given(st.data(), st.integers(64, 2048), ladder_orders())
+def test_ladder_from_a_stored_pair_against_mpmath(data, bits, n):
+    # a pair (b, 1/b) built at a store precision in bits..4 bits, as the
+    # root store keeps it, then cut to ``bits`` by the ladder: (b^n +
+    # b^-n) / 2 at three times the precision, within 2^-bits |b^n|
+    w = data.draw(ladder_arguments(bits))
+    stored = data.draw(st.integers(bits, 4 * bits)) + GUARD_BITS
+    b = _branch(w, stored)
+    with mp.workprec(bits):
+        got = _ladder((b, _inverse(*b, stored)), n, bits + GUARD_BITS)
     with mp.workprec(3 * bits):
         z = as_mpc(w)
         s = mp.sqrt(z * z - 1)
