@@ -3,9 +3,10 @@
 The count of a connected circulant graph is a product over the roots of an
 integer polynomial (see :mod:`circtrees.chebyshev` for its Chebyshev form),
 and so the norm of an algebraic integer.  :func:`tau_closed_form`, the
-method of record, computes that norm as an integer determinant: no floating
-point, no precision and no size limit.  :class:`IntPolynomial` carries the
-integer polynomial arithmetic it needs.
+method of record, computes that norm as a resultant by the subresultant
+sequence, sharing no elimination code with the determinant oracle: no
+floating point, no precision and no size limit.  :class:`IntPolynomial`
+carries the integer polynomial arithmetic it needs.
 
 This module imports no mpmath, so the commands and functions that count
 exactly start without loading the floating-point machinery.
@@ -14,7 +15,6 @@ exactly start without loading the floating-point machinery.
 import math
 
 from .errors import DisconnectedGraphError, InternalConsistencyError
-from .exact import bareiss_determinant
 from .graph import component_count
 
 
@@ -187,20 +187,48 @@ def _ordinary_image(steps, shift=0):
     return IntPolynomial(coeffs)
 
 
+def _exact_quotient(x, y):
+    """x / y for integers that must divide exactly."""
+    q, r = divmod(x, y)
+    if r:
+        raise InternalConsistencyError(f"{y} does not divide {x}")
+    return q
+
+
+def _resultant(a, b):
+    """Res(a, b), the determinant of the Sylvester matrix; 0 if either is 0.
+
+    Collins' subresultant sequence (Cohen, *A Course in Computational
+    Algebraic Number Theory*, Alg. 3.3.7, without contents): every
+    division is exact, and checked.
+    """
+    if a.is_zero or b.is_zero:
+        return 0
+    if a.degree < b.degree:
+        return (-1) ** (a.degree * b.degree) * _resultant(b, a)
+    g = h = sign = 1
+    while b.degree > 0:
+        delta = a.degree - b.degree
+        sign *= (-1) ** (a.degree * b.degree)
+        r = (a * b.leading ** (delta + 1)).divmod_exact(b)[1]
+        den = g * h ** delta
+        a, b = b, IntPolynomial([_exact_quotient(c, den) for c in r.coeffs])
+        g = a.leading
+        h = _exact_quotient(g ** delta * h, h ** delta)
+    return sign * _exact_quotient(b.leading ** a.degree * h, h ** a.degree)
+
+
 def _power_norm(modulus, n, shift):
     """prod (r^n + shift) over the roots r of ``modulus``, exactly.
 
-    ``modulus`` has leading coefficient +-1, so Z[z]/(modulus) is free with
-    basis 1, z, ..., z^{d-1}.  z^n is reduced in it by binary powering over
-    the integers, and the norm is the determinant of multiplication by
-    z^n + shift in that basis.  A constant modulus has no roots: norm 1.
+    ``modulus`` has leading coefficient +-1, so B = z^n mod ``modulus`` is
+    found by binary powering over the integers, and the norm is
+    lead^deg(B + shift) Res(modulus, B + shift).  A constant modulus has no
+    roots: norm 1.
     """
     if abs(modulus.leading) != 1:
         raise InternalConsistencyError(
             f"{modulus} does not have leading coefficient +-1")
-    d = modulus.degree
-    if d < 1:
-        return 1
     z = IntPolynomial([0, 1])
     power = IntPolynomial([1])
     for bit in bin(n)[2:]:
@@ -208,11 +236,8 @@ def _power_norm(modulus, n, shift):
         if bit == "1":
             power = power * z
         power = power.divmod_exact(modulus)[1]
-    rows = [power + shift]
-    for _ in range(d - 1):
-        rows.append((rows[-1] * z).divmod_exact(modulus)[1])
-    return bareiss_determinant(
-        [list(row.coeffs) + [0] * (d - len(row.coeffs)) for row in rows])
+    value = power + shift
+    return _resultant(modulus, value) * modulus.leading ** max(value.degree, 0)
 
 
 def tau_closed_form(spec):
@@ -227,8 +252,8 @@ def tau_closed_form(spec):
         even:     tau = n |prod_Q (r^n - 1)| / q
         diagonal: tau = n |prod_Q (r^n - 1)| |prod_Q_2 (r^n + 1)| / 2q
 
-    each an integer determinant, so no precision is involved and no count
-    is too large.  A disconnected spec raises
+    each a resultant by the subresultant sequence, so no precision is
+    involved and no count is too large.  A disconnected spec raises
     :class:`DisconnectedGraphError`; a count that is not a positive
     multiple of q (2q) raises :class:`InternalConsistencyError`.  Other
     orders of a family are counted from their own specs

@@ -847,6 +847,8 @@ def _certified_product(spec, diagonal):
     roots w of its polynomial; the product starts at n and must be a
     multiple of q (even) or 2q (diagonal).  The diagonal product is signed,
     so a negative value fails; the even one is certified in absolute value.
+    A failure to seed the roots raises :class:`CertificationError` with
+    ``attempted`` set, as a failure at every precision does.
     """
     if spec.diagonal != diagonal:
         wanted = "diagonal" if diagonal else "even-valency"
@@ -876,6 +878,10 @@ def _certified_product(spec, diagonal):
                     f"product has stray imaginary part {product.imag}")
             return product.real if diagonal else abs(product.real)
 
-    start = 128 + _headroom_bits([poly for poly, _ in factors], n)
     what = f"{'tau_odd' if diagonal else 'tau_even'}({spec})"
+    try:
+        start = 128 + _headroom_bits([poly for poly, _ in factors], n)
+    except RootRefinementError as exc:
+        raise CertificationError(f"{what} failed to seed its roots: {exc}",
+                                 attempted=True) from exc
     return _certified_integer(evaluate, divisor, start, what)

@@ -23,9 +23,9 @@ determinant oracle.  The certified Chebyshev product
 (``tau_even``/``tau_odd``) adds a note only when it does not agree: a
 disagreement reads ``exact X != chebyshev Y``, a count above the product's
 precision cap is noted ``chebyshev skipped (cap)``, and a product that was
-attempted but failed to certify at every precision up to the cap
-``chebyshev failed to certify``.  A count above the oracle's ceiling is
-noted ``oracle skipped (ceiling)``.
+attempted but failed to seed its roots or to certify at every precision
+up to the cap ``chebyshev failed to certify``.  A count above the oracle's
+ceiling is noted ``oracle skipped (ceiling)``.
 
 In ``asymptote`` and ``sequence`` rows, an order below the family's smallest
 (its steps fold into a multigraph) has ``tau``, ``coefficient``, ``a`` and

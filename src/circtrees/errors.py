@@ -36,9 +36,9 @@ class RootRefinementError(CirctreesError):
 class CertificationError(CirctreesError):
     """A closed-form product failed to certify as an exact integer.
 
-    ``attempted`` is True when the certification ran and failed at every
-    precision up to its cap, and False (the default) when it was refused
-    without an attempt.
+    ``attempted`` is True when the certification ran and failed, in seeding
+    its roots or at every precision up to its cap, and False (the default)
+    when it was refused without an attempt.
     """
 
     def __init__(self, message, attempted=False):

@@ -780,6 +780,14 @@ class TestClosedFormCounts:
         assert [r.getMessage() for r in caplog.records
                 if r.name == "circtrees.chebyshev"] == []
 
+    def test_exact_route_at_large_steps(self):
+        # multiplier conjugates share their count; at steps up to 35 (200)
+        # the norm is taken modulo a polynomial of degree 68 (398)
+        assert tau_closed_form(parse_spec("C3000(7,14,21,28,35)")) \
+            == tau_closed_form(parse_spec("C3000(1,2,3,4,5)"))
+        spec = parse_spec("C401(1,200)")
+        assert tau_closed_form(spec) == tau_oracle(spec)
+
     @pytest.mark.parametrize("literal", ["C3000(1,2,3,4,5)",
                                          "C2000(1,2,3;d)"])
     def test_exact_route_beyond_the_cap(self, literal):

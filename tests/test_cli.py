@@ -12,7 +12,8 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from circtrees import CertificationError, parse_spec, tau_closed_form
+from circtrees import (CertificationError, RootRefinementError, chebyshev,
+                       parse_spec, tau_closed_form, tau_even)
 from circtrees.cli import main
 
 SCHEMA = json.loads(
@@ -210,6 +211,25 @@ class TestVerify:
         assert code == 0
         assert "PASS  chebyshev failed to certify; formula=oracle" in out
         assert "skipped" not in out
+
+    def test_failed_seeding_is_noted_on_each_row(self, capsys, monkeypatch):
+        # a seeding failure (the Aberth iteration dividing by zero) is a
+        # failure to certify that order, not the end of the sweep
+        def fail(poly):
+            raise RootRefinementError("Aberth seeding divided by zero")
+
+        chebyshev._root_setup.cache_clear()
+        monkeypatch.setattr(chebyshev, "_double_precision_roots", fail)
+        code, out, _ = run_cli(capsys, "verify", "C*(1,2)", "--n-max", "8")
+        rows = out.splitlines()
+        assert code == 0 and rows[-1] == "checked 4 orders, 0 failures"
+        for row in rows[:-1]:
+            assert "PASS  chebyshev failed to certify; formula=oracle" in row
+        with pytest.raises(CertificationError,
+                           match="failed to seed its roots") as failed:
+            tau_even(parse_spec("C7(1,2)"))
+        assert failed.value.attempted
+        assert isinstance(failed.value.__cause__, RootRefinementError)
 
     def test_sweep_skips_disconnected(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "C*(2,3)", "--n-max", "12")

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import circtrees
-from circtrees import chebyshev, mahler
+from circtrees import algebra, chebyshev, exact, mahler
 
 ALL = [
     "CertificationError", "CertifiedRoots", "CirculantSpec", "CirctreesError",
@@ -83,6 +83,13 @@ class TestImportBoundary:
         assert [code for code, _ in blocked["runs"]] == [0, 0, 0]
         assert blocked["runs"] == free["runs"]
         assert not blocked["mpmath"] and not free["mpmath"]
+
+    def test_exact_route_shares_no_code_with_the_oracle(self):
+        # the method of record is checked against the determinant oracle,
+        # so it binds nothing from the oracle's module
+        for name, value in vars(algebra).items():
+            assert value is not exact, name
+            assert getattr(value, "__module__", None) != exact.__name__, name
 
 
 class TestExports:

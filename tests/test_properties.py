@@ -10,11 +10,13 @@ orders up to 300 over sequences of orders counted one after another.  The
 rule's count.  Polynomials
 are products of small integer factors with leading coefficients 2..5,
 repeated factors and a content, checked against a Euclid over the
-rationals written here.  The mantissa kernels of the certified products
-(T_n, the Newton step, the magnitude bound) are checked against mpmath at
-three times their precision, from 64 to 4096 bits, and Newton from
-stored roots, below or above their precision, leaves a radius that bounds
-its last step and holds the root refined further.  Examples are
+rationals written here, and the resultant against the determinant of the
+Sylvester matrix on polynomials of degree up to 7 with coefficients in
+-9..9 and small common factors.  The mantissa kernels of the certified
+products (T_n, the Newton step, the magnitude bound) are checked against
+mpmath at three times their precision, from 64 to 4096 bits, and Newton
+from stored roots, below or above their precision, leaves a radius that
+bounds its last step and holds the root refined further.  Examples are
 derandomized and have no deadline, so the suite is deterministic and does
 not depend on the speed of the machine.
 """
@@ -32,10 +34,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from circtrees import (DisconnectedGraphError, IntPolynomial,
-                       InternalConsistencyError, SpecError, build_even_char,
-                       build_odd_char, canonicalize, find_roots,
-                       multiplier_conjugate, parse_spec, tau_closed_form,
-                       tau_even, tau_odd, tau_oracle)
+                       InternalConsistencyError, SpecError,
+                       bareiss_determinant, build_even_char, build_odd_char,
+                       canonicalize, find_roots, multiplier_conjugate,
+                       parse_spec, tau_closed_form, tau_even, tau_odd,
+                       tau_oracle)
+from circtrees.algebra import _resultant
 from circtrees.arithmetic import family_spec
 from circtrees.chebyshev import (GUARD_BITS, RootRefinementError, _branch,
                                  _inverse, _ladder, _magnitude, _newton_step,
@@ -129,7 +133,11 @@ def test_closed_form_equals_oracle_and_conjugates(case, r):
     tau = tau_oracle(spec)
     assert tau_closed_form(spec) == tau
     assert certified_product(spec) == tau
-    assert tau_oracle(multiplier_conjugate(spec, r)) == tau
+    conjugate = multiplier_conjugate(spec, r)
+    assert tau_oracle(conjugate) == tau
+    # the conjugate's steps reach half the vertex count, which the strategy
+    # never draws
+    assert tau_closed_form(conjugate) == tau
 
 
 @PROPERTY
@@ -466,6 +474,37 @@ def test_divmod_exact_is_integer_long_division(a, b):
         return
     assert list(q.coeffs) == quot
     assert q * b + r == a and r.degree < b.degree
+
+
+def sylvester(a, b):
+    """The Sylvester matrix of ``a`` and ``b``, highest coefficients first."""
+    m, n = a.degree, b.degree
+    top, bottom = a.coeffs[::-1], b.coeffs[::-1]
+    return ([[0] * i + list(top) + [0] * (n - 1 - i) for i in range(n)]
+            + [[0] * i + list(bottom) + [0] * (m - 1 - i) for i in range(m)])
+
+
+nonzero_poly_st = st.builds(
+    lambda low, lead: IntPolynomial(low + [lead]),
+    st.lists(st.integers(-9, 9), max_size=7), st.integers(-9, 9).filter(bool))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(nonzero_poly_st,
+       st.one_of(nonzero_poly_st,
+                 st.integers(-9, 9).map(lambda c: IntPolynomial([c]))),
+       st.one_of(st.just(IntPolynomial([1])), small_factor_st))
+def test_resultant_is_the_sylvester_determinant(a, b, common):
+    # leading coefficients of either sign, any degree gap, constant and
+    # zero b; a common factor makes the resultant 0
+    a, b = a * common, b * common
+    if a.is_zero or b.is_zero:
+        assert _resultant(a, b) == 0
+        return
+    expected = bareiss_determinant(sylvester(a, b))
+    assert _resultant(a, b) == expected
+    if common.degree > 0:
+        assert expected == 0
 
 
 def test_divmod_exact_raises_on_a_fractional_quotient():
