@@ -16,9 +16,12 @@ Functionality is organized along independent, cross-validating routes:
   polynomials, growth ratios, thermodynamic limits;
 * :mod:`circtrees.cli` -- the ``circtrees`` command-line tool.
 
-The exact modules are imported with the package.  :mod:`chebyshev` and
-:mod:`mahler` need mpmath, so their names here are resolved on first use
-(PEP 562): exact counting never loads the floating-point machinery.
+The exact modules are imported with the package.  The names of
+:mod:`chebyshev` and :mod:`mahler` are resolved on first use (PEP 562).
+:mod:`mahler` needs mpmath; :mod:`chebyshev` runs on integer mantissas and
+loads mpmath only to hand out mpmath numbers (``cheb_eval_large`` and the
+``roots`` and ``radii`` of ``CertifiedRoots``), so neither exact counting
+nor the certified products load the floating-point machinery.
 """
 
 import importlib

@@ -195,12 +195,30 @@ def _exact_quotient(x, y):
     return q
 
 
+def _pseudo_remainder(a, b):
+    """lead(b)^(deg a - deg b + 1) a mod b, for deg a >= deg b, by no division.
+
+    Each of the deg a - deg b + 1 steps takes r to lead(b) r - c z^k b,
+    with c the coefficient of r at the next degree down, deg b + k, even
+    when c is 0.  CPython divides big integers in quadratic time but
+    multiplies them by Karatsuba.
+    """
+    r, lead, low = list(a.coeffs), b.leading, b.coeffs[:-1]
+    for k in range(a.degree - b.degree, -1, -1):
+        c = r.pop()
+        r = [lead * x for x in r]
+        if c:
+            for j, y in enumerate(low, k):
+                r[j] -= c * y
+    return IntPolynomial(r)
+
+
 def _resultant(a, b):
     """Res(a, b), the determinant of the Sylvester matrix; 0 if either is 0.
 
     Collins' subresultant sequence (Cohen, *A Course in Computational
-    Algebraic Number Theory*, Alg. 3.3.7, without contents): every
-    division is exact, and checked.
+    Algebraic Number Theory*, Alg. 3.3.7, without contents) on
+    :func:`_pseudo_remainder`: every division is exact, and checked.
     """
     if a.is_zero or b.is_zero:
         return 0
@@ -210,7 +228,7 @@ def _resultant(a, b):
     while b.degree > 0:
         delta = a.degree - b.degree
         sign *= (-1) ** (a.degree * b.degree)
-        r = (a * b.leading ** (delta + 1)).divmod_exact(b)[1]
+        r = _pseudo_remainder(a, b)
         den = g * h ** delta
         a, b = b, IntPolynomial([_exact_quotient(c, den) for c in r.coeffs])
         g = a.leading

@@ -53,7 +53,13 @@ that small term needs.  Each division first trims its divisor to its
 width, since CPython's integer division costs the product of the
 operands' sizes.  The magnitude bound behind every radius and stopping
 test takes the top 30 bits of each part and an integer square root.
-mpmath holds the roots, radii and products between them.
+The roots, radii and products between the kernels are integers as well:
+a root is a triple (x, y, e) standing for (x + iy) 2^e, a radius an upper
+bound (m, e) standing for m 2^e, and the product's nearest integer, its
+2^-20 window and its resolution are shifts and integer compares.  So the
+certified products never import mpmath; :func:`cheb_eval_large` and the
+``roots`` and ``radii`` of :class:`CertifiedRoots` build mpmath numbers
+for their callers.
 Correctness is anchored by agreement with the exact determinant oracle in
 :mod:`circtrees.exact` at small sizes.
 """
@@ -63,9 +69,7 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-
-import mpmath as mp
+from functools import cached_property, lru_cache
 
 from .algebra import IntPolynomial, _require_connected
 from .errors import (CertificationError, InternalConsistencyError,
@@ -198,34 +202,54 @@ def cheb_u(m):
     return _chebyshev(m, first_kind=False)
 
 
-def _parts(z):
-    """The (real, imaginary) mpf tuples of ``z``; an mpc is not copied."""
-    return (z if isinstance(z, mp.mpc) else mp.mpc(z))._mpc_
+def _exact(w):
+    """A float, a complex or an mpmath number exactly, as (x, y, e).
+
+    An mpf or an mpc is read as it is, with no rounding; any other type
+    goes through mpmath's ``mpc``.  An infinity or a NaN raises
+    :class:`ValueError`.
+    """
+    if isinstance(w, (float, complex)):
+        if not cmath.isfinite(w):
+            raise ValueError(f"{w} is not a finite number")
+        parts = []
+        for part in (w.real, w.imag):
+            frac, exp = math.frexp(part)
+            parts.append((int(frac * 2 ** 53), exp - 53))
+    else:
+        raw = getattr(w, "_mpc_", None)
+        if raw is None and hasattr(w, "_mpf_"):
+            raw = (w._mpf_, (0, 0, 0, 0))
+        elif raw is None:
+            import mpmath
+            raw = mpmath.mpc(w)._mpc_
+        if min(bc for *_, bc in raw) < 0:       # mpmath's special values
+            raise ValueError(f"{w} is not a finite number")
+        parts = [(-man if sign else man, exp) for sign, man, exp, _ in raw]
+    e = min((exp for man, exp in parts if man), default=0)
+    (x, xe), (y, ye) = parts
+    return (x << (xe - e) if x else 0), (y << (ye - e) if y else 0), e
 
 
 def _fixed(w, prec):
     """``w`` as mantissas sharing one exponent: w ~ (x + iy) 2^e.
 
-    The larger part keeps about ``prec`` bits and the smaller is truncated
-    at the same exponent, so the error is below 2^(2-prec) |w|.  An int or
-    a Fraction is converted exactly before it is truncated; an infinity or
-    a NaN raises :class:`ValueError`.
+    The larger part keeps ``prec`` bits and the smaller is truncated at the
+    same exponent, so the error is below 2^(2-prec) |w|.  ``w`` is a
+    triple (x, y, e), an int, a Fraction, a float, a complex or an mpmath
+    number; it is converted exactly before it is truncated, and an
+    infinity or a NaN raises :class:`ValueError`.
     """
     if isinstance(w, (int, Fraction)):
         num, den = w.numerator, w.denominator
         shift = prec - num.bit_length() + den.bit_length()
         x = (num << shift) // den if shift >= 0 else num // (den << -shift)
         return x, 0, -shift
-    parts = _parts(w)
-    if min(bc for *_, bc in parts) < 0:     # mpmath's special values
-        raise ValueError(f"{w} is not a finite number")
-    tops = [exp + bc for _, man, exp, bc in parts if man]
-    if not tops:
+    x, y, e = w if isinstance(w, tuple) else _exact(w)
+    if not (x or y):
         return 0, 0, 0
-    e = max(tops) - prec
-    x, y = (man << (exp - e) if exp >= e else man >> (e - exp)
-            for _, man, exp, bc in parts)
-    return (-x if parts[0][0] else x), (-y if parts[1][0] else y), e
+    k = max(x.bit_length(), y.bit_length()) - prec
+    return (x >> k, y >> k, e + k) if k > 0 else (x << -k, y << -k, e + k)
 
 
 def _trim(x, y, e, prec):
@@ -234,11 +258,21 @@ def _trim(x, y, e, prec):
     return (x >> k, y >> k, e + k) if k > 0 else (x, y, e)
 
 
-def _complex(x, y, e):
-    """(x + iy) 2^e as an mpc, rounded to the ambient precision."""
-    lib, prec = mp.libmp, mp.mp.prec
+def _complex(x, y, e, prec=None):
+    """(x + iy) 2^e as an mpc: exact, or rounded to ``prec`` bits."""
+    import mpmath as mp
+    lib = mp.libmp
     return mp.make_mpc((lib.from_man_exp(x, e, prec, lib.round_nearest),
                         lib.from_man_exp(y, e, prec, lib.round_nearest)))
+
+
+def _show(z):
+    """The triple ``z`` for messages, as a Python complex when it fits."""
+    x, y, e = _trim(*z, 53)
+    try:
+        return str(complex(math.ldexp(x, e), math.ldexp(y, e)))
+    except OverflowError:
+        return f"({x} + {y}j) 2^{e}"
 
 
 def _inverse(x, y, e, prec):
@@ -270,33 +304,52 @@ def _add(x, y, e, u, v, f):
     return x + (u << (f - e)), y + (v << (f - e)), e
 
 
-def _magnitude(z):
-    """An upper bound on |z| with 24 bits, below |z| (1 + 2^-20).
+def _round_up(m, e, bits):
+    """m 2^e for an integer m >= 0, rounded up to at most ``bits`` bits."""
+    k = m.bit_length() - bits
+    if k > 0:
+        m, e = -(-m >> k), e + k
+        if m.bit_length() > bits:       # rounded up to 2^bits
+            m, e = m >> 1, e + 1
+    return m, e
 
-    Each part's top 30 bits, rounded up, are squared and summed, and the
+
+def _magnitude(z):
+    """An upper bound (m, e) on |z|, m 2^e with at most 24 bits, below
+    |z| (1 + 2^-20), for z = (x, y, e).
+
+    The parts' top 30 bits, rounded up, are squared and summed, and the
     integer square root is rounded up; no full-precision square root.
     """
-    tops = []
-    for _, man, exp, bc in _parts(z):
-        if man:
-            k = bc - 30
-            tops.append((-(-man >> k) if k > 0 else man << -k, exp + k))
-    if not tops:
-        return mp.mpf(0)
-    e = max(exp for _, exp in tops)
-    square = sum((-(-m >> (e - exp))) ** 2 for m, exp in tops)
+    x, y, e = z
+    x, y = abs(x), abs(y)
+    if not (x or y):
+        return 0, 0
+    k = max(x.bit_length(), y.bit_length()) - 30
+    x, y = (-(-x >> k), -(-y >> k)) if k > 0 else (x << -k, y << -k)
+    square = x * x + y * y
     root = math.isqrt(square)
     root += root * root < square
-    k = root.bit_length() - 24
-    root = -(-root >> k)
-    zeros = (root & -root).bit_length() - 1     # an mpf mantissa is odd
-    root >>= zeros
-    return mp.make_mpf((0, root, e + k + zeros, root.bit_length()))
+    return _round_up(root, e + k, 24)
 
 
-def _norm(x):
-    """x conj(x) = |x|^2, with no square root."""
-    return x.real ** 2 + x.imag ** 2
+def _plus(a, b):
+    """The sum of two values (m, e), m 2^e, exactly."""
+    (m, e), (n, f) = a, b
+    g = min(e, f)
+    return (m << (e - g)) + (n << (f - g)), g
+
+
+def _at_most(a, b):
+    """Whether a <= b, for two values (m, e) standing for m 2^e."""
+    (m, e), (n, f) = a, b
+    return m << (e - f) <= n if e >= f else m <= n << (f - e)
+
+
+def _at_least_one(a):
+    """max(1, a) for a value a = (m, e) with m >= 0."""
+    m, e = a
+    return a if m.bit_length() + e > 0 else (1, 0)
 
 
 def _branch(w, prec):
@@ -340,15 +393,14 @@ def _signed_digits(n):
 
 
 def _ladder(pair, n, prec):
-    """T_n(w) = (b^n + b^-n)/2 from the pair (b, 1/b) of w, as an mpc.
+    """T_n(w) = (b^n + b^-n)/2 from the pair (b, 1/b) of w, as (x, y, e).
 
     b and 1/b are trimmed to ``prec`` bits.  The ladder walks the
     non-adjacent form of n: a square at every digit, then a product by b
     on +1 and by 1/b on -1; a complex product costs three integer
     products and a square two, and a real b stays on real mantissas.
     b^-n is added only while |b^n|^2 < 2^(prec + 1), by one division at
-    the width it needs, about prec - 2 log2|b^n| + GUARD_BITS bits.  The
-    mpc is rounded to the ambient precision; n >= 1.
+    the width it needs, about prec - 2 log2|b^n| + GUARD_BITS bits; n >= 1.
     """
     (b, bi, be), (c, ci, ce) = (_trim(*z, prec) for z in pair)
     factors = {1: (b, b + bi, bi - b, be), -1: (c, c + ci, ci - c, ce)}
@@ -371,7 +423,7 @@ def _ladder(pair, n, prec):
     if 2 * top <= prec + 2:
         width = min(prec, prec + GUARD_BITS - 2 * top)
         bn, bni, en = _add(bn, bni, en, *_inverse(bn, bni, en, width))
-    return _complex(bn, bni, en - 1)
+    return bn, bni, en - 1
 
 
 def cheb_eval_large(w, n, precision=None):
@@ -387,15 +439,15 @@ def cheb_eval_large(w, n, precision=None):
     division gives 1/b, and :func:`_ladder`, the kernel the certified
     products run on the pairs the root store keeps, gives the value.
     """
-    if precision is not None:
-        with mp.workprec(precision):
-            return cheb_eval_large(w, n)
+    import mpmath as mp
+    if precision is None:
+        precision = mp.mp.prec
     n = abs(n)
     if n == 0:
         return mp.mpc(1)
-    prec = mp.mp.prec + GUARD_BITS
+    prec = precision + GUARD_BITS
     b = _branch(w, prec)
-    return _ladder((b, _inverse(*b, prec)), n, prec)
+    return _complex(*_ladder((b, _inverse(*b, prec)), n, prec), precision)
 
 
 @dataclass(frozen=True)
@@ -404,13 +456,27 @@ class CertifiedRoots:
 
     ``roots[i]`` is a distinct root with multiplicity ``multiplicities[i]``
     and error radius ``radii[i]``; the Newton residual |p(root)| stays below
-    the bound the radius implies.  Multiplicities sum to the degree.
+    the bound the radius implies.  Multiplicities sum to the degree.  They
+    are held as integers, ``fixed_roots[i]`` a triple (x, y, e) for
+    (x + iy) 2^e and ``fixed_radii[i]`` a 24-bit upper bound (m, e) for
+    m 2^e; ``roots`` and ``radii`` give them exactly as mpmath's mpc and
+    mpf, built on first read (which imports mpmath).
     """
 
-    roots: tuple
-    radii: tuple
+    fixed_roots: tuple
+    fixed_radii: tuple
     multiplicities: tuple
     working_precision: int
+
+    @cached_property
+    def roots(self):
+        return tuple(_complex(*z) for z in self.fixed_roots)
+
+    @cached_property
+    def radii(self):
+        import mpmath as mp
+        return tuple(mp.make_mpf(mp.libmp.from_man_exp(m, e))
+                     for m, e in self.fixed_radii)
 
     @property
     def total_count(self):
@@ -513,15 +579,14 @@ def _root_setup(poly):
         for factor, mult in square_free_decomposition(poly)))
 
 
-def _newton_step(poly, dpoly, z):
-    """The Newton step P(z) / P'(z) as an mpc, given P and ``dpoly`` = P'.
+def _newton_step(poly, dpoly, z, prec):
+    """The Newton step P(z) / P'(z) as (x, y, e), given P and ``dpoly`` = P'.
 
-    One Horner pass evaluates P and P' on Python-int mantissas at the
-    ambient precision plus GUARD_BITS, each value keeping its own exponent
-    (a real z stays on real mantissas); the quotient takes one division,
-    by P'(z) or by |P'(z)|^2, trimmed to that width.
+    One Horner pass evaluates P and P' on Python-int mantissas at ``prec``
+    bits, with z cut to that width by :func:`_fixed` and each value keeping
+    its own exponent (a real z stays on real mantissas); the quotient takes
+    one division, by P'(z) or by |P'(z)|^2, trimmed to that width.
     """
-    prec = mp.mp.prec + GUARD_BITS
     zx, zy, ze = _fixed(z, prec)
     zsum, zdiff = zx + zy, zy - zx
 
@@ -541,30 +606,38 @@ def _newton_step(poly, dpoly, z):
         p, dp = times_z_plus(*p, a), times_z_plus(*dp, da)
     (px, py, pe), (dx, dy, de) = p, dp
     if dx == dy == 0:
-        raise RootRefinementError(f"derivative vanished near {z}")
+        raise RootRefinementError(
+            f"derivative vanished near {_show((zx, zy, ze))}")
     if zy == 0:
         shift = prec + dx.bit_length() - px.bit_length()
         x = (px << shift) // dx if shift >= 0 else (px >> -shift) // dx
-        return _complex(x, 0, pe - de - shift)
+        return x, 0, pe - de - shift
     rx, ry, f = _inverse(dx, dy, de, prec)
     k = rx * (px + py)
-    return _complex(*_trim(k - py * (rx + ry), k + px * (ry - rx), pe + f,
-                           prec))
+    return _trim(k - py * (rx + ry), k + px * (ry - rx), pe + f, prec)
+
+
+def _minus(z, step, prec):
+    """z - step for two triples, cut to ``prec`` bits."""
+    x, y, e = step
+    return _trim(*_add(*z, -x, -y, e), prec)
 
 
 def _newton_converge(poly, dpoly, z, bits):
     """Newton steps until one is below 2^-bits relative; returns (z, step).
 
-    The small step is returned, not applied: it bounds the distance from z
-    to the root.
+    The iterates keep bits + 64 bits, and each step is evaluated with
+    GUARD_BITS more.  The small step is returned, not applied: it bounds
+    the distance from z to the root.
     """
-    tol = mp.mpf(2) ** (-bits)
     for _ in range(100):
-        step = _newton_step(poly, dpoly, z)
-        if _magnitude(step) <= tol * max(1, _magnitude(z)):
+        step = _newton_step(poly, dpoly, z, bits + 64 + GUARD_BITS)
+        size, exp = _magnitude(step)
+        if _at_most((size, exp + bits), _at_least_one(_magnitude(z))):
             return z, step
-        z = z - step
-    raise RootRefinementError(f"Newton did not converge for {poly} near {z}")
+        z = _minus(z, step, bits + 64)
+    raise RootRefinementError(
+        f"Newton did not converge for {poly} near {_show(z)}")
 
 
 def _newton_refine(poly, dpoly, z, start_bits, precision):
@@ -575,25 +648,26 @@ def _newton_refine(poly, dpoly, z, start_bits, precision):
     ``start_bits``, iterates to convergence (seeds may be poor), each middle
     rung takes one step, and the top rung iterates until the step is below
     2^-precision relative; from a start already right to ``precision``
-    bits, that is one step.  That last step, evaluated at full precision,
-    gives the radius: four times its size plus 2^(4-precision) max(1, |z|),
-    rounded up to 24 bits.
+    bits, that is one step.  A rung at ``bits`` holds z at bits + 64 bits.
+    That last step, evaluated at full precision, gives the radius: four
+    times its size plus 2^(4-precision) max(1, |z|), rounded up to 24 bits.
+    z and the returned root are triples (x, y, e), the radius is (m, e).
     """
     ladder = [precision]
     while ladder[-1] > 2 * start_bits:
         ladder.append((ladder[-1] + 1) // 2)
     ladder.reverse()
-    step = 0
+    step = (0, 0, 0)
     for bits in ladder:
-        with mp.workprec(bits + 64):
-            z = mp.mpc(z) - step
-            if bits in (ladder[0], precision):
-                z, step = _newton_converge(poly, dpoly, z, bits)
-            else:
-                step = _newton_step(poly, dpoly, z)
-    return z, mp.fadd(4 * _magnitude(step),
-                      mp.ldexp(max(1, _magnitude(z)), 4 - precision),
-                      prec=24, rounding="u")
+        z = _minus(z, step, bits + 64)
+        if bits in (ladder[0], precision):
+            z, step = _newton_converge(poly, dpoly, z, bits)
+        else:
+            step = _newton_step(poly, dpoly, z, bits + 64 + GUARD_BITS)
+    size, exp = _magnitude(step)
+    floor, floor_exp = _at_least_one(_magnitude(z))
+    return z, _round_up(*_plus((size, exp + 2),
+                               (floor, floor_exp + 4 - precision)), 24)
 
 
 def _seed_mirrors(seeds):
@@ -636,11 +710,10 @@ def _pair_representatives(cr):
     so a root above the axis whose successor is its exact conjugate is
     paired with it.
     """
-    out, roots, i = [], cr.roots, 0
+    out, roots, i = [], cr.fixed_roots, 0
     while i < len(roots):
-        re, im = roots[i]._mpc_
-        paired = (i + 1 < len(roots) and im[0] == 0 and im[1] != 0
-                  and roots[i + 1]._mpc_ == (re, mp.libmp.mpf_neg(im)))
+        x, y, e = roots[i]
+        paired = i + 1 < len(roots) and y > 0 and roots[i + 1] == (x, -y, e)
         out.append((roots[i], cr.multiplicities[i], paired))
         i += 1 + paired
     return out
@@ -660,23 +733,25 @@ def _refine_roots(poly, precision, previous=None):
     roots, radii, mults = [], [], []
     for factor, dfactor, mult, seeds, mirrors in _root_setup(poly).factors:
         if previous is None:
-            starts, start_bits = seeds, 53   # a double
+            starts, start_bits = map(_exact, seeds), 53   # a double
         else:
-            starts = [z for z, m in zip(previous.roots,
+            starts = [z for z, m in zip(previous.fixed_roots,
                                         previous.multiplicities) if m == mult]
             start_bits = previous.working_precision
         refined = [None if i in mirrors else
                    _newton_refine(factor, dfactor, z, start_bits, precision)
                    for i, z in enumerate(starts)]
-        with mp.workprec(precision + 64):
-            for i in mirrors:
-                z, radius = refined[i - 1]
-                refined[i] = mp.conj(z), radius
-            for i, (zi, ri) in enumerate(refined):
-                for zj, rj in refined[:i]:
-                    if _magnitude(zi - zj) <= 16 * (ri + rj):
-                        raise RootRefinementError(
-                            f"root iterates collapsed near {zi} for {factor}")
+        for i in mirrors:
+            (x, y, e), radius = refined[i - 1]
+            refined[i] = (x, -y, e), radius
+        for i, (zi, ri) in enumerate(refined):
+            for (x, y, e), rj in refined[:i]:
+                size, exp = _plus(ri, rj)
+                if _at_most(_magnitude(_add(*zi, -x, -y, e)),
+                            (size, exp + 4)):
+                    raise RootRefinementError(
+                        f"root iterates collapsed near {_show(zi)} for "
+                        f"{factor}")
         for z, rad in refined:
             roots.append(z)
             radii.append(rad)
@@ -693,8 +768,9 @@ def find_roots(poly, precision):
 
     Multiple roots are detected exactly (a square-free test modulo a
     prime, else Yun decomposition) and each square-free factor is solved by
-    Aberth-Ehrlich seeds refined with Newton iteration in mpmath, at
-    precisions doubling up to ``precision``, once per conjugate pair.
+    Aberth-Ehrlich seeds refined with Newton iteration on integer
+    mantissas, at precisions doubling up to ``precision``, once per
+    conjugate pair.
     Raises :class:`RootRefinementError` when seeding divides by zero,
     refinement stalls or two iterates collapse onto one root; callers
     escalate precision and retry.
@@ -773,9 +849,27 @@ def _headroom_bits(polys, n):
     return int(bits) + 1
 
 
+def _integer_near(value, bits):
+    """The integer within 2^-20 of ``value`` = (m, e), m 2^e, or None.
+
+    None also when |value| >= 2^(bits - 21): at ``bits`` bits such a value
+    is a multiple of 2^-20, so that pass cannot resolve 2^-20.  The nearest
+    integer is floor(value + 1/2), by one shift; a tie is never within
+    2^-20 of it.
+    """
+    m, e = value
+    if abs(m).bit_length() + e >= bits - INTEGRALITY_TOL_BITS:
+        return None
+    if e >= 0:
+        return m << e
+    k = (m + (1 << (-e - 1))) >> -e
+    return k if abs(m - (k << -e)) << INTEGRALITY_TOL_BITS < 1 << -e else None
+
+
 def _certified_integer(evaluate, divisor, initial_bits, what):
     """Escalating-precision evaluation of a product that must be an integer.
 
+    ``evaluate(bits)`` gives the product at ``bits`` bits as (m, e), m 2^e.
     Accepts when the value is within 2^-20 of a positive integer divisible
     by ``divisor`` and recomputation at doubled precision reproduces it;
     otherwise doubles the working precision up to MAX_CERTIFY_BITS.  A
@@ -784,7 +878,6 @@ def _certified_integer(evaluate, divisor, initial_bits, what):
     pass.  A starting precision already above the cap is refused without
     an attempt.  Each escalation and its cause is logged at DEBUG level.
     """
-    tol = mp.mpf(2) ** (-INTEGRALITY_TOL_BITS)
     bits = max(initial_bits, 128)
     if bits > MAX_CERTIFY_BITS:
         raise CertificationError(
@@ -792,20 +885,12 @@ def _certified_integer(evaluate, divisor, initial_bits, what):
             f"{MAX_CERTIFY_BITS}-bit cap")
     while bits <= MAX_CERTIFY_BITS:
         try:
-            resolved = mp.ldexp(1, bits - INTEGRALITY_TOL_BITS - 1)
-            # rounding and comparison must run at full precision: the
-            # candidate integer can need far more than the ambient 53 bits
-            with mp.workprec(bits + 64):
-                value = evaluate(bits)
-                candidate = int(mp.nint(value))
-                accepted = (candidate > 0 and candidate % divisor == 0
-                            and abs(value - candidate) < tol
-                            and abs(value) < resolved)
+            candidate = _integer_near(evaluate(bits), bits)
+            accepted = (candidate is not None and candidate > 0
+                        and candidate % divisor == 0)
             if accepted:
-                with mp.workprec(2 * bits + 64):
-                    confirm = evaluate(2 * bits)
-                    confirmed = (int(mp.nint(confirm)) == candidate
-                                 and abs(confirm - candidate) < tol)
+                confirmed = _integer_near(evaluate(2 * bits),
+                                          2 * bits) == candidate
                 if confirmed:
                     return candidate // divisor
                 cause = f"the confirm pass at {2 * bits} bits disagreed"
@@ -840,6 +925,32 @@ def tau_odd(spec):
     return _certified_product(spec, diagonal=True)
 
 
+def _product(factors, n, bits):
+    """n prod (2 T_n(w) + shift) over the roots w of each (polynomial,
+    shift) of ``factors``, from the root store at ``bits`` bits, as (x, y, e).
+
+    A pair's representative contributes the squared modulus of its value.
+    Each factor and the running product are cut to bits + GUARD_BITS bits.
+    """
+    prec = bits + GUARD_BITS
+    px, py, pe = n, 0, 0
+    for poly, shift in factors:
+        entry = _stored_roots(poly, bits)
+        for (_, mult, paired), pair in zip(_pair_representatives(entry.best),
+                                           entry.pairs):
+            x, y, e = _ladder(pair, n, prec)
+            x, y, e = _add(x, y, e + 1, shift, 0, 0)
+            if paired:
+                x, y, e = _trim(x * x + y * y, 0, 2 * e, prec)
+            for _ in range(mult):
+                if y:
+                    px, py = px * x - py * y, px * y + py * x
+                else:
+                    px, py = px * x, py * x
+                px, py, pe = _trim(px, py, pe + e, prec)
+    return px, py, pe
+
+
 def _certified_product(spec, diagonal):
     """The certified product of :func:`tau_even` or :func:`tau_odd`.
 
@@ -863,20 +974,12 @@ def _certified_product(spec, diagonal):
     factors = [(poly, shift) for poly, shift in factors if poly.degree >= 1]
 
     def evaluate(bits):
-        prec = bits + GUARD_BITS
-        with mp.workprec(bits):
-            product = mp.mpc(n)
-            for poly, shift in factors:
-                entry = _stored_roots(poly, bits)
-                for (_, mult, paired), pair in zip(
-                        _pair_representatives(entry.best), entry.pairs):
-                    x = 2 * _ladder(pair, n, prec) + shift
-                    product *= (_norm(x) if paired else x) ** mult
-            if abs(product.imag) > mp.mpf(2) ** (-INTEGRALITY_TOL_BITS - 2) \
-                    * max(1, abs(product.real)):
-                raise RootRefinementError(
-                    f"product has stray imaginary part {product.imag}")
-            return product.real if diagonal else abs(product.real)
+        x, y, e = _product(factors, n, bits)
+        if not _at_most((abs(y), e + INTEGRALITY_TOL_BITS + 2),
+                        _at_least_one((abs(x), e))):
+            raise RootRefinementError(
+                f"product has stray imaginary part {_show((0, y, e))}")
+        return (x if diagonal else abs(x)), e
 
     what = f"{'tau_odd' if diagonal else 'tau_even'}({spec})"
     try:

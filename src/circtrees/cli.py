@@ -52,7 +52,8 @@ import re
 import sys
 import time
 
-# chebyshev and mahler load mpmath: only the commands using them import them
+# mahler loads mpmath, so only the commands using it import it; chebyshev,
+# used by verify alone, is imported there too
 from . import algebra, arithmetic, exact, graph
 from .errors import (CertificationError, CirctreesError,
                      DisconnectedGraphError, InternalConsistencyError,

@@ -21,7 +21,8 @@ from circtrees import (CertificationError, DisconnectedGraphError,
                        tau_oracle)
 from circtrees import chebyshev
 from circtrees.algebra import _ordinary_image
-from circtrees.chebyshev import (_double_precision_roots, _newton_step,
+from circtrees.chebyshev import (GUARD_BITS, _complex,
+                                 _double_precision_roots, _newton_step,
                                  _refine_roots, _seed_mirrors, _yun, poly_gcd,
                                  square_free_decomposition)
 
@@ -308,7 +309,9 @@ class TestFindRoots:
                         assert (mp.conj(z), radius, mult) in entries
                         continue
                     # the last step, recomputed where Newton stopped
-                    step = _newton_step(factors[mult], derivatives[mult], z)
+                    step = _complex(*_newton_step(
+                        factors[mult], derivatives[mult], z,
+                        precision + 64 + GUARD_BITS))
                     bound = 4 * abs(step) \
                         + mp.mpf(2) ** (4 - precision) * max(1, abs(z))
                     assert radius >= bound, (factors[mult], z)
@@ -322,7 +325,9 @@ class TestFindRoots:
             finer = _refine_roots(poly, 2 * precision, cr)
             # one Newton step at 4x from the 2x roots, at representatives
             with mp.workprec(4 * precision + 64):
-                finest = [z - _newton_step(factors[m], derivatives[m], z)
+                finest = [z - _complex(*_newton_step(
+                              factors[m], derivatives[m], z,
+                              4 * precision + 64 + GUARD_BITS))
                           if z.imag >= 0 else None
                           for z, m in zip(finer.roots, finer.multiplicities)]
             check(cr, finest)
@@ -546,7 +551,8 @@ class TestClosedFormCounts:
         # one value per real root and per pair, at each of two passes
         assert len(calls) == 2 * (real + pairs)
         assert representatives
-        assert all(w.imag >= 0 for w in representatives)
+        # each is a root (x, y, e), (x + iy) 2^e, on or above the axis
+        assert all(y >= 0 for _, y, _ in representatives)
 
     @pytest.mark.parametrize("literal, larger", [
         ("C40(1,2,5)", "C400(1,2,5)"), ("C20(1,3,4;d)", "C300(1,3,4;d)")])
@@ -694,8 +700,7 @@ class TestClosedFormCounts:
         assert not refused.value.attempted
         with pytest.raises(CertificationError,
                            match="failed to certify") as failed:
-            chebyshev._certified_integer(lambda bits: mp.mpf(0.5), 1, 128,
-                                         "v")
+            chebyshev._certified_integer(lambda bits: (1, -1), 1, 128, "v")
         assert failed.value.attempted
 
     def test_escalations_are_logged(self, monkeypatch, caplog):
@@ -718,7 +723,7 @@ class TestClosedFormCounts:
 
         def evaluate(bits):
             calls.append(bits)
-            return mp.mpf(14 * 2 ** 200)
+            return 14 * 2 ** 200, 0
 
         with caplog.at_level(logging.DEBUG, logger="circtrees.chebyshev"):
             assert chebyshev._certified_integer(evaluate, 14, 128, "v") \

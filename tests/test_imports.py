@@ -1,9 +1,12 @@
 """The package boundary: what importing circtrees loads, and what it exports.
 
-The exact route (``algebra``, ``arithmetic``, ``exact``, ``graph``) imports
-no mpmath; ``chebyshev`` and ``mahler`` do, and the package resolves their
-names on first use.  The import checks run in fresh interpreters, since
-this test process has long since loaded everything.
+The exact route (``algebra``, ``arithmetic``, ``exact``, ``graph``) and the
+certified products of ``chebyshev`` (``tau_even``, ``tau_odd`` and the
+``verify`` command) import no mpmath.  ``mahler`` does, and so do
+``cheb_eval_large`` and reading ``CertifiedRoots.roots`` or ``.radii``;
+the package resolves the names of ``chebyshev`` and ``mahler`` on first
+use.  The import checks run in fresh interpreters, since this test process
+has long since loaded everything.
 """
 
 import json
@@ -35,6 +38,11 @@ EXACT_COMMANDS = [
     ["tau", "C97(2,3;d)", "--method", "both"],
     ["decompose", "C149(3,4)"],
     ["sequence", "2,3", "--n", "4..20", "--check-recursion", "1,1,1,-1"],
+]
+
+VERIFY_COMMANDS = [
+    ["verify", "C*(1,3)", "--n-max", "36"],
+    ["verify", "C*(2,3;d)", "--n-max", "16"],
 ]
 
 RUN_SCRIPT = """
@@ -69,6 +77,17 @@ def python(*args):
     return proc.stdout
 
 
+def assert_same_with_mpmath_refused(commands):
+    """Each command exits 0 with mpmath refused, prints what it prints with
+    mpmath free, and neither run loads mpmath."""
+    argv = json.dumps(commands)
+    blocked = json.loads(python("-c", RUN_SCRIPT, "block", argv))
+    free = json.loads(python("-c", RUN_SCRIPT, "free", argv))
+    assert [code for code, _ in blocked["runs"]] == [0] * len(commands)
+    assert blocked["runs"] == free["runs"]
+    assert not blocked["mpmath"] and not free["mpmath"]
+
+
 class TestImportBoundary:
     @pytest.mark.parametrize("module", ["circtrees", "circtrees.cli"])
     def test_import_leaves_mpmath_unloaded(self, module):
@@ -77,12 +96,21 @@ class TestImportBoundary:
         assert out.strip() == "False"
 
     def test_exact_commands_run_with_mpmath_refused(self):
-        commands = json.dumps(EXACT_COMMANDS)
-        blocked = json.loads(python("-c", RUN_SCRIPT, "block", commands))
-        free = json.loads(python("-c", RUN_SCRIPT, "free", commands))
-        assert [code for code, _ in blocked["runs"]] == [0, 0, 0]
-        assert blocked["runs"] == free["runs"]
-        assert not blocked["mpmath"] and not free["mpmath"]
+        assert_same_with_mpmath_refused(EXACT_COMMANDS)
+
+    def test_certified_products_leave_mpmath_unloaded(self):
+        out = python("-c", "import sys\n"
+                           "from circtrees import (parse_spec, tau_closed_form,"
+                           " tau_even, tau_odd)\n"
+                           "even = parse_spec('C40(1,2,5)')\n"
+                           "odd = parse_spec('C20(1,3,4;d)')\n"
+                           "print(tau_even(even) == tau_closed_form(even),"
+                           " tau_odd(odd) == tau_closed_form(odd),"
+                           " 'mpmath' in sys.modules)")
+        assert out.split() == ["True", "True", "False"]
+
+    def test_verify_runs_with_mpmath_refused(self):
+        assert_same_with_mpmath_refused(VERIFY_COMMANDS)
 
     def test_exact_route_shares_no_code_with_the_oracle(self):
         # the method of record is checked against the determinant oracle,

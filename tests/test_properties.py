@@ -13,10 +13,13 @@ repeated factors and a content, checked against a Euclid over the
 rationals written here, and the resultant against the determinant of the
 Sylvester matrix on polynomials of degree up to 7 with coefficients in
 -9..9 and small common factors.  The mantissa kernels of the certified
-products (T_n, the Newton step, the magnitude bound) are checked against
-mpmath at three times their precision, from 64 to 4096 bits, and Newton
-from stored roots, below or above their precision, leaves a radius that
-bounds its last step and holds the root refined further.  Examples are
+products (T_n, the Newton step, the magnitude bound, the product over the
+stored roots) are checked against mpmath at three times their precision,
+from 64 to 4096 bits, and Newton from stored roots, below or above their
+precision, leaves a radius that bounds its last step and holds the root
+refined further.  The certification's nearest-integer rule is checked
+against Fractions, at ties and at the edges of its 2^-20 window and of
+the values a pass can resolve.  Examples are
 derandomized and have no deadline, so the suite is deterministic and does
 not depend on the speed of the machine.
 """
@@ -42,9 +45,11 @@ from circtrees import (DisconnectedGraphError, IntPolynomial,
 from circtrees.algebra import _resultant
 from circtrees.arithmetic import family_spec
 from circtrees.chebyshev import (GUARD_BITS, RootRefinementError, _branch,
-                                 _inverse, _ladder, _magnitude, _newton_step,
-                                 _refine_roots, cheb_eval_large, poly_gcd,
-                                 square_free_decomposition)
+                                 _complex, _exact, _integer_near, _inverse,
+                                 _ladder, _magnitude, _newton_step,
+                                 _pair_representatives, _product,
+                                 _refine_roots, _root_setup, cheb_eval_large,
+                                 poly_gcd, square_free_decomposition)
 from circtrees.cli import main
 
 MAX_VERTICES = 40
@@ -300,8 +305,8 @@ def test_ladder_from_a_stored_pair_against_mpmath(data, bits, n):
     w = data.draw(ladder_arguments(bits))
     stored = data.draw(st.integers(bits, 4 * bits)) + GUARD_BITS
     b = _branch(w, stored)
-    with mp.workprec(bits):
-        got = _ladder((b, _inverse(*b, stored)), n, bits + GUARD_BITS)
+    got = _complex(*_ladder((b, _inverse(*b, stored)), n, bits + GUARD_BITS),
+                   bits)
     with mp.workprec(3 * bits):
         z = as_mpc(w)
         s = mp.sqrt(z * z - 1)
@@ -326,11 +331,9 @@ def test_newton_step_kernel_against_mpmath(data, bits, coeffs):
         p, dp = poly(zc), dpoly(zc)
     if dp == 0:
         with pytest.raises(RootRefinementError, match="derivative vanished"):
-            with mp.workprec(bits):
-                _newton_step(poly, dpoly, z)
+            _newton_step(poly, dpoly, z, bits + GUARD_BITS)
         return
-    with mp.workprec(bits):
-        got = _newton_step(poly, dpoly, z)
+    got = _complex(*_newton_step(poly, dpoly, z, bits + GUARD_BITS), bits)
     with mp.workprec(3 * bits):
         size, dsize = (sum(abs(c) * abs(zc) ** i
                            for i, c in enumerate(f.coeffs))
@@ -376,7 +379,8 @@ def test_newton_from_stored_roots_stays_certified(case):
                                          cr.multiplicities, finest.roots):
             assert max(z.real._mpf_[3], z.imag._mpf_[3]) <= bits + 64
             factor = factors[mult]
-            step = _newton_step(factor, factor.derivative(), z)
+            step = _complex(*_newton_step(factor, factor.derivative(), z,
+                                          bits + 64 + GUARD_BITS))
             assert radius >= 4 * abs(step) \
                 + mp.ldexp(max(1, abs(z)), 4 - bits), (poly, z)
             assert abs(z - root) <= radius, (poly, z)
@@ -391,11 +395,97 @@ mpf_st = st.builds(
 @given(mpf_st, mpf_st)
 def test_magnitude_bounds_the_modulus(re, im):
     # a 24-bit upper bound on |z|, below |z| (1 + 2^-20)
-    bound = _magnitude(mp.mpc(re, im))
+    m, e = _magnitude(_exact(mp.mpc(re, im)))
+    bound = Fraction(m) * Fraction(2) ** e
     square = exact_value(re) ** 2 + exact_value(im) ** 2
-    assert bound._mpf_[3] <= 24
-    assert square <= exact_value(bound) ** 2 \
+    assert m.bit_length() <= 24
+    assert square <= bound ** 2 \
         <= square * (1 + Fraction(1, 2 ** 20)) ** 2
+
+
+@st.composite
+def integer_near_cases(draw):
+    """(m, e, bits): a pass's product m 2^e at ``bits`` bits, of any sign.
+
+    Any mantissa and exponent (e >= 0 included), a tie k + 1/2, a value
+    at or just inside or outside the 2^-20 window around an integer k, or
+    one at or just below 2^(bits - 21), where a pass stops resolving it.
+    """
+    bits = draw(st.integers(128, 1024))
+    sign = draw(st.sampled_from((1, -1)))
+    kind = draw(st.sampled_from(("any", "tie", "window", "resolution")))
+    if kind == "any":
+        return (draw(st.integers(-2 ** 300, 2 ** 300)),
+                draw(st.integers(-400, 400)), bits)
+    if kind == "resolution":
+        e = draw(st.integers(-60, 60))
+        m = (1 << (bits - 21 - e)) + draw(st.integers(-2, 1))
+        return sign * m, e, bits
+    k = draw(st.integers(0, 2 ** 80))
+    s = draw(st.integers(21, 100))
+    if kind == "tie":
+        return sign * ((k << s) + (1 << (s - 1))), -s, bits
+    offset = (1 << (s - 20)) + draw(st.integers(-1, 1))
+    return sign * ((k << s) + draw(st.sampled_from((1, -1))) * offset), -s, bits
+
+
+@PROPERTY
+@given(integer_near_cases())
+def test_integer_near_against_fractions(case):
+    # the integer within 2^-20 of the value, or None, also when the value
+    # is 2^(bits - 21) or more in size
+    m, e, bits = case
+    value = Fraction(m) * Fraction(2) ** e
+    nearest = round(value)
+    want = (nearest if abs(value - nearest) < Fraction(1, 2 ** 20)
+            and abs(value) < Fraction(2) ** (bits - 21) else None)
+    assert _integer_near((m, e), bits) == want
+
+
+def check_mantissa_product(factors, n, bits):
+    """The product over the stored roots, one value per conjugate pair on
+    mantissas, against mpmath over every root CertifiedRoots.roots gives,
+    at three times the precision: within 2^-(bits - 8) relative."""
+    got = _complex(*_product(factors, n, bits))
+    with mp.workprec(3 * bits):
+        want = mp.mpc(n)
+        for poly, shift in factors:
+            cr = _root_setup(poly).best
+            assert cr.working_precision >= bits
+            for w, mult in zip(cr.roots, cr.multiplicities):
+                s = mp.sqrt(w * w - 1)
+                b = w + s if abs(w + s) >= 1 else w - s
+                want *= (b ** n + b ** -n + shift) ** mult
+        assert abs(got - want) <= abs(want) * mp.ldexp(1, 8 - bits)
+
+
+@PROPERTY
+@given(family_orders(MAX_CLOSED_FORM_VERTICES), st.integers(64, 1024))
+def test_mantissa_product_against_mpmath(case, bits):
+    steps, family, n = case
+    try:
+        spec = family_spec(steps, family, n)
+    except (SpecError, DisconnectedGraphError):
+        assume(False)
+    factors = [(build_even_char(spec.steps), -2)]
+    if spec.diagonal:
+        factors.append((build_odd_char(spec.steps) + 1, 2))
+    check_mantissa_product(
+        [(poly, shift) for poly, shift in factors if poly.degree >= 1],
+        n, bits)
+
+
+@pytest.mark.parametrize("n", [5, 12, 40])
+@pytest.mark.parametrize("shift", [-2, 2])
+def test_mantissa_product_over_an_unpaired_pair(n, shift):
+    # roots 3 +- 2^-20 i lie too near the axis to be paired, so each is
+    # multiplied as a complex value of its own
+    poly = IntPolynomial([9 * 2 ** 40 + 1, -6 * 2 ** 40, 2 ** 40])
+    check_mantissa_product([(poly, shift)], n, 128)
+    best = _root_setup(poly).best
+    assert all(y for _, y, _ in best.fixed_roots)
+    assert [paired for *_, paired in _pair_representatives(best)] \
+        == [False, False]
 
 
 small_factor_st = st.builds(
