@@ -16,12 +16,10 @@ Functionality is organized along independent, cross-validating routes:
   polynomials, growth ratios, thermodynamic limits;
 * :mod:`circtrees.cli` -- the ``circtrees`` command-line tool.
 
-The exact modules are imported with the package.  The names of
-:mod:`chebyshev` and :mod:`mahler` are resolved on first use (PEP 562).
-:mod:`mahler` needs mpmath; :mod:`chebyshev` runs on integer mantissas and
-loads mpmath only to hand out mpmath numbers (``cheb_eval_large`` and the
-``roots`` and ``radii`` of ``CertifiedRoots``), so neither exact counting
-nor the certified products load the floating-point machinery.
+The package has no runtime dependency: every route runs on Python
+integers and the standard library.  The exact modules are imported with
+the package.  The names of :mod:`chebyshev` and :mod:`mahler` are resolved
+on first use (PEP 562), so exact counting does not pay their import time.
 """
 
 import importlib
@@ -46,7 +44,7 @@ __all__ = [
     "OracleCeilingError", "QuadratureError", "RootRefinementError",
     "SpecError", "SpecParseError", "ThermoSeries", "associated_laurent",
     "asymptotic_ratio", "bareiss_determinant", "build_even_char",
-    "build_odd_char", "canonicalize", "cheb_eval_large", "cheb_t", "cheb_u",
+    "build_odd_char", "canonicalize", "cheb_t", "cheb_u",
     "component_count", "decompose", "eigenvalue", "expected_coefficient",
     "family_spec", "find_roots", "is_connected", "laplacian",
     "mahler_quadrature", "mahler_root_product", "multiplier_conjugate",
@@ -56,8 +54,8 @@ __all__ = [
 
 _LAZY = {
     **dict.fromkeys(("CertifiedRoots", "build_even_char", "build_odd_char",
-                     "cheb_eval_large", "cheb_t", "cheb_u", "find_roots",
-                     "tau_even", "tau_odd"), "chebyshev"),
+                     "cheb_t", "cheb_u", "find_roots", "tau_even",
+                     "tau_odd"), "chebyshev"),
     **dict.fromkeys(("LaurentSpectrum", "MahlerEstimate", "ThermoSeries",
                      "associated_laurent", "asymptotic_ratio",
                      "mahler_quadrature", "mahler_root_product",

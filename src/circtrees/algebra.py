@@ -7,9 +7,6 @@ method of record, computes that norm as a resultant by the subresultant
 sequence, sharing no elimination code with the determinant oracle: no
 floating point, no precision and no size limit.  :class:`IntPolynomial`
 carries the integer polynomial arithmetic it needs.
-
-This module imports no mpmath, so the commands and functions that count
-exactly start without loading the floating-point machinery.
 """
 
 import math

@@ -56,10 +56,8 @@ test takes the top 30 bits of each part and an integer square root.
 The roots, radii and products between the kernels are integers as well:
 a root is a triple (x, y, e) standing for (x + iy) 2^e, a radius an upper
 bound (m, e) standing for m 2^e, and the product's nearest integer, its
-2^-20 window and its resolution are shifts and integer compares.  So the
-certified products never import mpmath; :func:`cheb_eval_large` and the
-``roots`` and ``radii`` of :class:`CertifiedRoots` build mpmath numbers
-for their callers.
+2^-20 window and its resolution are shifts and integer compares: past
+the double-precision seeds, every value is a Python integer.
 Correctness is anchored by agreement with the exact determinant oracle in
 :mod:`circtrees.exact` at small sizes.
 """
@@ -68,8 +66,7 @@ import cmath
 import logging
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .algebra import IntPolynomial, _require_connected
 from .errors import (CertificationError, InternalConsistencyError,
@@ -203,49 +200,28 @@ def cheb_u(m):
 
 
 def _exact(w):
-    """A float, a complex or an mpmath number exactly, as (x, y, e).
+    """A float or a complex exactly, as (x, y, e).
 
-    An mpf or an mpc is read as it is, with no rounding; any other type
-    goes through mpmath's ``mpc``.  An infinity or a NaN raises
-    :class:`ValueError`.
+    An infinity or a NaN raises :class:`ValueError`.
     """
-    if isinstance(w, (float, complex)):
-        if not cmath.isfinite(w):
-            raise ValueError(f"{w} is not a finite number")
-        parts = []
-        for part in (w.real, w.imag):
-            frac, exp = math.frexp(part)
-            parts.append((int(frac * 2 ** 53), exp - 53))
-    else:
-        raw = getattr(w, "_mpc_", None)
-        if raw is None and hasattr(w, "_mpf_"):
-            raw = (w._mpf_, (0, 0, 0, 0))
-        elif raw is None:
-            import mpmath
-            raw = mpmath.mpc(w)._mpc_
-        if min(bc for *_, bc in raw) < 0:       # mpmath's special values
-            raise ValueError(f"{w} is not a finite number")
-        parts = [(-man if sign else man, exp) for sign, man, exp, _ in raw]
+    if not cmath.isfinite(w):
+        raise ValueError(f"{w} is not a finite number")
+    parts = []
+    for part in (w.real, w.imag):
+        frac, exp = math.frexp(part)
+        parts.append((int(frac * 2 ** 53), exp - 53))
     e = min((exp for man, exp in parts if man), default=0)
     (x, xe), (y, ye) = parts
     return (x << (xe - e) if x else 0), (y << (ye - e) if y else 0), e
 
 
 def _fixed(w, prec):
-    """``w`` as mantissas sharing one exponent: w ~ (x + iy) 2^e.
+    """The triple ``w`` = (x, y, e) with mantissas of ``prec`` bits.
 
     The larger part keeps ``prec`` bits and the smaller is truncated at the
-    same exponent, so the error is below 2^(2-prec) |w|.  ``w`` is a
-    triple (x, y, e), an int, a Fraction, a float, a complex or an mpmath
-    number; it is converted exactly before it is truncated, and an
-    infinity or a NaN raises :class:`ValueError`.
+    same exponent, so the error is below 2^(2-prec) |w|.
     """
-    if isinstance(w, (int, Fraction)):
-        num, den = w.numerator, w.denominator
-        shift = prec - num.bit_length() + den.bit_length()
-        x = (num << shift) // den if shift >= 0 else num // (den << -shift)
-        return x, 0, -shift
-    x, y, e = w if isinstance(w, tuple) else _exact(w)
+    x, y, e = w
     if not (x or y):
         return 0, 0, 0
     k = max(x.bit_length(), y.bit_length()) - prec
@@ -256,14 +232,6 @@ def _trim(x, y, e, prec):
     """Drop low bits until the larger mantissa has at most ``prec`` bits."""
     k = max(x.bit_length(), y.bit_length()) - prec
     return (x >> k, y >> k, e + k) if k > 0 else (x, y, e)
-
-
-def _complex(x, y, e, prec=None):
-    """(x + iy) 2^e as an mpc: exact, or rounded to ``prec`` bits."""
-    import mpmath as mp
-    lib = mp.libmp
-    return mp.make_mpc((lib.from_man_exp(x, e, prec, lib.round_nearest),
-                        lib.from_man_exp(y, e, prec, lib.round_nearest)))
 
 
 def _show(z):
@@ -426,64 +394,28 @@ def _ladder(pair, n, prec):
     return bn, bni, en - 1
 
 
-def cheb_eval_large(w, n, precision=None):
-    """T_n(w) in O(log n) multiplications via T_n(w) = (b^n + b^-n)/2.
-
-    Here b = w + sqrt(w^2 - 1) on whichever square-root branch gives
-    |b| >= 1, so b^n dominates and the reciprocal term cannot cancel
-    catastrophically.  Runs at the caller's mpmath precision unless
-    ``precision`` (bits) is given, and returns an mpc rounded to it.
-
-    The arithmetic is on Python-int mantissas sharing one exponent, with
-    GUARD_BITS bits beyond the precision: :func:`_branch` gives b, one
-    division gives 1/b, and :func:`_ladder`, the kernel the certified
-    products run on the pairs the root store keeps, gives the value.
-    """
-    import mpmath as mp
-    if precision is None:
-        precision = mp.mp.prec
-    n = abs(n)
-    if n == 0:
-        return mp.mpc(1)
-    prec = precision + GUARD_BITS
-    b = _branch(w, prec)
-    return _complex(*_ladder((b, _inverse(*b, prec)), n, prec), precision)
-
-
 @dataclass(frozen=True)
 class CertifiedRoots:
     """All complex roots of an integer polynomial with certified error radii.
 
     ``roots[i]`` is a distinct root with multiplicity ``multiplicities[i]``
     and error radius ``radii[i]``; the Newton residual |p(root)| stays below
-    the bound the radius implies.  Multiplicities sum to the degree.  They
-    are held as integers, ``fixed_roots[i]`` a triple (x, y, e) for
-    (x + iy) 2^e and ``fixed_radii[i]`` a 24-bit upper bound (m, e) for
-    m 2^e; ``roots`` and ``radii`` give them exactly as mpmath's mpc and
-    mpf, built on first read (which imports mpmath).
+    the bound the radius implies.  Multiplicities sum to the degree.  A
+    root is a triple (x, y, e) of integers standing for (x + iy) 2^e, and a
+    radius a 24-bit upper bound (m, e) standing for m 2^e.
     """
 
-    fixed_roots: tuple
-    fixed_radii: tuple
+    roots: tuple
+    radii: tuple
     multiplicities: tuple
     working_precision: int
-
-    @cached_property
-    def roots(self):
-        return tuple(_complex(*z) for z in self.fixed_roots)
-
-    @cached_property
-    def radii(self):
-        import mpmath as mp
-        return tuple(mp.make_mpf(mp.libmp.from_man_exp(m, e))
-                     for m, e in self.fixed_radii)
 
     @property
     def total_count(self):
         return sum(self.multiplicities)
 
     def expanded(self):
-        """Roots repeated according to multiplicity."""
+        """Roots repeated according to multiplicity, as triples."""
         return tuple(r for r, m in zip(self.roots, self.multiplicities)
                      for _ in range(m))
 
@@ -547,10 +479,13 @@ class _RootEntry:
     ``pairs`` holds, for each root :func:`_pair_representatives` gives of
     ``best`` and in its order, the pair (b, 1/b) that :func:`_ladder`
     takes: b from :func:`_branch`, and 1/b from :func:`_inverse`, as
-    mantissas at ``best.working_precision + GUARD_BITS`` bits.
+    mantissas at ``best.working_precision + GUARD_BITS`` bits.  ``growth``
+    holds (multiplicity, log2 max |w +- sqrt(w^2 - 1)|) for each seed w of
+    each factor, in order, where that growth exceeds 1.
     """
 
     factors: tuple
+    growth: tuple
     best: CertifiedRoots = None
     pairs: tuple = ()
 
@@ -569,14 +504,22 @@ def _root_setup(poly):
     reciprocal.  None of it depends on the order, so a family evaluated at
     many orders and precisions factors and seeds each characteristic
     polynomial and lays out its conjugate pairs once, and takes each
-    branch once per ``best``; a later pass takes ``best`` and its pairs as they are or,
-    above its precision, starts Newton at it.  Beyond 64 polynomials the
-    least recently used goes, its pairs with it.
+    branch once per ``best``; a later pass takes ``best`` and its pairs as
+    they are or, above its precision, starts Newton at it.  ``growth``,
+    which :func:`_headroom_bits` sums, is taken once as well.  Beyond 64
+    polynomials the least recently used goes, its pairs with it.
     """
-    return _RootEntry(tuple(
-        (factor, factor.derivative(), mult,
-         *_paired_seeds(_double_precision_roots(factor)))
-        for factor, mult in square_free_decomposition(poly)))
+    factors = tuple((factor, factor.derivative(), mult,
+                     *_paired_seeds(_double_precision_roots(factor)))
+                    for factor, mult in square_free_decomposition(poly))
+    growth = []
+    for _, _, mult, seeds, _ in factors:
+        for w in seeds:
+            s = (w * w - 1) ** 0.5
+            grow = max(abs(w + s), abs(w - s))
+            if grow > 1:
+                growth.append((mult, math.log2(grow)))
+    return _RootEntry(factors, tuple(growth))
 
 
 def _newton_step(poly, dpoly, z, prec):
@@ -710,7 +653,7 @@ def _pair_representatives(cr):
     so a root above the axis whose successor is its exact conjugate is
     paired with it.
     """
-    out, roots, i = [], cr.fixed_roots, 0
+    out, roots, i = [], cr.roots, 0
     while i < len(roots):
         x, y, e = roots[i]
         paired = i + 1 < len(roots) and y > 0 and roots[i + 1] == (x, -y, e)
@@ -735,7 +678,7 @@ def _refine_roots(poly, precision, previous=None):
         if previous is None:
             starts, start_bits = map(_exact, seeds), 53   # a double
         else:
-            starts = [z for z, m in zip(previous.fixed_roots,
+            starts = [z for z, m in zip(previous.roots,
                                         previous.multiplicities) if m == mult]
             start_bits = previous.working_precision
         refined = [None if i in mirrors else
@@ -840,12 +783,8 @@ def _headroom_bits(polys, n):
     """Upper estimate of log2 of the certified product, from double roots."""
     bits = math.log2(n) + 8
     for poly in polys:
-        for _, _, mult, seeds, _ in _root_setup(poly).factors:
-            for w in seeds:
-                s = (w * w - 1) ** 0.5
-                grow = max(abs(w + s), abs(w - s))
-                if grow > 1:
-                    bits += mult * n * math.log2(grow)
+        for mult, log_grow in _root_setup(poly).growth:
+            bits += mult * n * log_grow
     return int(bits) + 1
 
 
@@ -951,6 +890,23 @@ def _product(factors, n, bits):
     return px, py, pe
 
 
+@lru_cache(maxsize=64)
+def _product_factors(steps, diagonal):
+    """(factors, divisor) of the certified product of a step set.
+
+    ``factors`` holds each nonconstant (polynomial, shift): (P, -2), and
+    (P_odd + 1, 2) for the diagonal family; the divisor is q, or 2q.
+    Neither depends on the order, so a family builds them once.
+    """
+    divisor = sum(s * s for s in steps)
+    factors = [(build_even_char(steps), -2)]
+    if diagonal:
+        divisor *= 2
+        factors.append((build_odd_char(steps) + 1, 2))
+    return (tuple((poly, shift) for poly, shift in factors
+                  if poly.degree >= 1), divisor)
+
+
 def _certified_product(spec, diagonal):
     """The certified product of :func:`tau_even` or :func:`tau_odd`.
 
@@ -965,13 +921,8 @@ def _certified_product(spec, diagonal):
         wanted = "diagonal" if diagonal else "even-valency"
         raise ValueError(f"{spec} is not a {wanted} spec")
     _require_connected(spec)
-    n, steps = spec.order, spec.steps
-    divisor = sum(s * s for s in steps)
-    factors = [(build_even_char(steps), -2)]
-    if diagonal:
-        divisor *= 2
-        factors.append((build_odd_char(steps) + 1, 2))
-    factors = [(poly, shift) for poly, shift in factors if poly.degree >= 1]
+    n = spec.order
+    factors, divisor = _product_factors(tuple(spec.steps), diagonal)
 
     def evaluate(bits):
         x, y, e = _product(factors, n, bits)

@@ -52,8 +52,8 @@ import re
 import sys
 import time
 
-# mahler loads mpmath, so only the commands using it import it; chebyshev,
-# used by verify alone, is imported there too
+# mahler and chebyshev are imported by the commands that use them, so the
+# exact commands do not pay their import time
 from . import algebra, arithmetic, exact, graph
 from .errors import (CertificationError, CirctreesError,
                      DisconnectedGraphError, InternalConsistencyError,
@@ -343,7 +343,7 @@ def cmd_asymptote(args):
     steps = _parse_steps(args.steps)
     timed = _row_timer(args.timings)
     sweep = _family_rows(steps, args.family, args.n)
-    from . import mahler    # after the order check: a bad range loads no mpmath
+    from . import mahler    # after the order check: a bad range skips it
     measure = mahler.mahler_root_product(
         mahler.associated_laurent(steps, args.family))
     rows = [make_record(spec=_family_pattern(steps, args.family), n=n,

@@ -15,18 +15,21 @@ converges to the small measure m = log M.
 Two independent evaluation routes are provided: the root product over
 certified polynomial roots (method of record) and direct quadrature of
 log|.| over the circle with the z = 1 singularity subtracted in closed
-form.  Their agreement is asserted in the test suite, never assumed.
+form.  Their agreement is asserted in the test suite, never assumed.  The
+root product reads the roots as :func:`~circtrees.chebyshev.find_roots`
+gives them, integer triples with integer radii: the unit-circle tests are
+exact compares of squared moduli and the product is taken on the
+mantissas, so no floating point enters before the result is rounded.
 """
 
+import decimal
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath as mp
-
 from .algebra import IntPolynomial, _ordinary_image, tau_closed_form
 from .arithmetic import family_spec
-from .chebyshev import find_roots
+from .chebyshev import _add, _at_most, _plus, _sqrt, _trim, find_roots
 from .errors import CertificationError, QuadratureError
 from .graph import diagonal_flag
 
@@ -42,7 +45,8 @@ class LaurentSpectrum:
     reduced form has z = 1 as a root of multiplicity exactly two).  ``poly``
     is the ordinary-polynomial image z^deg * L (or the product image for the
     diagonal family); ``root_groups`` holds one CertifiedRoots per
-    irreducible-by-construction factor.
+    irreducible-by-construction factor, its roots integer triples (x, y, e)
+    for (x + iy) 2^e and its radii bounds (m, e) for m 2^e.
     """
 
     steps: tuple
@@ -55,7 +59,8 @@ class LaurentSpectrum:
     precision: int
 
     def all_roots(self):
-        """(root, radius, multiplicity) across every factor."""
+        """(root, radius, multiplicity) across every factor, the root a
+        triple (x, y, e) and the radius a bound (m, e)."""
         for group in self.root_groups:
             yield from zip(group.roots, group.radii, group.multiplicities)
 
@@ -99,26 +104,48 @@ def associated_laurent(steps, family="even", precision=256, reduce=True):
                            lcoeffs, poly, tuple(groups), precision)
 
 
+def _square_modulus(x, y, e):
+    """|(x + iy) 2^e|^2 as a value (m, e), m 2^e, exactly."""
+    return x * x + y * y, 2 * e
+
+
 def _classify_roots(spectrum):
     """Split roots into moduli > 1 and unit-circle roots; None if ambiguous.
 
     Unit-circle roots of L are exactly d-th roots of unity (d the gcd of the
     steps the polynomial was built from), so a root hugging the circle is
-    accepted as on-circle only with a vanishing |z^d - 1| residual.
+    accepted as on-circle only with a vanishing |z^d - 1| residual.  A root
+    z of radius r is off the circle when ||z| - 1| > 8r + 2^(-precision/4),
+    and a root of unity when |z^d - 1| <= 2^(-precision/4); both tests
+    compare squared moduli, exactly.
     """
     d = math.gcd(*spectrum.reduced_steps)
-    unity_tol = mp.mpf(2) ** (-spectrum.precision // 4)
+    unity_tol = -spectrum.precision // 4        # the tolerance 2^unity_tol
     outside = []
     for z, radius, mult in spectrum.all_roots():
-        az = abs(z)
-        if abs(az - 1) > 8 * radius + unity_tol:
-            if az > 1:
-                outside.append((z, radius, mult))
+        square = _square_modulus(*z)
+        m, e = _plus((radius[0], radius[1] + 3), (1, unity_tol))
+        high, f = _plus((1, 0), (m, e))
+        if not _at_most(square, (high * high, 2 * f)):
+            outside.append((z, radius, mult))       # |z| > 1 + 8r + tol
             continue
-        if abs(z ** d - 1) <= unity_tol:
+        low, f = _plus((1, 0), (-m, e))
+        if low > 0 and not _at_most((low * low, 2 * f), square):
+            continue                                # |z| < 1 - 8r - tol
+        x, y, e = z
+        px, py = 1, 0
+        for _ in range(d):
+            px, py = px * x - py * y, px * y + py * x
+        if _at_most(_square_modulus(*_add(px, py, d * e, -1, 0, 0)),
+                    (1, 2 * unity_tol)):
             continue  # certified root of unity, contributes nothing
         return None
     return outside
+
+
+def _float(m, e):
+    """m 2^e, correctly rounded to a float."""
+    return m / (1 << -e) if e < 0 else float(m << e)
 
 
 def mahler_root_product(spectrum):
@@ -126,7 +153,10 @@ def mahler_root_product(spectrum):
 
     Roots straddling the unit circle within their certification radius force
     a precision escalation (they cannot occur for gcd-1 step sets); the
-    error bound propagates the certified root radii.
+    error bound propagates the certified root radii.  The product is taken
+    on the roots' integer mantissas at the spectrum's precision, as its
+    square lead^2 prod |z|^(2 mult); each of the three floats is rounded
+    once at the end, the small measure through an 80-digit logarithm.
     """
     current = spectrum
     while True:
@@ -140,16 +170,24 @@ def mahler_root_product(spectrum):
         current = associated_laurent(
             spectrum.steps, spectrum.family,
             precision=current.precision * 2, reduce=spectrum.reduced)
-    with mp.workprec(current.precision):
-        value = mp.mpf(abs(current.poly.leading))
-        rel_err = mp.mpf(2) ** (-50)
-        for z, radius, mult in outside:
-            az = abs(z)
-            value *= az ** mult
-            rel_err += mult * radius / az
-        m_small = mp.log(value)
-        return MahlerEstimate(float(value), float(value * rel_err),
-                              "root-product", float(m_small))
+    prec = current.precision
+    m, e = current.poly.leading ** 2, 0         # the product's square
+    rel_err = (1, -50)
+    for z, (r, re), mult in outside:
+        zm, ze = _square_modulus(*z)
+        for _ in range(mult):
+            m, _, e = _trim(m * zm, 0, e + ze, prec)
+        root, f = _sqrt(zm, ze, prec)           # |z|
+        rel_err = _plus(rel_err, ((mult * r << 2 * prec) // root,
+                                  re - f - 2 * prec))
+    value, f = _sqrt(m, e, prec)
+    err, g = rel_err
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        square = decimal.Decimal(m << max(e, 0)) / (1 << max(-e, 0))
+        m_small = square.ln() / 2
+    return MahlerEstimate(_float(value, f), _float(value * err, f + g),
+                          "root-product", float(m_small))
 
 
 @lru_cache(maxsize=None)

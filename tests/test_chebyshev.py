@@ -15,16 +15,15 @@ import pytest
 from circtrees import (CertificationError, DisconnectedGraphError,
                        IntPolynomial, RootRefinementError, associated_laurent,
                        asymptotic_ratio, build_even_char, build_odd_char,
-                       canonicalize, cheb_eval_large, cheb_t, cheb_u,
-                       decompose, family_spec, find_roots, mahler_root_product,
-                       parse_spec, tau_closed_form, tau_even, tau_odd,
-                       tau_oracle)
+                       canonicalize, cheb_t, cheb_u, decompose, family_spec,
+                       find_roots, mahler_root_product, parse_spec,
+                       tau_closed_form, tau_even, tau_odd, tau_oracle)
 from circtrees import chebyshev
 from circtrees.algebra import _ordinary_image
-from circtrees.chebyshev import (GUARD_BITS, _complex,
-                                 _double_precision_roots, _newton_step,
-                                 _refine_roots, _seed_mirrors, _yun, poly_gcd,
-                                 square_free_decomposition)
+from circtrees.chebyshev import (GUARD_BITS, _double_precision_roots, _exact,
+                                 _newton_step, _refine_roots, _seed_mirrors,
+                                 _yun, poly_gcd, square_free_decomposition)
+from triples import cheb_value, to_mpc, to_mpf
 
 W = IntPolynomial([0, 1])
 STEP_SETS = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 4), (2, 5),
@@ -116,23 +115,36 @@ class TestChebPolynomials:
         assert build_even_char((1, 1200))(1) == 1 + 1200 ** 2
 
 
+def as_mpmath(cr):
+    """(root, radius, multiplicity) of ``cr`` with the root an mpc and the
+    radius an mpf, both exact."""
+    return [(to_mpc(z), to_mpf(r), m)
+            for z, r, m in zip(cr.roots, cr.radii, cr.multiplicities)]
+
+
 class TestQuantumEvaluation:
+    # T_n on the kernels the certified products run: _branch, _inverse and
+    # _ladder
     def test_frozen_values(self):
-        assert abs(cheb_eval_large(2, 3, precision=128) - 26) < 1e-30
-        assert abs(cheb_eval_large(Fraction(-3, 2), 5, precision=128)
+        assert abs(cheb_value(2, 3, 128) - 26) < 1e-30
+        assert abs(cheb_value(Fraction(-3, 2), 5, 128)
                    + mp.mpf(61.5)) < 1e-30
         for n in (1, 7, 40):
-            assert abs(cheb_eval_large(1, n, precision=128) - 1) < 1e-30
+            assert abs(cheb_value(1, n, 128) - 1) < 1e-30
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 34, 64])
     def test_matches_exact_polynomial(self, n):
-        # oracle: exact integer-coefficient T_n evaluated over the rationals
+        # oracle: exact integer-coefficient T_n evaluated over the rationals,
+        # at w rounded to 2 prec bits
         prec = 192
         with mp.workprec(prec + 64):
             for w in [Fraction(7, 3), Fraction(-12, 5), Fraction(1, 2),
                       Fraction(-1, 1), Fraction(31, 7)]:
+                k = 2 * prec - abs(w.numerator).bit_length() \
+                    + w.denominator.bit_length()
+                w = Fraction(round(w * 2 ** k), 2 ** k)
                 exact = cheb_t(n)(w)
-                got = cheb_eval_large(w, n, precision=prec)
+                got = cheb_value(w, n, prec)
                 err = abs(got - mp.mpf(exact.numerator) / exact.denominator)
                 scale = max(1, abs(mp.mpf(exact.numerator))
                             / exact.denominator)
@@ -142,7 +154,7 @@ class TestQuantumEvaluation:
         z = mp.mpc(0.5, 1.25)
         with mp.workprec(160):
             direct = cheb_t(9)(z)
-            assert abs(cheb_eval_large(z, 9) - direct) < 1e-40
+            assert abs(cheb_value(z, 9, 160) - direct) < 1e-40
 
     def test_binary_powering_at_large_order(self):
         # mpmath's own power goes through exp(n log b) at this size
@@ -152,14 +164,14 @@ class TestQuantumEvaluation:
             if abs(b) < 1:
                 b = 1 / b
             reference = (b ** 6000 + b ** -6000) / 2
-            got = cheb_eval_large(w, 6000)
+            got = cheb_value(w, 6000, 4096)
             assert abs(got - reference) <= abs(reference) * mp.mpf(2) ** -4000
 
     def test_non_finite_argument_is_rejected(self):
-        # mantissas have no infinity or NaN to carry
-        for w in (float("inf"), float("nan"), mp.mpc(1, mp.inf)):
+        # mantissas have no infinity or NaN to carry: a seed must be finite
+        for w in (float("inf"), float("nan"), complex(1, float("nan"))):
             with pytest.raises(ValueError, match="not a finite number"):
-                cheb_eval_large(w, 3, precision=64)
+                _exact(w)
 
     def test_second_kind_evaluation(self):
         # T_m = (U_m - U_{m-2}) / 2 checks the evaluator against U_m,
@@ -169,7 +181,7 @@ class TestQuantumEvaluation:
         with mp.workprec(128):
             for w, m in ((2, 6), (1, 6), (-1, 6), (mp.mpc(0, 0.5), 6)):
                 u_form = (cheb_u(m)(w) - cheb_u(m - 2)(w)) / 2
-                assert abs(cheb_eval_large(w, m) - u_form) < 1e-30
+                assert abs(cheb_value(w, m, 128) - u_form) < 1e-30
 
 
 class TestCharacteristicPolynomials:
@@ -209,17 +221,19 @@ class TestFindRoots:
     def test_linear(self):
         cr = find_roots(IntPolynomial([3, 2]), 128)
         assert cr.total_count == 1
-        assert abs(cr.roots[0] + 1.5) < 1e-30
+        assert abs(to_mpc(cr.roots[0]) + 1.5) < 1e-30
 
     def test_shifted_linear(self):
         cr = find_roots(IntPolynomial([4, -2]), 128)
-        assert abs(cr.roots[0] - 2) < 1e-30
+        assert abs(to_mpc(cr.roots[0]) - 2) < 1e-30
 
     def test_double_root_flagged(self):
         cr = find_roots(IntPolynomial([1, -2, 1]), 128)
         assert cr.multiplicities == (2,)
-        assert abs(cr.roots[0] - 1) < 1e-30
+        assert abs(to_mpc(cr.roots[0]) - 1) < 1e-30
         assert cr.expanded() == (cr.roots[0], cr.roots[0])
+        x, y, e = cr.roots[0]
+        assert isinstance(x, int) and y == 0 and isinstance(e, int)
 
     def test_rejects_constant(self):
         with pytest.raises(ValueError):
@@ -239,8 +253,7 @@ class TestFindRoots:
         # was refined on (single-step sets give perfect squares)
         factors = square_free_decomposition(poly)
         with mp.workprec(prec + 64):
-            for z, radius, mult in zip(cr.roots, cr.radii,
-                                       cr.multiplicities):
+            for z, radius, mult in as_mpmath(cr):
                 factor = next(f for f, m in factors if m == mult)
                 residual = abs(factor(z))
                 bound = radius * (abs(factor.derivative()(z)) + 1) \
@@ -264,15 +277,13 @@ class TestFindRoots:
         assert carried.working_precision == target
         assert carried.multiplicities == previous.multiplicities
         with mp.workprec(target + 64):
-            for z, r, p, pr in zip(carried.roots, carried.radii,
-                                   previous.roots, previous.radii):
+            for (z, r, _), (p, pr, _) in zip(as_mpmath(carried),
+                                             as_mpmath(previous)):
                 assert r < mp.mpf(2) ** (8 - target) * max(1, abs(z))
                 assert abs(z - p) <= r + pr
-            for z, r, mult in zip(carried.roots, carried.radii,
-                                  carried.multiplicities):
+            for z, r, mult in as_mpmath(carried):
                 assert any(abs(z - f) <= r + fr and m == mult
-                           for f, fr, m in zip(fresh.roots, fresh.radii,
-                                               fresh.multiplicities))
+                           for f, fr, m in as_mpmath(fresh))
 
     @pytest.mark.parametrize("precision, carried", [
         (256, False), (4096, False), (256, True)])
@@ -285,7 +296,7 @@ class TestFindRoots:
             if carried:
                 cr = _refine_roots(poly, 2 * precision, cr)
             with mp.workprec(cr.working_precision + 64):
-                entries = list(zip(cr.roots, cr.radii, cr.multiplicities))
+                entries = as_mpmath(cr)
                 for z, radius, mult in entries:
                     if z.imag != 0:
                         assert (mp.conj(z), radius, mult) in entries, poly
@@ -303,14 +314,15 @@ class TestFindRoots:
             # refinement keeps the order of the roots, so finest[i] is the
             # refined roots[i]
             with mp.workprec(precision + 64):
-                entries = list(zip(cr.roots, cr.radii, cr.multiplicities))
-                for (z, radius, mult), root in zip(entries, finest):
+                entries = as_mpmath(cr)
+                for (z, radius, mult), exact, root in zip(entries, cr.roots,
+                                                          finest):
                     if z.imag < 0:
                         assert (mp.conj(z), radius, mult) in entries
                         continue
                     # the last step, recomputed where Newton stopped
-                    step = _complex(*_newton_step(
-                        factors[mult], derivatives[mult], z,
+                    step = to_mpc(_newton_step(
+                        factors[mult], derivatives[mult], exact,
                         precision + 64 + GUARD_BITS))
                     bound = 4 * abs(step) \
                         + mp.mpf(2) ** (4 - precision) * max(1, abs(z))
@@ -325,14 +337,14 @@ class TestFindRoots:
             finer = _refine_roots(poly, 2 * precision, cr)
             # one Newton step at 4x from the 2x roots, at representatives
             with mp.workprec(4 * precision + 64):
-                finest = [z - _complex(*_newton_step(
+                finest = [to_mpc(z) - to_mpc(_newton_step(
                               factors[m], derivatives[m], z,
                               4 * precision + 64 + GUARD_BITS))
-                          if z.imag >= 0 else None
+                          if z[1] >= 0 else None
                           for z, m in zip(finer.roots, finer.multiplicities)]
             check(cr, finest)
             check(_refine_roots(poly, precision, finer), finest)
-            mirrors += sum(z.imag < 0 for z in cr.roots)
+            mirrors += sum(y < 0 for _, y, _ in cr.roots)
         assert mirrors > 400
 
     def test_near_real_seeds_are_not_paired(self):
@@ -350,7 +362,8 @@ class TestFindRoots:
         assert cr.total_count == 4
         with mp.workprec(256):
             for want in (1, 1 + mp.mpf(10) ** -7, 1j, -1j):
-                assert min(abs(z - want) for z in cr.roots) < 2 ** -200
+                assert min(abs(to_mpc(z) - want)
+                           for z in cr.roots) < 2 ** -200
 
     def test_mixed_multiplicities(self):
         poly = IntPolynomial([-1, 1]) * IntPolynomial([-1, 1]) \
@@ -544,9 +557,9 @@ class TestClosedFormCounts:
             polys = [build_even_char(spec.steps)]
         real = pairs = 0
         for poly in polys:
-            for z in find_roots(poly, 128).roots:
-                real += z.imag == 0
-                pairs += z.imag > 0
+            for _, y, _ in find_roots(poly, 128).roots:
+                real += y == 0
+                pairs += y > 0
         assert pairs > 0
         # one value per real root and per pair, at each of two passes
         assert len(calls) == 2 * (real + pairs)
@@ -831,6 +844,40 @@ class TestClosedFormCounts:
         for n in (5, 9, 16, 25):
             spec = family_spec((1, 2), "even", n)
             assert tau_even(spec) == n * fib[n] ** 2
+
+    def test_family_builds_its_polynomials_once(self, monkeypatch):
+        # the characteristic polynomials and the divisor do not depend on
+        # the order, so a family builds them once
+        chebyshev._product_factors.cache_clear()
+        built = []
+        build = chebyshev.build_odd_char
+
+        def counted(steps):
+            built.append(steps)
+            return build(steps)
+
+        monkeypatch.setattr(chebyshev, "build_odd_char", counted)
+        for n in (20, 21, 22, 40):
+            spec = family_spec((1, 3, 4), "diagonal", n)
+            assert tau_odd(spec) == tau_closed_form(spec)
+        assert built == [(1, 3, 4)]
+
+    @pytest.mark.parametrize("poly", [
+        build_even_char((1, 3, 4)), build_odd_char((1, 3, 4)) + 1,
+        IntPolynomial([1, -2, 1]) * IntPolynomial([3, 2])])
+    def test_headroom_sums_each_seeds_stored_growth(self, poly):
+        # the growth stored once per polynomial gives, term for term, the
+        # estimate taken from the seeds at each order
+        factors = chebyshev._root_setup(poly).factors
+        for n in (5, 40, 1000):
+            bits = math.log2(n) + 8
+            for _, _, mult, seeds, _ in factors:
+                for w in seeds:
+                    s = (w * w - 1) ** 0.5
+                    grow = max(abs(w + s), abs(w - s))
+                    if grow > 1:
+                        bits += mult * n * math.log2(grow)
+            assert chebyshev._headroom_bits([poly], n) == int(bits) + 1
 
     def test_gcd_step_sets_still_certify(self):
         for n in (9, 11, 15, 21):

@@ -1,18 +1,19 @@
 """The package boundary: what importing circtrees loads, and what it exports.
 
-The exact route (``algebra``, ``arithmetic``, ``exact``, ``graph``) and the
-certified products of ``chebyshev`` (``tau_even``, ``tau_odd`` and the
-``verify`` command) import no mpmath.  ``mahler`` does, and so do
-``cheb_eval_large`` and reading ``CertifiedRoots.roots`` or ``.radii``;
-the package resolves the names of ``chebyshev`` and ``mahler`` on first
-use.  The import checks run in fresh interpreters, since this test process
-has long since loaded everything.
+The package has no runtime dependency: no module under ``src/circtrees``
+imports mpmath, which the tests keep as a reference only, and every
+command and every exported name works with mpmath refused.  The package
+resolves the names of ``chebyshev`` and ``mahler`` on first use.  The
+import checks run in fresh interpreters, since this test process has long
+since loaded everything.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +27,7 @@ ALL = [
     "OracleCeilingError", "QuadratureError", "RootRefinementError",
     "SpecError", "SpecParseError", "ThermoSeries", "associated_laurent",
     "asymptotic_ratio", "bareiss_determinant", "build_even_char",
-    "build_odd_char", "canonicalize", "cheb_eval_large", "cheb_t", "cheb_u",
+    "build_odd_char", "canonicalize", "cheb_t", "cheb_u",
     "component_count", "decompose", "eigenvalue", "expected_coefficient",
     "family_spec", "find_roots", "is_connected", "laplacian",
     "mahler_quadrature", "mahler_root_product", "multiplier_conjugate",
@@ -34,10 +35,14 @@ ALL = [
     "tau_even", "tau_odd", "tau_oracle", "thermo_limit",
 ]
 
+# the subcommands other than verify; ``mahler 2,4`` takes the reduce path
 EXACT_COMMANDS = [
     ["tau", "C97(2,3;d)", "--method", "both"],
     ["decompose", "C149(3,4)"],
     ["sequence", "2,3", "--n", "4..20", "--check-recursion", "1,1,1,-1"],
+    ["mahler", "1,2,3", "--family", "diagonal", "--method", "both"],
+    ["mahler", "2,4", "--method", "both"],
+    ["asymptote", "2,4", "--n", "9..15"],
 ]
 
 VERIFY_COMMANDS = [
@@ -45,14 +50,18 @@ VERIFY_COMMANDS = [
     ["verify", "C*(2,3;d)", "--n-max", "16"],
 ]
 
-RUN_SCRIPT = """
-import contextlib, io, json, sys
+REFUSE_MPMATH = """
+import sys
 
 class RefuseMpmath:
     def find_spec(self, name, path=None, target=None):
         if name.split(".")[0] == "mpmath":
             raise ImportError(f"{name} refused")
         return None
+"""
+
+RUN_SCRIPT = REFUSE_MPMATH + """
+import contextlib, io, json
 
 if sys.argv[1] == "block":
     sys.meta_path.insert(0, RefuseMpmath())
@@ -111,6 +120,31 @@ class TestImportBoundary:
 
     def test_verify_runs_with_mpmath_refused(self):
         assert_same_with_mpmath_refused(VERIFY_COMMANDS)
+
+    def test_every_export_resolves_with_mpmath_refused(self):
+        out = python("-c", REFUSE_MPMATH + """
+sys.meta_path.insert(0, RefuseMpmath())
+import circtrees
+for name in circtrees.__all__:
+    getattr(circtrees, name)
+print(len(circtrees.__all__), 'mpmath' in sys.modules)
+""")
+        assert out.split() == [str(len(ALL)), "False"]
+
+    def test_no_module_imports_mpmath(self):
+        package = Path(circtrees.__file__).parent
+        files = sorted(package.rglob("*.py"))
+        assert len(files) >= 10
+        for path in files:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                assert not any(name.split(".")[0] == "mpmath"
+                               for name in names), path.name
 
     def test_exact_route_shares_no_code_with_the_oracle(self):
         # the method of record is checked against the determinant oracle,

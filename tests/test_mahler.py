@@ -1,17 +1,25 @@
-"""Mahler measures: root product vs quadrature, growth laws, entropies."""
+"""Mahler measures: root product vs quadrature, growth laws, entropies.
+
+The root product runs on the integer roots; an mpmath root product over
+the same roots, the form it had before, is kept here as its reference and
+must give the same three floats, bit for bit.
+"""
 
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from circtrees import (DisconnectedGraphError, SpecError, associated_laurent,
-                       asymptotic_ratio, find_roots, mahler_quadrature,
-                       mahler_root_product, thermo_limit)
+from circtrees import (CertificationError, DisconnectedGraphError, SpecError,
+                       associated_laurent, asymptotic_ratio, find_roots,
+                       mahler_quadrature, mahler_root_product, thermo_limit)
 from circtrees import mahler
 from circtrees.algebra import _ordinary_image
-from circtrees.mahler import _gauss_legendre
+from circtrees.mahler import MahlerEstimate, _gauss_legendre
+from triples import to_mpc, to_mpf
 
 # closed forms verified to high precision; the two-decimal figures carry a
 # relative tolerance since they are truncated rather than rounded
@@ -28,6 +36,84 @@ GOLDEN = [
     ((1, 2), "diagonal", 14.54),
     ((1, 2, 3), "diagonal", 32.7865),
 ]
+
+
+def reference_classify(spectrum):
+    """The off-circle and root-of-unity tests in mpmath, at its ambient
+    precision: split roots into moduli > 1 and unit-circle roots, None if
+    ambiguous."""
+    d = math.gcd(*spectrum.reduced_steps)
+    unity_tol = mp.mpf(2) ** (-spectrum.precision // 4)
+    outside = []
+    for z, radius, mult in spectrum.all_roots():
+        z, radius = to_mpc(z), to_mpf(radius)
+        az = abs(z)
+        if abs(az - 1) > 8 * radius + unity_tol:
+            if az > 1:
+                outside.append((z, radius, mult))
+            continue
+        if abs(z ** d - 1) <= unity_tol:
+            continue
+        return None
+    return outside
+
+
+def reference_root_product(spectrum):
+    """|lead| prod |z|^mult over the roots outside, in mpmath at the
+    spectrum's precision, escalating as mahler_root_product does."""
+    current = spectrum
+    while True:
+        outside = reference_classify(current)
+        if outside is not None:
+            break
+        if current.precision * 2 > mahler._MAX_MEASURE_BITS:
+            raise CertificationError("straddles the unit circle")
+        current = associated_laurent(
+            spectrum.steps, spectrum.family,
+            precision=current.precision * 2, reduce=spectrum.reduced)
+    with mp.workprec(current.precision):
+        value = mp.mpf(abs(current.poly.leading))
+        rel_err = mp.mpf(2) ** (-50)
+        for z, radius, mult in outside:
+            az = abs(z)
+            value *= az ** mult
+            rel_err += mult * radius / az
+        m_small = mp.log(value)
+        return MahlerEstimate(float(value), float(value * rel_err),
+                              "root-product", float(m_small))
+
+
+REFERENCE_CASES = [
+    pytest.param(steps, family, reduce, id=f"{family}{steps}-{reduce}")
+    for steps, family in [((1, 2), "even"), ((1, 3), "even"),
+                          ((2, 3), "even"), ((1, 2, 3), "even"),
+                          ((1, 2), "diagonal"), ((1, 2, 3), "diagonal"),
+                          ((1,), "even"), ((1,), "diagonal"),
+                          ((1, 2, 3, 4, 5), "even"), ((2, 3, 7), "even"),
+                          ((1, 60), "even"), ((1, 3, 4), "diagonal"),
+                          ((2, 4), "even"), ((3, 6, 9), "even"),
+                          ((6, 10, 15), "even")]
+    for reduce in (True, False)] + [
+    pytest.param(steps, family, True, id=f"{family}{steps}")
+    for steps, family in [((1, 150), "even"), ((5, 60), "even"),
+                          ((1, 40), "diagonal")]]
+
+
+class TestAgainstTheMpmathReference:
+    @pytest.mark.parametrize("steps,family,reduce", REFERENCE_CASES)
+    def test_same_floats(self, steps, family, reduce):
+        spectrum = associated_laurent(steps, family, reduce=reduce)
+        assert mahler_root_product(spectrum) \
+            == reference_root_product(spectrum)
+
+    @settings(derandomize=True, deadline=None, database=None,
+              max_examples=40)
+    @given(st.sets(st.integers(1, 9), min_size=1, max_size=4),
+           st.sampled_from(("even", "diagonal")), st.booleans())
+    def test_same_floats_on_random_step_sets(self, steps, family, reduce):
+        spectrum = associated_laurent(steps, family, reduce=reduce)
+        assert mahler_root_product(spectrum) \
+            == reference_root_product(spectrum)
 
 
 class TestSpectrum:
@@ -59,8 +145,8 @@ class TestSpectrum:
     def test_off_circle_roots_pair_up(self, steps):
         # 2(s_k - 1) roots off the circle, in (z, 1/z) pairs, none on it
         spectrum = associated_laurent(steps, "even")
-        roots = [(z, r, m) for z, r, m in spectrum.all_roots()
-                 if abs(abs(z) - 1) > 1e-10]
+        roots = [(to_mpc(z), to_mpf(r), m) for z, r, m in spectrum.all_roots()
+                 if abs(abs(to_mpc(z)) - 1) > 1e-10]
         count = sum(m for _, _, m in roots)
         assert count == 2 * (max(steps) - 1)
         for z, radius, _ in roots:
@@ -111,6 +197,15 @@ class TestGoldenValues:
         assert abs(rp.value - quad.value) <= \
             rp.error_bound + quad.error_bound + 1e-12
         assert quad.method == "quadrature" and rp.method == "root-product"
+
+    def test_large_step_agrees_with_quadrature(self):
+        # every root of the degree-120 image lies within 3% of the circle
+        spectrum = associated_laurent((1, 60), "even")
+        rp = mahler_root_product(spectrum)
+        quad = mahler_quadrature(spectrum)
+        assert abs(rp.value - quad.value) < 1e-8
+        assert abs(rp.value - quad.value) <= \
+            rp.error_bound + quad.error_bound + 1e-12
 
     def test_gauss_legendre_rule_matches_numpy(self):
         nodes, weights = np.polynomial.legendre.leggauss(16)
@@ -170,7 +265,7 @@ class TestMultiplicativity:
         shifted = _ordinary_image(steps, shift=2)
         right = mp.mpf(1)
         cr = find_roots(shifted, 256)
-        for z, m in zip(cr.roots, cr.multiplicities):
+        for z, m in zip(map(to_mpc, cr.roots), cr.multiplicities):
             if abs(z) > 1:
                 right *= abs(z) ** m
         assert whole.value == pytest.approx(left.value * float(right),

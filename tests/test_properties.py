@@ -45,12 +45,12 @@ from circtrees import (DisconnectedGraphError, IntPolynomial,
 from circtrees.algebra import _resultant
 from circtrees.arithmetic import family_spec
 from circtrees.chebyshev import (GUARD_BITS, RootRefinementError, _branch,
-                                 _complex, _exact, _integer_near, _inverse,
-                                 _ladder, _magnitude, _newton_step,
-                                 _pair_representatives, _product,
-                                 _refine_roots, _root_setup, cheb_eval_large,
+                                 _integer_near, _inverse, _ladder, _magnitude,
+                                 _newton_step, _pair_representatives,
+                                 _product, _refine_roots, _root_setup,
                                  poly_gcd, square_free_decomposition)
 from circtrees.cli import main
+from triples import cheb_value, to_mpc, to_mpf, triple
 
 MAX_VERTICES = 40
 MAX_CLOSED_FORM_VERTICES = 250
@@ -254,11 +254,12 @@ def as_mpc(w):
 
 
 @PROPERTY
-@given(st.data(), st.integers(64, 4096), st.integers(0, 10 ** 4))
+@given(st.data(), st.integers(64, 4096), st.integers(1, 10 ** 4))
 def test_chebyshev_kernel_against_mpmath(data, bits, n):
-    # (b^n + b^-n) / 2 at three times the precision, within 2^-bits |b^n|
+    # the branch, its reciprocal and the ladder against (b^n + b^-n) / 2 at
+    # three times the precision, within 2^-bits |b^n|
     w = data.draw(exact_arguments(bits))
-    got = cheb_eval_large(w, n, precision=bits)
+    got = cheb_value(w, n, bits)
     with mp.workprec(3 * bits):
         z = as_mpc(w)
         s = mp.sqrt(z * z - 1)
@@ -304,9 +305,9 @@ def test_ladder_from_a_stored_pair_against_mpmath(data, bits, n):
     # b^-n) / 2 at three times the precision, within 2^-bits |b^n|
     w = data.draw(ladder_arguments(bits))
     stored = data.draw(st.integers(bits, 4 * bits)) + GUARD_BITS
-    b = _branch(w, stored)
-    got = _complex(*_ladder((b, _inverse(*b, stored)), n, bits + GUARD_BITS),
-                   bits)
+    b = _branch(triple(w), stored)
+    got = to_mpc(_ladder((b, _inverse(*b, stored)), n, bits + GUARD_BITS),
+                 bits)
     with mp.workprec(3 * bits):
         z = as_mpc(w)
         s = mp.sqrt(z * z - 1)
@@ -331,9 +332,10 @@ def test_newton_step_kernel_against_mpmath(data, bits, coeffs):
         p, dp = poly(zc), dpoly(zc)
     if dp == 0:
         with pytest.raises(RootRefinementError, match="derivative vanished"):
-            _newton_step(poly, dpoly, z, bits + GUARD_BITS)
+            _newton_step(poly, dpoly, triple(z), bits + GUARD_BITS)
         return
-    got = _complex(*_newton_step(poly, dpoly, z, bits + GUARD_BITS), bits)
+    got = to_mpc(_newton_step(poly, dpoly, triple(z), bits + GUARD_BITS),
+                 bits)
     with mp.workprec(3 * bits):
         size, dsize = (sum(abs(c) * abs(zc) ** i
                            for i, c in enumerate(f.coeffs))
@@ -375,12 +377,13 @@ def test_newton_from_stored_roots_stays_certified(case):
     assert cr.working_precision == bits
     assert cr.multiplicities == source.multiplicities
     with mp.workprec(bits + 64):
-        for z, radius, mult, root in zip(cr.roots, cr.radii,
-                                         cr.multiplicities, finest.roots):
+        for exact, radius, mult, root in zip(cr.roots, cr.radii,
+                                             cr.multiplicities, finest.roots):
+            z, radius, root = to_mpc(exact), to_mpf(radius), to_mpc(root)
             assert max(z.real._mpf_[3], z.imag._mpf_[3]) <= bits + 64
             factor = factors[mult]
-            step = _complex(*_newton_step(factor, factor.derivative(), z,
-                                          bits + 64 + GUARD_BITS))
+            step = to_mpc(_newton_step(factor, factor.derivative(), exact,
+                                       bits + 64 + GUARD_BITS))
             assert radius >= 4 * abs(step) \
                 + mp.ldexp(max(1, abs(z)), 4 - bits), (poly, z)
             assert abs(z - root) <= radius, (poly, z)
@@ -395,7 +398,7 @@ mpf_st = st.builds(
 @given(mpf_st, mpf_st)
 def test_magnitude_bounds_the_modulus(re, im):
     # a 24-bit upper bound on |z|, below |z| (1 + 2^-20)
-    m, e = _magnitude(_exact(mp.mpc(re, im)))
+    m, e = _magnitude(triple(mp.mpc(re, im)))
     bound = Fraction(m) * Fraction(2) ** e
     square = exact_value(re) ** 2 + exact_value(im) ** 2
     assert m.bit_length() <= 24
@@ -444,15 +447,15 @@ def test_integer_near_against_fractions(case):
 
 def check_mantissa_product(factors, n, bits):
     """The product over the stored roots, one value per conjugate pair on
-    mantissas, against mpmath over every root CertifiedRoots.roots gives,
+    mantissas, against mpmath over every root CertifiedRoots.roots holds,
     at three times the precision: within 2^-(bits - 8) relative."""
-    got = _complex(*_product(factors, n, bits))
+    got = to_mpc(_product(factors, n, bits))
     with mp.workprec(3 * bits):
         want = mp.mpc(n)
         for poly, shift in factors:
             cr = _root_setup(poly).best
             assert cr.working_precision >= bits
-            for w, mult in zip(cr.roots, cr.multiplicities):
+            for w, mult in zip(map(to_mpc, cr.roots), cr.multiplicities):
                 s = mp.sqrt(w * w - 1)
                 b = w + s if abs(w + s) >= 1 else w - s
                 want *= (b ** n + b ** -n + shift) ** mult
@@ -483,7 +486,7 @@ def test_mantissa_product_over_an_unpaired_pair(n, shift):
     poly = IntPolynomial([9 * 2 ** 40 + 1, -6 * 2 ** 40, 2 ** 40])
     check_mantissa_product([(poly, shift)], n, 128)
     best = _root_setup(poly).best
-    assert all(y for _, y, _ in best.fixed_roots)
+    assert all(y for _, y, _ in best.roots)
     assert [paired for *_, paired in _pair_representatives(best)] \
         == [False, False]
 
