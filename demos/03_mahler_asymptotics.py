@@ -24,9 +24,8 @@ print(f"  {'steps':14s} {'family':9s} {'root product':>16} {'quadrature':>16}")
 for steps, family in [((1, 2), "even"), ((1, 3), "even"), ((2, 3), "even"),
                       ((1, 2, 3), "even"), ((1,), "diagonal"),
                       ((1, 2), "diagonal"), ((1, 2, 3), "diagonal")]:
-    spectrum = associated_laurent(steps, family)
-    rp = mahler_root_product(spectrum)
-    quad = mahler_quadrature(spectrum)
+    rp = mahler_root_product(associated_laurent(steps, family))
+    quad = mahler_quadrature(steps, family)
     body = ",".join(map(str, steps))
     print(f"  ({body:12s}) {family:9s} {rp.value:>16.12f} {quad.value:>16.12f}")
 

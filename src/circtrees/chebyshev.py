@@ -432,7 +432,8 @@ def _double_precision_roots(poly):
     0.0, so Newton refines a real root in real arithmetic; a conjugate pair
     is never snapped, its partner lying within twice the imaginary part.
     A division by zero in the iteration (the start radius underflows to 0.0
-    when the coefficients span too many binades) raises
+    when the coefficients span too many binades) or an iterate that is not
+    finite (Horner's rule overflows at large degree) raises
     :class:`RootRefinementError`.
     """
     coeffs = poly.coeffs
@@ -460,6 +461,10 @@ def _double_precision_roots(poly):
                     f"Aberth seeding of a degree-{d} polynomial divided by "
                     f"zero near {zi}") from exc
             z[i] = zi - step
+            if not cmath.isfinite(z[i]):
+                raise RootRefinementError(
+                    f"Aberth seeding of a degree-{d} polynomial overflowed: "
+                    f"the step from {zi} is not finite")
             if abs(step) <= 1e-13 * abs(z[i]):
                 moving.discard(i)
         if not moving:

@@ -314,13 +314,13 @@ def cmd_mahler(args):
     from . import mahler
     steps = _parse_steps(args.steps)
     timed = _row_timer(args.timings)
-    spectrum = mahler.associated_laurent(steps, args.family)
     estimates, timings = [], []
     if args.method in ("root-product", "both"):
-        estimates.append(mahler.mahler_root_product(spectrum))
+        estimates.append(mahler.mahler_root_product(
+            mahler.associated_laurent(steps, args.family)))
         timings.append(timed())
     if args.method in ("quadrature", "both"):
-        estimates.append(mahler.mahler_quadrature(spectrum))
+        estimates.append(mahler.mahler_quadrature(steps, args.family))
         timings.append(timed())
     rows = [make_record(spec=_family_pattern(steps, args.family),
                         family=args.family, mahler=est.value,

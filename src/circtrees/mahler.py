@@ -13,19 +13,19 @@ tau(n) ~ (n d^2 / 2q) M(R)^n.  The count-per-order entropy log tau(n) / n
 converges to the small measure m = log M.
 
 Two independent evaluation routes are provided: the root product over
-certified polynomial roots (method of record) and direct quadrature of
-log|.| over the circle with the z = 1 singularity subtracted in closed
-form.  Their agreement is asserted in the test suite, never assumed.  The
-root product reads the roots as :func:`~circtrees.chebyshev.find_roots`
-gives them, integer triples with integer radii: the unit-circle tests are
-exact compares of squared moduli and the product is taken on the
-mantissas, so no floating point enters before the result is rounded.
+certified polynomial roots (method of record) and the periodic trapezoid
+rule for log|.| over the circle, with the z = 1 singularity subtracted in
+closed form, which reads only the steps and the family.  Their agreement
+is asserted in the test suite, never assumed.  The root product reads
+the roots as :func:`~circtrees.chebyshev.find_roots` gives them, integer
+triples with integer radii: the unit-circle tests are exact compares of
+squared moduli and the product is taken on the mantissas, so no floating
+point enters before the result is rounded.
 """
 
 import decimal
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .algebra import IntPolynomial, _ordinary_image, tau_closed_form
 from .arithmetic import family_spec
@@ -34,6 +34,8 @@ from .errors import CertificationError, QuadratureError
 from .graph import diagonal_flag
 
 _MAX_MEASURE_BITS = 4096
+_QUADRATURE_TOL = 1e-10
+_MAX_QUADRATURE_POINTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -190,81 +192,50 @@ def mahler_root_product(spectrum):
                           "root-product", float(m_small))
 
 
-@lru_cache(maxsize=None)
-def _gauss_legendre(order):
-    """Nodes and weights of the ``order``-point Gauss-Legendre rule on [-1, 1].
-
-    Each node is a root of P_order, found by Newton from the estimate
-    cos(pi (i + 3/4) / (order + 1/2)); its weight is 2 / ((1 - x^2) P'(x)^2).
-    """
-    rule = []
-    for i in range(order):
-        x = math.cos(math.pi * (i + 0.75) / (order + 0.5))
-        for _ in range(100):
-            p0, p1 = 1.0, x                     # P_{k-1}(x), P_k(x)
-            for k in range(2, order + 1):
-                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-            dp = order * (x * p1 - p0) / (x * x - 1)
-            step = p1 / dp
-            x -= step
-            if abs(step) <= 1e-16:
-                break
-        rule.append((x, 2 / ((1 - x * x) * dp * dp)))
-    return tuple(rule)
-
-
-def _gl_panels(f, panels, rule):
-    """Composite Gauss-Legendre of f over [0, 1] with equal panels."""
-    width = 1.0 / panels
-    half = width / 2.0
-    # nodes are on [-1, 1]; map into each panel
-    return math.fsum(f(p * width + (x + 1.0) * half) * (w * half)
-                     for p in range(panels) for x, w in rule)
-
-
-def mahler_quadrature(spectrum, tol=1e-10, max_panels=4096):
+def mahler_quadrature(steps, family="even"):
     """Mahler measure by integrating log|.| over the unit circle.
 
-    The integrand log|L(e^{2 pi i t})| has a log singularity from the double
-    root at z = 1; subtracting log|e^{2 pi i t} - 1|^2 (whose circle integral
-    is 0) leaves the smooth ratio
+    The measure does not change when the steps are scaled, so gcd(steps)
+    is divided out first; then the double root at z = 1 is the integrand's
+    only singularity.  Subtracting log|e^{2 pi i t} - 1|^2 (whose circle
+    integral is 0) from log|L(e^{2 pi i t})| leaves the smooth 1-periodic
 
-        sum_i sin^2(pi s_i t) / sin^2(pi t),
+        f(t) = log(sum_i sin^2(pi s_i t) / sin^2(pi t)),
 
-    integrated by composite Gauss-Legendre with panel doubling until two
-    successive refinements agree; the last difference is the error estimate.
+    plus log(L + 2) in the diagonal family, with f(0) = log q (plus log 2).
+    The trapezoid rule on t = j/N converges geometrically on it and nests:
+    doubling N adds only the new odd nodes, which pair up as f(t) = f(1 - t).
+    The rule stops once two successive doublings each move the value less
+    than 1e-10; the last move is the error estimate.  No roots are read.
     """
-    steps = spectrum.reduced_steps
-    if math.gcd(*steps) != 1:
-        raise ValueError(
-            "quadrature needs a reduced step set (gcd 1); rebuild the "
-            "spectrum with reduce=True")
-    diagonal = spectrum.family == "diagonal"
+    diagonal = diagonal_flag(family)
+    d = math.gcd(*steps)
+    reduced = [s // d for s in steps]
 
     def integrand(t):
-        s2 = sum(v * v for v in (math.sin(math.pi * (t * s)) for s in steps))
+        s2 = sum(math.sin(math.pi * (t * s)) ** 2 for s in reduced)
         base = math.sin(math.pi * t)
         f = math.log(s2 / (base * base))
         if diagonal:
             f += math.log(4.0 * s2 + 2.0)
         return f
 
-    rule = _gauss_legendre(16)
-    panels = 8
-    previous = _gl_panels(integrand, panels, rule)
-    while panels <= max_panels:
-        panels *= 2
-        current = _gl_panels(integrand, panels, rule)
+    f0 = math.log(sum(s * s for s in reduced) * (2 if diagonal else 1))
+    points, previous, last = 2, (f0 + integrand(0.5)) / 2, math.inf
+    while points < _MAX_QUADRATURE_POINTS:
+        points *= 2
+        odd = math.fsum(integrand(j / points)
+                        for j in range(1, points // 2, 2))
+        current = previous / 2 + 2 * odd / points
         err = abs(current - previous)
-        previous = current
-        if err < tol:
-            m_small = current
-            value = math.exp(m_small)
+        if max(err, last) < _QUADRATURE_TOL:
+            value = math.exp(current)
             return MahlerEstimate(value, value * (err + 1e-14),
-                                  "quadrature", m_small)
+                                  "quadrature", current)
+        previous, last = current, err
     raise QuadratureError(
-        f"quadrature for {spectrum.steps} did not stabilize below {tol} "
-        f"within {max_panels} panels")
+        f"quadrature for {tuple(steps)} did not stabilize below "
+        f"{_QUADRATURE_TOL} within {points} points")
 
 
 def _growth_ratio(tau, spec, measure):

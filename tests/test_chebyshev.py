@@ -472,6 +472,12 @@ class TestSeeds:
         with pytest.raises(RootRefinementError, match="divided by zero"):
             find_roots(poly, 128)
 
+    def test_non_finite_iterate_is_a_refinement_error(self):
+        # Horner's rule overflows on the degree-219 polynomial of (1, 220)
+        # and the iterates turn NaN: a seeding failure, not invalid input
+        with pytest.raises(RootRefinementError, match="not finite"):
+            _double_precision_roots(build_even_char((1, 220)))
+
 
 class TestClosedFormCounts:
     def test_even_frozen(self):

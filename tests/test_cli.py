@@ -12,8 +12,9 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from circtrees import (CertificationError, RootRefinementError, chebyshev,
-                       parse_spec, tau_closed_form, tau_even)
+from circtrees import (CertificationError, QuadratureError,
+                       RootRefinementError, chebyshev, mahler, parse_spec,
+                       tau_closed_form, tau_even)
 from circtrees.cli import main
 
 SCHEMA = json.loads(
@@ -212,6 +213,13 @@ class TestVerify:
         assert "PASS  chebyshev failed to certify; formula=oracle" in out
         assert "skipped" not in out
 
+    def test_overflowing_seeds_are_a_failure_to_certify(self, capsys):
+        # the double-precision seeds of (1, 220) overflow to NaN: the
+        # cross-check fails to certify and the oracle still checks the count
+        code, out, _ = run_cli(capsys, "verify", "C441(1,220)")
+        assert code == 0
+        assert "PASS  chebyshev failed to certify; formula=oracle" in out
+
     def test_failed_seeding_is_noted_on_each_row(self, capsys, monkeypatch):
         # a seeding failure (the Aberth iteration dividing by zero) is a
         # failure to certify that order, not the end of the sweep
@@ -262,6 +270,34 @@ class TestMahlerCommand:
         assert len(rows) == 2
         assert rows[0]["mahler"] == pytest.approx(rows[1]["mahler"], abs=1e-8)
         assert "root-product" in err and "quadrature" in err
+
+    def test_quadrature_runs_without_the_root_finder(self, capsys,
+                                                      monkeypatch):
+        def refuse(poly, precision):
+            raise AssertionError("roots found for the quadrature")
+        monkeypatch.setattr(chebyshev, "find_roots", refuse)
+        monkeypatch.setattr(mahler, "find_roots", refuse)
+        code, out, _ = run_cli(capsys, "mahler", "1,2", "--method",
+                               "quadrature")
+        assert code == 0
+        (row,) = json_rows(out)
+        assert row["mahler"] == pytest.approx(2.6180339887, abs=1e-9)
+
+    def test_quadrature_past_its_point_cap_exit_4(self, capsys, monkeypatch):
+        # (1, 60) needs 2^16 points; capped at 2^10 the rule cannot settle
+        monkeypatch.setattr(mahler, "_MAX_QUADRATURE_POINTS", 1 << 10)
+        with pytest.raises(QuadratureError, match="within 1024 points"):
+            mahler.mahler_quadrature((1, 60))
+        code, out, err = run_cli(capsys, "mahler", "1,60", "--method",
+                                 "quadrature")
+        assert code == 4 and out == ""
+        assert err.startswith("certification failure: ")
+
+    def test_seeds_past_the_double_range_exit_4(self, capsys):
+        # the Aberth iterates of the degree-438 image overflow to NaN
+        code, out, err = run_cli(capsys, "mahler", "1,220")
+        assert code == 4 and out == ""
+        assert err.startswith("certification failure: ")
 
 
 class TestAsymptote:

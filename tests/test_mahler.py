@@ -18,7 +18,7 @@ from circtrees import (CertificationError, DisconnectedGraphError, SpecError,
                        mahler_quadrature, mahler_root_product, thermo_limit)
 from circtrees import mahler
 from circtrees.algebra import _ordinary_image
-from circtrees.mahler import MahlerEstimate, _gauss_legendre
+from circtrees.mahler import MahlerEstimate
 from triples import to_mpc, to_mpf
 
 # closed forms verified to high precision; the two-decimal figures carry a
@@ -188,31 +188,29 @@ class TestGoldenValues:
                 candidates[0])
             assert abs(est.value - root) < 1e-9
 
-    @pytest.mark.parametrize("steps,family,target", GOLDEN)
+    @pytest.mark.parametrize("steps,family,target", GOLDEN + [
+        ((2, 4), "even", A_12), ((3, 6, 9), "diagonal", 32.7865)])
     def test_quadrature_agrees(self, steps, family, target):
-        spectrum = associated_laurent(steps, family)
-        rp = mahler_root_product(spectrum)
-        quad = mahler_quadrature(spectrum)
+        rp = mahler_root_product(associated_laurent(steps, family))
+        quad = mahler_quadrature(steps, family)
         assert abs(rp.value - quad.value) < 1e-8
         assert abs(rp.value - quad.value) <= \
             rp.error_bound + quad.error_bound + 1e-12
         assert quad.method == "quadrature" and rp.method == "root-product"
+        # the measure ignores a common factor of the steps
+        d = math.gcd(*steps)
+        assert quad == mahler_quadrature([s // d for s in steps], family)
 
     def test_large_step_agrees_with_quadrature(self):
-        # every root of the degree-120 image lies within 3% of the circle
-        spectrum = associated_laurent((1, 60), "even")
-        rp = mahler_root_product(spectrum)
-        quad = mahler_quadrature(spectrum)
-        assert abs(rp.value - quad.value) < 1e-8
-        assert abs(rp.value - quad.value) <= \
-            rp.error_bound + quad.error_bound + 1e-12
-
-    def test_gauss_legendre_rule_matches_numpy(self):
-        nodes, weights = np.polynomial.legendre.leggauss(16)
-        rule = sorted(_gauss_legendre(16))
-        assert len(rule) == 16
-        for (x, w), x_np, w_np in zip(rule, nodes, weights):
-            assert abs(x - x_np) <= 1e-15 and abs(w - w_np) <= 1e-15
+        # every root of the degree-120 image of (1, 60) lies within 3% of
+        # the circle, and those of (1, 150) and (1, 200) closer still: the
+        # rule takes 2^16 to 2^19 points
+        for steps in ((1, 60), (1, 150), (1, 200)):
+            rp = mahler_root_product(associated_laurent(steps, "even"))
+            quad = mahler_quadrature(steps, "even")
+            assert abs(rp.value - quad.value) < 1e-8
+            assert abs(rp.value - quad.value) <= \
+                rp.error_bound + quad.error_bound + 1e-12
 
     def test_estimate_consistency(self):
         est = mahler_root_product(associated_laurent((1, 3), "even"))
