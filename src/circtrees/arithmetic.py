@@ -17,7 +17,7 @@ failure is a theorem violation, not a recoverable condition.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import algebra
 from .errors import DisconnectedGraphError, InternalConsistencyError
@@ -55,15 +55,11 @@ def _trial_divisors(limit):
         d += 6
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(namedtuple("Decomposition",
+                                "family n coefficient a tau")):
     """tau = coefficient * n * a^2 with square-free coefficient."""
 
-    family: str
-    n: int
-    coefficient: int
-    a: int
-    tau: int
+    __slots__ = ()
 
 
 def expected_coefficient(spec):

@@ -25,47 +25,30 @@ them as such, with no floating point.  :func:`tau_even` and :func:`tau_odd`
 keep the products in the form above as the independent cross-check, one
 evaluator for both families, with the integer algebra only they use (gcd
 and square-free factoring in Z[w], T_m and U_m, the characteristic
-polynomials).  They are evaluated in
-arbitrary-precision floating point and *certified*: the value must sit
-within 2^-20 of an integer with the right divisibility, and recomputation
-at doubled precision must reproduce the same integer, otherwise the
-precision escalates (up to a hard cap) and finally fails loudly.  Newton
-refines the roots at doubling precisions.  T_n(w) = (b^n + b^-n)/2 with
-the branch b = w + sqrt(w^2 - 1), |b| >= 1, which does not depend on n
-either.  A per-process root store keeps, per characteristic polynomial,
-the most precise certified roots any pass has produced and, for each
-root it multiplies, the pair (b, 1/b) at their precision.  A later pass
-(at any order, the confirm pass and escalations included) at or below
-that precision multiplies the stored pairs as they are, with no Newton
-step and no square root, since the T_n ladder cuts each pair to the
-pass's width; only a pass above it starts Newton there, and its roots,
-with pairs branched from them, replace the stored ones.
-Escalations are logged at DEBUG level.
-The polynomials are real, so each conjugate pair of roots costs one
-refinement, one branch and one T_n: the second root is the exact
-conjugate of the first, and the pair contributes the squared modulus of
-its one value.
-The two hot kernels, the T_n ladder and the Newton step, run on
-Python-int mantissas that share one exponent, at the pass's precision
-plus GUARD_BITS = 16 guard bits.  The ladder walks the signed digits of
-n, multiplying by b or by 1/b, and divides only for b^-n, at the width
-that small term needs.  Each division first trims its divisor to its
-width, since CPython's integer division costs the product of the
-operands' sizes.  The magnitude bound behind every radius and stopping
-test takes the top 30 bits of each part and an integer square root.
-The roots, radii and products between the kernels are integers as well:
-a root is a triple (x, y, e) standing for (x + iy) 2^e, a radius an upper
-bound (m, e) standing for m 2^e, and the product's nearest integer, its
-2^-20 window and its resolution are shifts and integer compares: past
-the double-precision seeds, every value is a Python integer.
+polynomials).  They are evaluated at a working precision and *certified*:
+the value must sit within 2^-20 of an integer with the right
+divisibility, and recomputation at doubled precision must reproduce the
+same integer, otherwise the precision escalates (up to a hard cap) and
+finally fails loudly.  Escalations are logged at DEBUG level.  Newton
+refines the roots at doubling precisions, and T_n(w) = (b^n + b^-n)/2
+with the branch b = w + sqrt(w^2 - 1), |b| >= 1.  Neither depends on n,
+so a per-process root store (:func:`_root_setup`) keeps each
+polynomial's most precise certified roots with their pairs (b, 1/b), and
+a later pass at or below that precision multiplies the stored pairs as
+they are.  The polynomials are real, so each conjugate pair of roots
+costs one refinement, one branch and one T_n.
+Past the double-precision seeds every value is a Python integer: a root
+is a triple (x, y, e) standing for (x + iy) 2^e, a radius an upper bound
+(m, e) standing for m 2^e, and the two hot kernels, :func:`_ladder` for
+T_n and :func:`_newton_step`, run on mantissas sharing one exponent, at
+the pass's precision plus GUARD_BITS = 16 guard bits.
 Correctness is anchored by agreement with the exact determinant oracle in
 :mod:`circtrees.exact` at small sizes.
 """
 
 import cmath
-import logging
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .algebra import IntPolynomial, _require_connected
@@ -75,8 +58,6 @@ from .errors import (CertificationError, InternalConsistencyError,
 MAX_CERTIFY_BITS = 8192
 INTEGRALITY_TOL_BITS = 20
 GUARD_BITS = 16
-
-_log = logging.getLogger(__name__)
 
 
 def poly_gcd(a, b):
@@ -394,8 +375,8 @@ def _ladder(pair, n, prec):
     return bn, bni, en - 1
 
 
-@dataclass(frozen=True)
-class CertifiedRoots:
+class CertifiedRoots(namedtuple(
+        "CertifiedRoots", "roots radii multiplicities working_precision")):
     """All complex roots of an integer polynomial with certified error radii.
 
     ``roots[i]`` is a distinct root with multiplicity ``multiplicities[i]``
@@ -405,10 +386,7 @@ class CertifiedRoots:
     radius a 24-bit upper bound (m, e) standing for m 2^e.
     """
 
-    roots: tuple
-    radii: tuple
-    multiplicities: tuple
-    working_precision: int
+    __slots__ = ()
 
     @property
     def total_count(self):
@@ -477,7 +455,6 @@ def _double_precision_roots(poly):
     return z
 
 
-@dataclass
 class _RootEntry:
     """One polynomial's entry in the root store of :func:`_root_setup`.
 
@@ -486,13 +463,15 @@ class _RootEntry:
     takes: b from :func:`_branch`, and 1/b from :func:`_inverse`, as
     mantissas at ``best.working_precision + GUARD_BITS`` bits.  ``growth``
     holds (multiplicity, log2 max |w +- sqrt(w^2 - 1)|) for each seed w of
-    each factor, in order, where that growth exceeds 1.
+    each factor, in order, where that growth exceeds 1.  ``error`` is the
+    :class:`RootRefinementError` of a seeding that failed, None otherwise.
     """
 
-    factors: tuple
-    growth: tuple
-    best: CertifiedRoots = None
-    pairs: tuple = ()
+    __slots__ = ("factors", "growth", "best", "pairs", "error")
+
+    def __init__(self, factors, growth, error=None):
+        self.factors, self.growth, self.error = factors, growth, error
+        self.best, self.pairs = None, ()
 
 
 @lru_cache(maxsize=64)
@@ -511,12 +490,16 @@ def _root_setup(poly):
     polynomial and lays out its conjugate pairs once, and takes each
     branch once per ``best``; a later pass takes ``best`` and its pairs as
     they are or, above its precision, starts Newton at it.  ``growth``,
-    which :func:`_headroom_bits` sums, is taken once as well.  Beyond 64
+    which :func:`_headroom_bits` sums, is taken once as well, and so is a
+    failed seeding's error, which :func:`_root_entry` raises.  Beyond 64
     polynomials the least recently used goes, its pairs with it.
     """
-    factors = tuple((factor, factor.derivative(), mult,
-                     *_paired_seeds(_double_precision_roots(factor)))
-                    for factor, mult in square_free_decomposition(poly))
+    try:
+        factors = tuple((factor, factor.derivative(), mult,
+                         *_paired_seeds(_double_precision_roots(factor)))
+                        for factor, mult in square_free_decomposition(poly))
+    except RootRefinementError as exc:
+        return _RootEntry((), (), exc)
     growth = []
     for _, _, mult, seeds, _ in factors:
         for w in seeds:
@@ -525,6 +508,14 @@ def _root_setup(poly):
             if grow > 1:
                 growth.append((mult, math.log2(grow)))
     return _RootEntry(factors, tuple(growth))
+
+
+def _root_entry(poly):
+    """The root store's entry of ``poly``; a failed seeding raises again."""
+    entry = _root_setup(poly)
+    if entry.error is not None:
+        raise entry.error.with_traceback(None)
+    return entry
 
 
 def _newton_step(poly, dpoly, z, prec):
@@ -679,7 +670,7 @@ def _refine_roots(poly, precision, previous=None):
     collapse test and the degree check run on every call.
     """
     roots, radii, mults = [], [], []
-    for factor, dfactor, mult, seeds, mirrors in _root_setup(poly).factors:
+    for factor, dfactor, mult, seeds, mirrors in _root_entry(poly).factors:
         if previous is None:
             starts, start_bits = map(_exact, seeds), 53   # a double
         else:
@@ -739,7 +730,7 @@ def _stored_roots(poly, bits):
     precise, replace them, together with pairs (b, 1/b) branched at their
     precision.
     """
-    entry = _root_setup(poly)
+    entry = _root_entry(poly)
     best = entry.best
     if best is not None and best.working_precision >= bits:
         return entry
@@ -788,7 +779,7 @@ def _headroom_bits(polys, n):
     """Upper estimate of log2 of the certified product, from double roots."""
     bits = math.log2(n) + 8
     for poly in polys:
-        for mult, log_grow in _root_setup(poly).growth:
+        for mult, log_grow in _root_entry(poly).growth:
             bits += mult * n * log_grow
     return int(bits) + 1
 
@@ -843,8 +834,10 @@ def _certified_integer(evaluate, divisor, initial_bits, what):
                          f"multiple of {divisor}")
         except RootRefinementError as exc:
             cause = f"root refinement failed: {exc}"
-        _log.debug("%s at %d bits: %s; escalating to %d bits",
-                   what, bits, cause, 2 * bits)
+        import logging      # only an escalation pays its import
+        logging.getLogger(__name__).debug(
+            "%s at %d bits: %s; escalating to %d bits",
+            what, bits, cause, 2 * bits)
         bits *= 2
     raise CertificationError(
         f"{what} failed to certify as an integer below {MAX_CERTIFY_BITS} bits",

@@ -44,7 +44,6 @@ invalid input.
 """
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -109,10 +108,9 @@ def _family_pattern(steps, family):
 
 def _emit(rows, args):
     if args.format == "json":
-        text = "\n".join(json.dumps(row) for row in rows)
-        if rows:
-            text += "\n"
+        text = "".join(json.dumps(row) + "\n" for row in rows)
     elif args.format == "csv":
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(RECORD_FIELDS)

@@ -8,11 +8,11 @@ determinant, and the interior division is exact at each step.  No rationals,
 no floating point.
 
 Circulant Laplacians are sparse, and the elimination is arranged so that
-the cost follows the nonzeros: the reduced Laplacian is put in reverse
-Cuthill-McKee order, which keeps its nonzeros near the diagonal (the
-antipodal step of the diagonal family otherwise spreads them over the whole
-matrix), and a row with a zero in the pivot column is left alone until it
-is next needed.
+the cost follows the band: the reduced Laplacian is built from the step
+offsets directly in reverse Cuthill-McKee order, which keeps its nonzeros
+near the diagonal (the antipodal step of the diagonal family otherwise
+spreads them over the whole matrix), and each elimination step touches
+only the rows and columns the band can reach.
 
 This path is deliberately independent of the Chebyshev closed forms in
 :mod:`circtrees.chebyshev`; agreement between the two is the core
@@ -21,9 +21,10 @@ correctness check of the package.
 
 import os
 from collections import deque
+from itertools import compress, count
 
-from .errors import OracleCeilingError
-from .graph import component_count, laplacian
+from .errors import InternalConsistencyError, OracleCeilingError
+from .graph import component_count, neighbour_offsets
 
 DEFAULT_ORACLE_CEILING = 512
 
@@ -55,6 +56,11 @@ def bareiss_determinant(matrix):
     a connected graph has strictly positive leading minors, so its pivots
     never vanish and no swap happens.
 
+    The work follows the band: with p the input's lower bandwidth, step k
+    updates and searches only rows k+1..k+p, and each row is read only up
+    to the last column that can be nonzero in it, which an update widens
+    to the pivot row's and a swap moves with the row.
+
     At step k a row with a zero in column k is only multiplied by the pivot
     and divided by the previous one.  Over consecutive skipped steps these
     factors telescope, so such a row is left as it is and brought up to
@@ -64,6 +70,10 @@ def bareiss_determinant(matrix):
     if m == 0:
         return 1
     a = [list(row) for row in matrix]
+    # end[i]: the last column that can be nonzero in row i, -1 for none
+    end = [next(compress(range(m - 1, -1, -1), reversed(row)), -1)
+           for row in a]
+    band = max(i - next(compress(count(), row), i) for i, row in enumerate(a))
     divisors = [1]  # divisors[k]: the divisor of step k, the previous pivot
     level = [0] * m  # row i holds the values of step level[i]
     sign = 1
@@ -73,29 +83,31 @@ def bareiss_determinant(matrix):
         if low < k:
             num, den = divisors[k], divisors[low]
             row = a[i]
-            for j in range(k, m):
+            for j in range(k, end[i] + 1):
                 if row[j]:
                     row[j] = row[j] * num // den
             level[i] = k
 
     for k in range(m - 1):
+        below = range(k + 1, min(k + band + 1, m))
         if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, m) if a[i][k] != 0), None)
+            swap = next((i for i in below if a[i][k] != 0), None)
             if swap is None:
                 return 0
-            a[k], a[swap] = a[swap], a[k]
-            level[k], level[swap] = level[swap], level[k]
+            for v in (a, level, end):
+                v[k], v[swap] = v[swap], v[k]
             sign = -sign
         bring_up(k, k)
-        rowk = a[k]
+        rowk, endk = a[k], end[k]
         pivot, divisor = rowk[k], divisors[k]
-        for i in range(k + 1, m):
+        for i in below:
             rowi = a[i]
             if rowi[k] == 0:
                 continue
             bring_up(i, k)
             aik = rowi[k]
-            for j in range(k + 1, m):
+            endi = end[i] = max(end[i], endk)
+            for j in range(k + 1, endi + 1):
                 if rowi[j] or rowk[j]:
                     rowi[j] = (rowi[j] * pivot - aik * rowk[j]) // divisor
             level[i] = k + 1
@@ -104,19 +116,18 @@ def bareiss_determinant(matrix):
     return sign * a[m - 1][m - 1]
 
 
-def _band_order(matrix):
-    """Reverse Cuthill-McKee order of the rows of a symmetric matrix.
+def _band_order(neighbours):
+    """Reverse Cuthill-McKee order of the graph with these neighbour lists.
 
-    Breadth-first search from a row of fewest off-diagonal nonzeros,
-    visiting neighbours by increasing count, reversed; every component is
-    searched.  Nonzeros of the reordered matrix lie near its diagonal.
+    Breadth-first search from a vertex of fewest neighbours, visiting
+    neighbours by increasing count, reversed; every component is searched.
+    A symmetric matrix with these off-diagonal nonzeros has them near its
+    diagonal in this order.
     """
-    neighbours = [[j for j, x in enumerate(row) if x and j != i]
-                  for i, row in enumerate(matrix)]
-    count = [len(ns) for ns in neighbours]
-    seen = [False] * len(matrix)
+    degree = [len(ns) for ns in neighbours]
+    seen = [False] * len(neighbours)
     order = []
-    for start in sorted(range(len(matrix)), key=count.__getitem__):
+    for start in sorted(range(len(neighbours)), key=degree.__getitem__):
         if seen[start]:
             continue
         seen[start] = True
@@ -124,7 +135,7 @@ def _band_order(matrix):
         while queue:
             v = queue.popleft()
             order.append(v)
-            for w in sorted(neighbours[v], key=count.__getitem__):
+            for w in sorted(neighbours[v], key=degree.__getitem__):
                 if not seen[w]:
                     seen[w] = True
                     queue.append(w)
@@ -148,12 +159,20 @@ def tau_oracle(spec, ceiling=None):
             f"{spec} has {n} vertices, above the oracle ceiling {limit}")
     if component_count(spec) != 1:
         return 0
-    lap = laplacian(spec)
-    reduced = [row[1:] for row in lap[1:]]
-    # a symmetric permutation keeps the determinant
-    order = _band_order(reduced)
-    det = bareiss_determinant([[reduced[i][j] for j in order] for i in order])
+    # the reduced Laplacian drops vertex 0, so vertex v is index v - 1; it
+    # is built in band order, a symmetric permutation keeping the determinant
+    offsets = neighbour_offsets(spec)
+    neighbours = [sorted(w - 1 for w in ((v + d) % n for d in offsets) if w)
+                  for v in range(1, n)]
+    order = _band_order(neighbours)
+    position = {v: r for r, v in enumerate(order)}
+    matrix = [[0] * (n - 1) for _ in order]
+    for r, v in enumerate(order):
+        matrix[r][r] = len(offsets)
+        for w in neighbours[v]:
+            matrix[r][position[w]] = -1
+    det = bareiss_determinant(matrix)
     if det < 0:
         # cannot happen for a reduced Laplacian; guard against misuse
-        raise AssertionError(f"negative tree count {det} for {spec}")
+        raise InternalConsistencyError(f"negative tree count {det} for {spec}")
     return det

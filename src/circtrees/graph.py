@@ -11,20 +11,21 @@ each step s in a fixed step set.  Two families are handled:
 element, and for diagonal specs ``order`` holds the half-order n (the graph
 has 2n vertices).  Step sets are kept canonical: folded into 1..floor(N/2),
 strictly increasing, with a step equal to N/2 expressed only via the flag.
+The Laplacian and the oracle's matrix are built from neighbour_offsets.
 """
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import SpecError, SpecParseError
 
 _LITERAL_RE = re.compile(r"^C(\d+)\(\s*(\d+(?:\s*,\s*\d+)*)\s*(;d)?\s*\)$")
 
 
-@dataclass(frozen=True)
-class CirculantSpec:
-    """Canonical description of a circulant graph.
+class CirculantSpec(namedtuple("CirculantSpec", "order steps diagonal")):
+    """Canonical description of a circulant graph, as a named tuple
+    validated by ``__new__`` and ``_make`` (so by ``_replace`` too).
 
     order    -- number of vertices for even-valency specs; half-order n for
                 diagonal specs (the graph then has 2n vertices).
@@ -32,11 +33,10 @@ class CirculantSpec:
     diagonal -- True for the odd-valency family C_{2n}(steps, n).
     """
 
-    order: int
-    steps: tuple
-    diagonal: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, order, steps, diagonal=False):
+        self = super().__new__(cls, order, steps, diagonal)
         if not self.steps:
             raise SpecError("step set must be nonempty")
         if list(self.steps) != sorted(set(self.steps)):
@@ -48,6 +48,11 @@ class CirculantSpec:
             raise SpecError(
                 f"{self.family} spec with s_k = {self.steps[-1]} needs order "
                 f">= {lo}, got {self.order}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @staticmethod
     def smallest_order(steps, diagonal=False):
@@ -160,6 +165,14 @@ def is_connected(spec):
     return component_count(spec) == 1
 
 
+def neighbour_offsets(spec):
+    """The ``spec.valency`` distinct offsets d, 0 < d < N, such that each
+    vertex i is adjacent to i + d (mod N): s and N - s per step, and N/2."""
+    n = spec.vertex_count
+    return (*spec.steps, *(n - s for s in spec.steps),
+            *((spec.order,) if spec.diagonal else ()))
+
+
 def laplacian(spec):
     """Exact integer Laplacian (degree matrix minus adjacency matrix).
 
@@ -169,11 +182,8 @@ def laplacian(spec):
     n = spec.vertex_count
     row = [0] * n
     row[0] = spec.valency
-    for s in spec.steps:
-        row[s % n] -= 1
-        row[(-s) % n] -= 1
-    if spec.diagonal:
-        row[spec.order] -= 1
+    for d in neighbour_offsets(spec):
+        row[d] -= 1
     return [[row[(j - i) % n] for j in range(n)] for i in range(n)]
 
 

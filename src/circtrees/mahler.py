@@ -25,9 +25,9 @@ point enters before the result is rounded.
 
 import decimal
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .algebra import IntPolynomial, _ordinary_image, tau_closed_form
+from .algebra import _ordinary_image, tau_closed_form
 from .arithmetic import family_spec
 from .chebyshev import _add, _at_most, _plus, _sqrt, _trim, find_roots
 from .errors import CertificationError, QuadratureError
@@ -38,8 +38,9 @@ _QUADRATURE_TOL = 1e-10
 _MAX_QUADRATURE_POINTS = 1 << 22
 
 
-@dataclass(frozen=True)
-class LaurentSpectrum:
+class LaurentSpectrum(namedtuple(
+        "LaurentSpectrum", "steps family reduced reduced_steps laurent_coeffs "
+                           "poly root_groups precision")):
     """L(z) (or R(z) = L(L+2)) together with its certified roots.
 
     ``reduced_steps`` divides out gcd(steps) when the spectrum was built
@@ -51,14 +52,7 @@ class LaurentSpectrum:
     for (x + iy) 2^e and its radii bounds (m, e) for m 2^e.
     """
 
-    steps: tuple
-    family: str
-    reduced: bool
-    reduced_steps: tuple
-    laurent_coeffs: dict
-    poly: IntPolynomial
-    root_groups: tuple
-    precision: int
+    __slots__ = ()
 
     def all_roots(self):
         """(root, radius, multiplicity) across every factor, the root a
@@ -67,14 +61,11 @@ class LaurentSpectrum:
             yield from zip(group.roots, group.radii, group.multiplicities)
 
 
-@dataclass(frozen=True)
-class MahlerEstimate:
+class MahlerEstimate(namedtuple("MahlerEstimate",
+                                "value error_bound method small_measure")):
     """A Mahler measure value with provenance and an error bound."""
 
-    value: float
-    error_bound: float
-    method: str
-    small_measure: float
+    __slots__ = ()
 
 
 def associated_laurent(steps, family="even", precision=256, reduce=True):
@@ -90,11 +81,7 @@ def associated_laurent(steps, family="even", precision=256, reduce=True):
     diagonal = diagonal_flag(family)
     d = math.gcd(*steps)
     use = tuple(s // d for s in steps) if (reduce and d > 1) else steps
-    k = len(use)
-    lcoeffs = {0: 2 * k}
-    for s in use:
-        lcoeffs[s] = -1
-        lcoeffs[-s] = -1
+    lcoeffs = {0: 2 * len(use), **{t: -1 for s in use for t in (s, -s)}}
     p_l = _ordinary_image(use)
     groups = [find_roots(p_l, precision)]
     poly = p_l
@@ -260,13 +247,10 @@ def asymptotic_ratio(steps, family, n, measure=None):
     return _growth_ratio(tau_closed_form(spec), spec, measure)
 
 
-@dataclass(frozen=True)
-class ThermoSeries:
+class ThermoSeries(namedtuple("ThermoSeries", "orders values target")):
     """Per-order entropies log tau(n) / n with their limiting value."""
 
-    orders: tuple
-    values: tuple
-    target: float
+    __slots__ = ()
 
 
 def thermo_limit(steps, family, orders, measure=None):

@@ -33,7 +33,10 @@ STEP_SETS = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 4), (2, 5),
 @pytest.fixture(autouse=True)
 def empty_root_store():
     # each test starts with no stored roots, so a test cannot pass only on
-    # roots another test left behind
+    # roots another test left behind, and leaves none, failed seedings
+    # included, to the tests of other files
+    chebyshev._root_setup.cache_clear()
+    yield
     chebyshev._root_setup.cache_clear()
 
 
@@ -477,6 +480,27 @@ class TestSeeds:
         # and the iterates turn NaN: a seeding failure, not invalid input
         with pytest.raises(RootRefinementError, match="not finite"):
             _double_precision_roots(build_even_char((1, 220)))
+
+    def test_failed_seeding_is_stored(self, monkeypatch):
+        # a seeding that fails is kept with its error: later orders of the
+        # step set, and root finding on the polynomial, raise it again
+        # without seeding again
+        seeded = []
+
+        def failing(poly):
+            seeded.append(poly)
+            raise RootRefinementError("overflowed")
+
+        monkeypatch.setattr(chebyshev, "_double_precision_roots", failing)
+        for n in (41, 43):
+            with pytest.raises(CertificationError,
+                               match="failed to seed its roots: overflowed"
+                               ) as failed:
+                tau_even(canonicalize(n, [1, 20]))
+            assert failed.value.attempted
+        with pytest.raises(RootRefinementError, match="overflowed"):
+            find_roots(build_even_char((1, 20)), 128)
+        assert seeded == [build_even_char((1, 20))]
 
 
 class TestClosedFormCounts:

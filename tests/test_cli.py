@@ -108,6 +108,16 @@ class TestTau:
         code, _, err = run_cli(capsys, "decompose", "C12(1,3)")
         assert code == 6 and "internal error" in err
 
+    def test_negative_oracle_count_exit_6(self, capsys, monkeypatch):
+        # the oracle's guard is an internal error, not a traceback
+        monkeypatch.setattr("circtrees.exact.bareiss_determinant",
+                            lambda matrix: -1)
+        code, out, err = run_cli(capsys, "tau", "C12(1,3)", "--method",
+                                 "oracle")
+        assert code == 6 and out == ""
+        assert err == ("internal error: negative tree count -1 for "
+                       "C12(1,3)\n")
+
     def test_count_beyond_the_certification_cap(self, capsys):
         code, out, _ = run_cli(capsys, "tau", "C3000(1,2,3,4,5)")
         assert code == 0

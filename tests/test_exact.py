@@ -6,7 +6,8 @@ import random
 import pytest
 
 from circtrees import (OracleCeilingError, bareiss_determinant, canonicalize,
-                       eigenvalue, laplacian, parse_spec, tau_odd, tau_oracle)
+                       eigenvalue, laplacian, parse_spec, tau_closed_form,
+                       tau_odd, tau_oracle)
 from circtrees.exact import _band_order, oracle_ceiling
 
 
@@ -120,11 +121,25 @@ class TestTauOracle:
     @pytest.mark.parametrize("literal", ["C31(2,5)", "C40(1,2,4,5)",
                                          "C20(1,3;d)", "C25(1,2,4;d)"])
     def test_band_order_keeps_the_count(self, literal):
+        # the oracle's order, taken here from the dense reduced Laplacian,
+        # is a permutation, and permuting rows and columns alike keeps the
+        # determinant
         spec = parse_spec(literal)
         reduced = [row[1:] for row in laplacian(spec)[1:]]
-        order = _band_order(reduced)
+        neighbours = [[j for j, x in enumerate(row) if x and j != i]
+                      for i, row in enumerate(reduced)]
+        order = _band_order(neighbours)
         assert sorted(order) == list(range(len(reduced)))
-        assert tau_oracle(spec) == bareiss_determinant(reduced)
+        permuted = [[reduced[i][j] for j in order] for i in order]
+        assert tau_oracle(spec) == bareiss_determinant(permuted) \
+            == bareiss_determinant(reduced)
+
+    @pytest.mark.parametrize("literal", ["C305(1,3,4)", "C250(2,3;d)"])
+    def test_closed_form_at_a_few_hundred_vertices(self, literal):
+        # the sizes of the CLI's slowest commands, whose band orders have
+        # bandwidth 11 and 15
+        spec = parse_spec(literal)
+        assert tau_oracle(spec) == tau_closed_form(spec)
 
     def test_diagonal_family_at_size(self):
         # the antipodal step spreads the unordered Laplacian over the whole

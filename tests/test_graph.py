@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from circtrees import (SpecError, SpecParseError, canonicalize,
+from circtrees import (CirculantSpec, SpecError, SpecParseError, canonicalize,
                        component_count, eigenvalue, is_connected, laplacian,
                        multiplier_conjugate, parse_spec, tau_oracle)
 
@@ -70,6 +70,27 @@ class TestCanonicalize:
     def test_empty_after_folding_rejected(self):
         with pytest.raises(SpecError):
             canonicalize(4, [2])  # lone diagonal step leaves no steps
+
+    def test_spec_is_a_validated_named_tuple(self):
+        # a spec unpacks and compares as its fields; every way of making
+        # one validates them, _make and _replace included
+        spec = CirculantSpec(12, (1, 3))
+        order, steps, diagonal = spec
+        assert spec == (order, steps, diagonal) == (12, (1, 3), False)
+        assert hash(spec) == hash((12, (1, 3), False))
+        assert repr(spec) == "CirculantSpec(order=12, steps=(1, 3), " \
+                             "diagonal=False)"
+        assert str(spec) == "C12(1,3)"
+        assert spec._replace(order=13) == CirculantSpec._make((13, (1, 3),
+                                                               False))
+        for make in (lambda: CirculantSpec(6, (1, 3)),
+                     lambda: CirculantSpec._make((6, (1, 3), False)),
+                     lambda: spec._replace(order=6),
+                     lambda: spec._replace(steps=(3, 1))):
+            with pytest.raises(SpecError):
+                make()
+        with pytest.raises(AttributeError):
+            spec.order = 13
 
 
 class TestParse:

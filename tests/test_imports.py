@@ -3,9 +3,11 @@
 The package has no runtime dependency: no module under ``src/circtrees``
 imports mpmath, which the tests keep as a reference only, and every
 command and every exported name works with mpmath refused.  The package
-resolves the names of ``chebyshev`` and ``mahler`` on first use.  The
-import checks run in fresh interpreters, since this test process has long
-since loaded everything.
+resolves the names of ``chebyshev`` and ``mahler`` on first use, and no
+command loads a standard-library module it does not run (``dataclasses``
+and ``inspect``, ``logging`` but for an escalation, ``csv`` but for
+``--format csv``).  The import checks run in fresh interpreters, since this
+test process has long since loaded everything.
 """
 
 import ast
@@ -76,14 +78,31 @@ print(json.dumps({"runs": runs, "mpmath": "mpmath" in sys.modules}))
 """
 
 
-def python(*args):
+def run_python(*args):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = os.pathsep.join(filter(None, [os.path.join(root, "src"),
                                          os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return proc
+
+
+def python(*args):
+    return run_python(*args).stdout
+
+
+def imported_modules(*args):
+    """The modules a fresh interpreter imports running ``args``, as
+    ``-X importtime`` lists them."""
+    return {line.rsplit("|", 1)[1].strip()
+            for line in run_python("-X", "importtime", *args).stderr
+            .splitlines() if line.startswith("import time:")}
+
+
+# standard-library modules no command below runs; the interpreter's own
+# start-up may load some of them, so only those the package adds count
+UNUSED_AT_START = {"dataclasses", "inspect", "logging", "csv"}
 
 
 def assert_same_with_mpmath_refused(commands):
@@ -152,6 +171,20 @@ print(len(circtrees.__all__), 'mpmath' in sys.modules)
         for name, value in vars(algebra).items():
             assert value is not exact, name
             assert getattr(value, "__module__", None) != exact.__name__, name
+
+
+class TestStartUp:
+    @pytest.mark.parametrize("args", [
+        ["-c", "import circtrees.cli"],
+        ["-m", "circtrees", "tau", "C12(1,3)", "--method", "both"],
+        ["-m", "circtrees", "verify", "C*(1,3)", "--n-max", "12"],
+    ])
+    def test_no_unused_stdlib_module_is_imported(self, args):
+        # verify runs the certified products, which escalate nowhere here
+        bare = imported_modules("-c", "pass")
+        added = imported_modules(*args) - bare
+        assert "circtrees" in added
+        assert not added & UNUSED_AT_START
 
 
 class TestExports:

@@ -33,7 +33,7 @@ from itertools import combinations
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from circtrees import (DisconnectedGraphError, IntPolynomial,
@@ -598,6 +598,53 @@ def test_resultant_is_the_sylvester_determinant(a, b, common):
     assert _resultant(a, b) == expected
     if common.degree > 0:
         assert expected == 0
+
+
+def fraction_determinant(m):
+    """Gaussian elimination over the rationals with row swaps."""
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for k in range(len(a)):
+        swap = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if swap is None:
+            return 0
+        if swap != k:
+            a[k], a[swap] = a[swap], a[k]
+            det = -det
+        det *= a[k][k]
+        for row in a[k + 1:]:
+            factor = row[k] / a[k][k]
+            for j in range(k, len(a)):
+                row[j] -= factor * a[k][j]
+    return det
+
+
+@st.composite
+def banded_matrices(draw):
+    """Square integer matrices up to 12 x 12, zero outside a band of random
+    lower and upper widths (a full band gives a sparse matrix), with many
+    zero entries, so pivots vanish and rows swap; a copied row makes one
+    singular."""
+    size = draw(st.integers(1, 12))
+    lower = draw(st.integers(0, size - 1))
+    upper = draw(st.integers(0, size - 1))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -3, 7, 12))
+    m = [[draw(entry) if -lower <= j - i <= upper else 0
+          for j in range(size)] for i in range(size)]
+    if size > 1 and draw(st.integers(0, 3)) == 0:
+        source, target = draw(st.permutations(range(size)))[:2]
+        m[target] = list(m[source])
+    return m
+
+
+@settings(PROPERTY, max_examples=400)
+@given(banded_matrices())
+@example([[0, 1], [1, 0]])                          # a swap at the first step
+@example([[1, 1, 0], [1, 1, 1], [0, 1, 1]])         # a zero pivot in the band
+@example([[1, 2, 0], [2, 4, 0], [0, 0, 3]])         # singular
+def test_bareiss_equals_rational_elimination(m):
+    det = bareiss_determinant(m)
+    assert type(det) is int and det == fraction_determinant(m)
 
 
 def test_divmod_exact_raises_on_a_fractional_quotient():
