@@ -15,35 +15,25 @@ Chebyshev polynomials of the first kind:
       tau(n) = (n / 2q) * prod_p (2 T_n(w_p) - 2) * prod_r (2 T_n(v_r) + 2),
 
   with w_p the same roots of P and v_r the s_k roots of P_odd(v) + 1,
-  where P_odd(w) = 2k + 1 - 2 sum_j T_{s_j}(w).  The roots of
-  P_odd(u) = 1 other than u = 1 are those of P, since
-  (P_odd - 1) / (w - 1) = -2 P.
+  where P_odd(w) = 2k + 1 - 2 sum_j T_{s_j}(w); (P_odd - 1) / (w - 1)
+  = -2 P.
 
-Both products are norms of algebraic integers, and
-:func:`circtrees.algebra.tau_closed_form`, the method of record, computes
-them as such, with no floating point.  :func:`tau_even` and :func:`tau_odd`
-keep the products in the form above as the independent cross-check, one
-evaluator for both families, with the integer algebra only they use (gcd
-and square-free factoring in Z[w], T_m and U_m, the characteristic
-polynomials).  They are evaluated at a working precision and *certified*:
-the value must sit within 2^-20 of an integer with the right
-divisibility, and recomputation at doubled precision must reproduce the
-same integer, otherwise the precision escalates (up to a hard cap) and
-finally fails loudly.  Escalations are logged at DEBUG level.  Newton
-refines the roots at doubling precisions, and T_n(w) = (b^n + b^-n)/2
-with the branch b = w + sqrt(w^2 - 1), |b| >= 1.  Neither depends on n,
-so a per-process root store (:func:`_root_setup`) keeps each
-polynomial's most precise certified roots with their pairs (b, 1/b), and
-a later pass at or below that precision multiplies the stored pairs as
-they are.  The polynomials are real, so each conjugate pair of roots
-costs one refinement, one branch and one T_n.
-Past the double-precision seeds every value is a Python integer: a root
-is a triple (x, y, e) standing for (x + iy) 2^e, a radius an upper bound
-(m, e) standing for m 2^e, and the two hot kernels, :func:`_ladder` for
-T_n and :func:`_newton_step`, run on mantissas sharing one exponent, at
-the pass's precision plus GUARD_BITS = 16 guard bits.
-Correctness is anchored by agreement with the exact determinant oracle in
-:mod:`circtrees.exact` at small sizes.
+:func:`circtrees.algebra.tau_closed_form`, the method of record, takes
+these norms exactly.  :func:`tau_even` and :func:`tau_odd` keep the
+products above as the cross-check, *certified*: the value must sit within
+2^-20 of an integer with the right divisibility and reproduce at doubled
+precision, else the precision escalates (logged at DEBUG level) up to a
+cap.  The roots are seeded on the palindromic z-image z^d P((z + 1/z)/2),
+whose coefficients stay small where P's reach 2^(s_k), and refined by
+Newton in the w-basis with guard bits for P's coefficients; T_n(w) =
+(b^n + b^-n)/2 with b = w + sqrt(w^2 - 1), |b| >= 1, and the Mahler measure
+is the product of |b|.  A per-process root store (:func:`_root_setup`) keeps
+each polynomial's most precise roots with their pairs (b, 1/b), one per
+conjugate pair.  Past the seeds every value is a Python integer: a root
+is a triple (x, y, e) for (x + iy) 2^e, a radius a bound (m, e) for
+m 2^e, and :func:`_ladder` and :func:`_newton_step` run on mantissas with
+GUARD_BITS = 16 guard bits.  The oracle of :mod:`circtrees.exact` anchors
+correctness at small sizes.
 """
 
 import cmath
@@ -56,6 +46,7 @@ from .errors import (CertificationError, InternalConsistencyError,
                      RootRefinementError)
 
 MAX_CERTIFY_BITS = 8192
+MAX_SEED_DEGREE = 512
 INTEGRALITY_TOL_BITS = 20
 GUARD_BITS = 16
 
@@ -405,54 +396,108 @@ def _double_precision_roots(poly):
     pull of the others, which repel one another and so settle on distinct
     roots.  They start on the circle whose radius is the geometric mean of
     the nonzero roots' moduli, and each stops once its step is below 1e-13
-    relative.  An iterate within 1e-10 max(1, |z|) of the real axis with no
-    other within 1e-6 max(1, |z|) is returned with imaginary part exactly
-    0.0, so Newton refines a real root in real arithmetic; a conjugate pair
-    is never snapped, its partner lying within twice the imaginary part.
-    A division by zero in the iteration (the start radius underflows to 0.0
-    when the coefficients span too many binades) or an iterate that is not
-    finite (Horner's rule overflows at large degree) raises
-    :class:`RootRefinementError`.
+    relative.  As in MPSolve (Bini and Robol, 2014), the Newton ratio p/p'
+    at |z| > 1 comes from the reversed polynomial at 1/z, so no power of
+    |z| overflows.  A division by zero (the start radius underflows to 0.0
+    when the coefficients span too many binades) or a start radius or
+    iterate that is not finite raises :class:`RootRefinementError`.
     """
     coeffs = poly.coeffs
     d = len(coeffs) - 1
     scale = max(abs(c) for c in coeffs)
-    a = [c / scale for c in reversed(coeffs)]   # int / int: no overflow
-    low = next(i for i, c in enumerate(coeffs) if c)
-    radius = 1.0 if low == d else math.exp(
-        (math.log(abs(coeffs[low])) - math.log(abs(coeffs[-1]))) / (d - low))
+    low = [c / scale for c in coeffs]           # int / int: no overflow
+    top = low[::-1]
+    first = next(i for i, c in enumerate(coeffs) if c)
+    try:
+        radius = 1.0 if first == d else math.exp(
+            (math.log(abs(coeffs[first])) - math.log(abs(coeffs[-1])))
+            / (d - first))
+    except OverflowError as exc:
+        raise RootRefinementError(f"Aberth seeding of a degree-{d} "
+                                  f"polynomial: the start radius is not "
+                                  f"finite") from exc
     z = [radius * cmath.exp(1j * (2 * math.pi * k / d + 0.4))
          for k in range(d)]
     moving = set(range(d))
     for _ in range(100):
         for i in sorted(moving):
             zi = z[i]
+            # p(z) = z^d r(1/z), r the reversed polynomial: Horner
+            a, u = (top, zi) if abs(zi) <= 1 else (low, 1 / zi)
             p, dp = a[0], 0
             for c in a[1:]:
-                dp = dp * zi + p
-                p = p * zi + c
+                p, dp = p * u + c, dp * u + p
             try:
+                ratio = p / dp if a is top else zi * p / (d * p - u * dp)
                 pull = sum(1 / (zi - zj) for j, zj in enumerate(z) if j != i)
-                step = p / (dp - p * pull)
+                step = ratio / (1 - ratio * pull)
             except ZeroDivisionError as exc:
-                raise RootRefinementError(
-                    f"Aberth seeding of a degree-{d} polynomial divided by "
-                    f"zero near {zi}") from exc
+                raise RootRefinementError(f"Aberth seeding of a degree-{d} "
+                                          f"polynomial divided by zero near "
+                                          f"{zi}") from exc
             z[i] = zi - step
             if not cmath.isfinite(z[i]):
                 raise RootRefinementError(
-                    f"Aberth seeding of a degree-{d} polynomial overflowed: "
-                    f"the step from {zi} is not finite")
+                    f"Aberth seeding of a degree-{d} polynomial: the step "
+                    f"from {zi} is not finite")
             if abs(step) <= 1e-13 * abs(z[i]):
                 moving.discard(i)
         if not moving:
             break
-    for i, zi in enumerate(z):
+    return _snapped(z)
+
+
+def _snapped(seeds):
+    """``seeds`` with each near-real one, within 1e-10 max(1, |z|) of the
+    axis and no other seed within 1e-6 max(1, |z|), made exactly real, so
+    Newton refines it in real arithmetic; a conjugate pair is never made
+    real, its partner lying within twice the imaginary part."""
+    out = list(seeds)
+    for i, zi in enumerate(seeds):
         near = 1e-6 * max(1.0, abs(zi))
         if abs(zi.imag) <= 1e-10 * max(1.0, abs(zi)) and all(
-                abs(zi - zj) > near for j, zj in enumerate(z) if j != i):
-            z[i] = complex(zi.real, 0.0)
-    return z
+                abs(zi - zj) > near for j, zj in enumerate(seeds) if j != i):
+            out[i] = complex(zi.real, 0.0)
+    return out
+
+
+def _laurent_image(poly):
+    """The z-image (2z)^d F((z^2 + 1) / 2z) of F = ``poly``, primitive:
+    its roots are the pairs (z, 1/z) with (z + 1/z) / 2 a root w of F.
+    Horner's rule in w = N / D, with N = z^2 + 1 and D = 2z."""
+    image = [poly.leading]
+    for j, c in enumerate(reversed(poly.coeffs[:-1]), 1):
+        image += [0, 0]
+        for k in range(len(image) - 1, 1, -1):
+            image[k] += image[k - 2]
+        image[j] += c << j
+    return IntPolynomial(image).primitive()
+
+
+def _height(poly):
+    """The bit length of the largest coefficient of ``poly``."""
+    return max(map(abs, poly.coeffs)).bit_length()
+
+
+def _seeds(poly):
+    """Double-precision roots of ``poly``, on its z-image when that is lower.
+
+    A characteristic polynomial's z-image has coefficients about q in size
+    where its w-basis form has 2^(s_k), whose seeds drown in cancellation;
+    a polynomial with roots near the circle is the other way round.  The
+    z-image's seed of largest modulus left takes the one nearest its
+    reciprocal as partner, and maps to w = (z + 1/z) / 2.
+    """
+    image = _laurent_image(poly)
+    if _height(image) >= _height(poly):
+        return _double_precision_roots(poly)
+    pool = sorted(_double_precision_roots(image), key=abs)
+    seeds = []
+    while pool:
+        z = pool.pop()
+        pool.remove(min(pool, key=lambda u: abs(u * z - 1)))
+        seeds.append((z + 1 / z) / 2)
+    return _snapped(seeds)
 
 
 class _RootEntry:
@@ -460,11 +505,10 @@ class _RootEntry:
 
     ``pairs`` holds, for each root :func:`_pair_representatives` gives of
     ``best`` and in its order, the pair (b, 1/b) that :func:`_ladder`
-    takes: b from :func:`_branch`, and 1/b from :func:`_inverse`, as
-    mantissas at ``best.working_precision + GUARD_BITS`` bits.  ``growth``
-    holds (multiplicity, log2 max |w +- sqrt(w^2 - 1)|) for each seed w of
-    each factor, in order, where that growth exceeds 1.  ``error`` is the
-    :class:`RootRefinementError` of a seeding that failed, None otherwise.
+    takes, at ``best.working_precision + GUARD_BITS`` bits.  ``growth``
+    holds (multiplicity, log2 max |w +- sqrt(w^2 - 1)|) for each seed w
+    where that exceeds 1.  ``error`` is the error of a seeding that failed
+    or was refused, None otherwise.
     """
 
     __slots__ = ("factors", "growth", "best", "pairs", "error")
@@ -479,25 +523,29 @@ def _root_setup(poly):
     """The root store: what root finding keeps of ``poly`` in this process.
 
     ``factors`` holds one ``(factor, derivative, multiplicity, seeds,
-    mirrors)`` per square-free factor of ``poly``: ``seeds`` are its
-    double-precision roots, laid out by :func:`_paired_seeds` so that each
-    index in ``mirrors`` follows its conjugate pair's representative.
-    ``best`` holds the most precise certified roots any certification has
-    produced, None until one has, and ``pairs`` the branch b = w +
-    sqrt(w^2 - 1) of each representative root w of ``best`` with its
-    reciprocal.  None of it depends on the order, so a family evaluated at
-    many orders and precisions factors and seeds each characteristic
-    polynomial and lays out its conjugate pairs once, and takes each
-    branch once per ``best``; a later pass takes ``best`` and its pairs as
-    they are or, above its precision, starts Newton at it.  ``growth``,
-    which :func:`_headroom_bits` sums, is taken once as well, and so is a
-    failed seeding's error, which :func:`_root_entry` raises.  Beyond 64
-    polynomials the least recently used goes, its pairs with it.
+    mirrors)`` per square-free factor: ``seeds`` from :func:`_seeds`, laid
+    out by :func:`_paired_seeds` so that each index in ``mirrors`` follows
+    its conjugate pair's representative.  A factor of degree above
+    MAX_SEED_DEGREE is refused, as not attempted, before any is seeded:
+    Aberth's iteration costs about d^2 per sweep.  ``best`` holds the most
+    precise certified roots any certification has produced, None until one
+    has, with their ``pairs``.  None of it depends on the order, so a
+    family seeds each polynomial once and branches each root once per
+    ``best``; a later pass takes ``best`` and its pairs as they are or,
+    above its precision, starts Newton at it.  ``growth`` and a failed
+    seeding's error, which :func:`_root_entry` raises, are kept as well.
+    Beyond 64 polynomials the least recently used goes.
     """
+    split = square_free_decomposition(poly)
+    top = max((factor.degree for factor, _ in split), default=0)
+    if top > MAX_SEED_DEGREE:
+        return _RootEntry((), (), CertificationError(
+            f"a degree-{top} factor is above the {MAX_SEED_DEGREE}-degree "
+            f"seeding budget"))
     try:
         factors = tuple((factor, factor.derivative(), mult,
-                         *_paired_seeds(_double_precision_roots(factor)))
-                        for factor, mult in square_free_decomposition(poly))
+                         *_paired_seeds(_seeds(factor)))
+                        for factor, mult in split)
     except RootRefinementError as exc:
         return _RootEntry((), (), exc)
     growth = []
@@ -522,10 +570,12 @@ def _newton_step(poly, dpoly, z, prec):
     """The Newton step P(z) / P'(z) as (x, y, e), given P and ``dpoly`` = P'.
 
     One Horner pass evaluates P and P' on Python-int mantissas at ``prec``
-    bits, with z cut to that width by :func:`_fixed` and each value keeping
-    its own exponent (a real z stays on real mantissas); the quotient takes
-    one division, by P'(z) or by |P'(z)|^2, trimmed to that width.
+    bits plus the :func:`_height` of P, whose terms cancel near a root,
+    with z cut to that width by :func:`_fixed` and each value keeping its
+    own exponent (a real z stays on real mantissas); the quotient takes one
+    division, by P'(z) or by |P'(z)|^2, trimmed to that width.
     """
+    prec += _height(poly)
     zx, zy, ze = _fixed(z, prec)
     zsum, zdiff = zx + zy, zy - zx
 
@@ -582,15 +632,13 @@ def _newton_converge(poly, dpoly, z, bits):
 def _newton_refine(poly, dpoly, z, start_bits, precision):
     """Refine ``z``, right to about ``start_bits`` bits, to a root of ``poly``.
 
-    Newton doubles the correct bits per step, so the steps climb a ladder of
-    precisions that double up to ``precision``: the lowest rung, at 1-2x
-    ``start_bits``, iterates to convergence (seeds may be poor), each middle
-    rung takes one step, and the top rung iterates until the step is below
-    2^-precision relative; from a start already right to ``precision``
-    bits, that is one step.  A rung at ``bits`` holds z at bits + 64 bits.
-    That last step, evaluated at full precision, gives the radius: four
-    times its size plus 2^(4-precision) max(1, |z|), rounded up to 24 bits.
-    z and the returned root are triples (x, y, e), the radius is (m, e).
+    The steps climb a ladder of precisions doubling up to ``precision``:
+    the lowest rung, at 1-2x ``start_bits``, iterates to convergence, each
+    middle rung takes one step, and the top rung iterates until the step is
+    below 2^-precision relative.  A rung at ``bits`` holds z at bits + 64
+    bits.  The radius is four times that last step plus 2^(4-precision)
+    max(1, |z|), rounded up to 24 bits, as (m, e); z and the root are
+    triples.
     """
     ladder = [precision]
     while ladder[-1] > 2 * start_bits:
@@ -610,12 +658,9 @@ def _newton_refine(poly, dpoly, z, start_bits, precision):
 
 
 def _seed_mirrors(seeds):
-    """{mirror index: representative index} over double-precision seeds.
-
-    A seed z clearly off the axis, imag z > 1e-6 max(1, |z|), represents a
-    conjugate pair when the seed nearest conj z lies within that tolerance
-    of it; that seed is its mirror.  Near-real seeds are never paired.
-    """
+    """{mirror index: representative index}: a seed z with imag z > 1e-6
+    max(1, |z|) represents a conjugate pair when the seed nearest conj z,
+    its mirror, lies within that tolerance of it."""
     mirrors = {}
     for i, z in enumerate(seeds):
         near = 1e-6 * max(1.0, abs(z))
@@ -706,36 +751,39 @@ def find_roots(poly, precision):
     """All complex roots of ``poly`` at ``precision`` bits, certified.
 
     Multiple roots are detected exactly (a square-free test modulo a
-    prime, else Yun decomposition) and each square-free factor is solved by
-    Aberth-Ehrlich seeds refined with Newton iteration on integer
-    mantissas, at precisions doubling up to ``precision``, once per
-    conjugate pair.
-    Raises :class:`RootRefinementError` when seeding divides by zero,
-    refinement stalls or two iterates collapse onto one root; callers
-    escalate precision and retry.
+    prime, else Yun decomposition) and each square-free factor is seeded by
+    :func:`_seeds` and refined by Newton on integer mantissas, once per
+    conjugate pair.  Raises :class:`RootRefinementError` when seeding
+    fails, refinement stalls or two iterates collapse onto one root, and
+    :class:`CertificationError` for a factor above MAX_SEED_DEGREE.
     """
     if poly.degree < 1:
         raise ValueError("find_roots requires a nonconstant polynomial")
     return _refine_roots(poly, precision)
 
 
+def _roots_at(poly, bits):
+    """The root store's roots of ``poly`` if at least ``bits`` precise, else
+    Newton's at ``bits`` from them, or :func:`find_roots`'s; not stored."""
+    best = _root_entry(poly).best
+    if best is not None and best.working_precision >= bits:
+        return best
+    return (find_roots(poly, bits) if best is None
+            else _refine_roots(poly, bits, best))
+
+
 def _stored_roots(poly, bits):
     """The root store's entry of ``poly``, its roots certified at ``bits``.
 
-    The first time the polynomial is seen, :func:`find_roots` refines its
-    seeds.  Later, the store's most precise roots and their pairs are
-    served as they are when they are at least that precise: the product
-    never reads a radius, and :func:`_ladder` cuts each pair to the pass's
-    own width.  Otherwise Newton starts at them, and its roots, more
-    precise, replace them, together with pairs (b, 1/b) branched at their
-    precision.
+    :func:`find_roots` refines the seeds the first time.  Later, the stored
+    roots and pairs are served as they are when at least that precise (the
+    product reads no radius, and :func:`_ladder` cuts each pair to its
+    width); otherwise Newton starts at them, and its roots and their pairs
+    replace them.
     """
-    entry = _root_entry(poly)
-    best = entry.best
-    if best is not None and best.working_precision >= bits:
+    entry, best = _root_entry(poly), _roots_at(poly, bits)
+    if best is entry.best:
         return entry
-    best = (find_roots(poly, bits) if best is None
-            else _refine_roots(poly, bits, best))
     prec = bits + GUARD_BITS
     pairs = []
     for w, _, _ in _pair_representatives(best):
@@ -807,11 +855,10 @@ def _certified_integer(evaluate, divisor, initial_bits, what):
     ``evaluate(bits)`` gives the product at ``bits`` bits as (m, e), m 2^e.
     Accepts when the value is within 2^-20 of a positive integer divisible
     by ``divisor`` and recomputation at doubled precision reproduces it;
-    otherwise doubles the working precision up to MAX_CERTIFY_BITS.  A
-    value of 2^(bits - 21) or more is a multiple of 2^-20 at ``bits`` bits,
-    so that pass cannot resolve 2^-20 and is rejected without a confirm
-    pass.  A starting precision already above the cap is refused without
-    an attempt.  Each escalation and its cause is logged at DEBUG level.
+    otherwise doubles the working precision up to MAX_CERTIFY_BITS.  A pass
+    that cannot resolve 2^-20 is rejected without a confirm pass, and a
+    start above the cap is refused without an attempt.  Each escalation
+    and its cause is logged at DEBUG level.
     """
     bits = max(initial_bits, 128)
     if bits > MAX_CERTIFY_BITS:
@@ -845,20 +892,15 @@ def _certified_integer(evaluate, divisor, initial_bits, what):
 
 
 def tau_even(spec):
-    """Spanning-tree count of an even-valency spec, certified.
-
-    Evaluates (n/q) * prod |2 T_n(w_p) - 2| over the certified roots of the
-    characteristic polynomial P and returns the certified integer.
-    """
+    """Spanning-tree count of an even-valency spec, certified: (n/q) *
+    prod |2 T_n(w_p) - 2| over the roots of P, as an integer."""
     return _certified_product(spec, diagonal=False)
 
 
 def tau_odd(spec):
-    """Spanning-tree count of a diagonal spec at half-order n, certified.
-
-    Evaluates (n/2q) * prod (2 T_n(w_p) - 2) * prod (2 T_n(v_r) + 2) over
-    the certified roots w_p of P and v_r of P_odd + 1.
-    """
+    """Spanning-tree count of a diagonal spec at half-order n, certified:
+    (n/2q) * prod (2 T_n(w_p) - 2) * prod (2 T_n(v_r) + 2) over the roots
+    w_p of P and v_r of P_odd + 1, as an integer."""
     return _certified_product(spec, diagonal=True)
 
 
@@ -913,7 +955,8 @@ def _certified_product(spec, diagonal):
     multiple of q (even) or 2q (diagonal).  The diagonal product is signed,
     so a negative value fails; the even one is certified in absolute value.
     A failure to seed the roots raises :class:`CertificationError` with
-    ``attempted`` set, as a failure at every precision does.
+    ``attempted`` set, as a failure at every precision does; a factor above
+    the seeding budget raises it unattempted.
     """
     if spec.diagonal != diagonal:
         wanted = "diagonal" if diagonal else "even-valency"

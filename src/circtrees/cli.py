@@ -37,10 +37,13 @@ sweep, and a disconnected literal exits 3.
 first row since the command started).
 
 Exit codes: 0 ok, 1 verification failure, 2 parse error, invalid input
-or a count not attempted (``tau --method oracle`` above the oracle's
-ceiling), 3 disconnected graph, 4 certification failure, 5 I/O error,
-6 internal error.  A ``CIRC_ORACLE_CEILING`` that is not an integer is
-invalid input.
+or a computation not attempted (``tau --method oracle`` above the
+oracle's ceiling, or ``mahler`` on a characteristic polynomial above the
+root store's seeding budget), 3 disconnected graph, 4 certification
+failure, 5 I/O error, 6 internal error.  Invalid input is what parsing
+and validation reject: a ``CIRC_ORACLE_CEILING`` that is not an integer,
+a negative ceiling, an order below 2; a ``ValueError`` from inside a
+computation is an internal error.
 """
 
 import argparse
@@ -69,6 +72,10 @@ EXIT_INTERNAL = 6
 
 RECORD_FIELDS = ("spec", "n", "family", "tau", "coefficient", "a",
                  "mahler", "ratio", "timings")
+
+
+class _InvalidInput(Exception):
+    """Input that validation rejects, before any computation uses it."""
 
 
 def make_record(**fields):
@@ -170,7 +177,8 @@ def cmd_tau(args):
     if args.method in ("formula", "both"):
         values["formula"] = algebra.tau_closed_form(spec)
     if args.method in ("oracle", "both"):
-        values["oracle"] = exact.tau_oracle(spec, ceiling=args.oracle_ceiling)
+        values["oracle"] = exact.tau_oracle(
+            spec, ceiling=_oracle_limit(args.oracle_ceiling))
     distinct = sorted(set(values.values()))
     rows = [make_record(spec=spec.literal, n=spec.order, family=spec.family,
                         tau=str(value), timings=timed())
@@ -192,7 +200,7 @@ def _family_rows(steps, family, orders):
     """
     low = min(orders, default=2)
     if low < 2:
-        raise ValueError(f"order {low} too small")
+        raise _InvalidInput(f"order {low} too small")
     return (_family_row(steps, family, n) for n in orders)
 
 
@@ -204,6 +212,18 @@ def _family_row(steps, family, n):
     except DisconnectedGraphError:
         return n, None, 0
     return n, spec, algebra.tau_closed_form(spec)
+
+
+def _oracle_limit(ceiling):
+    """The oracle's vertex ceiling, ``ceiling`` or CIRC_ORACLE_CEILING's,
+    validated: a malformed or negative one is invalid input."""
+    try:
+        limit = ceiling if ceiling is not None else exact.oracle_ceiling()
+    except ValueError as exc:
+        raise _InvalidInput(exc) from None
+    if limit < 0:
+        raise _InvalidInput(f"oracle ceiling {limit} is negative")
+    return limit
 
 
 def _verify_one(spec, formula, ceiling):
@@ -230,11 +250,8 @@ def _verify_one(spec, formula, ceiling):
             ok = False
             notes.append(f"exact {formula} != chebyshev {certified}")
     n_vertices = spec.vertex_count
-    # resolved here so that a malformed CIRC_ORACLE_CEILING fails the run
-    # instead of reading as a skip below
-    limit = ceiling if ceiling is not None else exact.oracle_ceiling()
     try:
-        oracle = exact.tau_oracle(spec, ceiling=limit)
+        oracle = exact.tau_oracle(spec, ceiling=ceiling)
     except OracleCeilingError:
         notes.append("oracle skipped (ceiling)")
     else:
@@ -263,9 +280,10 @@ def _verify_one(spec, formula, ceiling):
 
 
 def cmd_verify(args):
+    ceiling = _oracle_limit(args.oracle_ceiling)
     if args.pattern == "C16-iso-pair":
-        a = exact.tau_oracle(graph.parse_spec("C16(1,2,7)"))
-        b = exact.tau_oracle(graph.parse_spec("C16(2,3,5)"))
+        a = exact.tau_oracle(graph.parse_spec("C16(1,2,7)"), ceiling=ceiling)
+        b = exact.tau_oracle(graph.parse_spec("C16(2,3,5)"), ceiling=ceiling)
         ok = a == b
         print(f"C16(1,2,7) tau={a}")
         print(f"C16(2,3,5) tau={b}")
@@ -293,7 +311,7 @@ def cmd_verify(args):
             if not sweep:
                 return EXIT_DISCONNECTED
             continue
-        ok, detail = _verify_one(spec, formula, args.oracle_ceiling)
+        ok, detail = _verify_one(spec, formula, ceiling)
         checked += 1
         print(f"n={n:4d}  {'PASS' if ok else 'FAIL'}  {detail}")
         if not ok:
@@ -497,14 +515,17 @@ def main(argv=None):
         print(f"not attempted: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (CertificationError, RootRefinementError, QuadratureError) as exc:
+        if isinstance(exc, CertificationError) and not exc.attempted:
+            print(f"not attempted: {exc}", file=sys.stderr)
+            return EXIT_PARSE
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
-    except InternalConsistencyError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except ValueError as exc:
+    except _InvalidInput as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except (InternalConsistencyError, ValueError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -16,11 +16,12 @@ Two independent evaluation routes are provided: the root product over
 certified polynomial roots (method of record) and the periodic trapezoid
 rule for log|.| over the circle, with the z = 1 singularity subtracted in
 closed form, which reads only the steps and the family.  Their agreement
-is asserted in the test suite, never assumed.  The root product reads
-the roots as :func:`~circtrees.chebyshev.find_roots` gives them, integer
-triples with integer radii: the unit-circle tests are exact compares of
-squared moduli and the product is taken on the mantissas, so no floating
-point enters before the result is rounded.
+is asserted in the test suite, never assumed.  With z + 1/z = 2w, z^(s_k)
+L(z) is -(z - 1)^2 times the z-image of the characteristic polynomial P(w)
+of :mod:`circtrees.chebyshev`, and z^(s_k) (L(z) + 2) is minus that of
+P_odd(w) + 1: M is the product of |b| = |w + sqrt(w^2 - 1)| >= 1 over
+their roots w, which the root product reads from the certified products'
+root store and multiplies on integer mantissas.
 """
 
 import decimal
@@ -29,11 +30,11 @@ from collections import namedtuple
 
 from .algebra import _ordinary_image, tau_closed_form
 from .arithmetic import family_spec
-from .chebyshev import _add, _at_most, _plus, _sqrt, _trim, find_roots
-from .errors import CertificationError, QuadratureError
+from .chebyshev import (_add, _at_most, _branch, _magnitude,
+                        _product_factors, _roots_at, _sqrt, _trim)
+from .errors import QuadratureError
 from .graph import diagonal_flag
 
-_MAX_MEASURE_BITS = 4096
 _QUADRATURE_TOL = 1e-10
 _MAX_QUADRATURE_POINTS = 1 << 22
 
@@ -47,9 +48,9 @@ class LaurentSpectrum(namedtuple(
     with reduction (the measure is invariant under step scaling, and the
     reduced form has z = 1 as a root of multiplicity exactly two).  ``poly``
     is the ordinary-polynomial image z^deg * L (or the product image for the
-    diagonal family); ``root_groups`` holds one CertifiedRoots per
-    irreducible-by-construction factor, its roots integer triples (x, y, e)
-    for (x + iy) 2^e and its radii bounds (m, e) for m 2^e.
+    diagonal family); ``root_groups`` holds one CertifiedRoots for P (and
+    one for P_odd + 1): roots w, triples (x, y, e) for (x + iy) 2^e, each
+    standing for the roots b and 1/b of ``poly``, and radii (m, e), m 2^e.
     """
 
     __slots__ = ()
@@ -74,62 +75,23 @@ def associated_laurent(steps, family="even", precision=256, reduce=True):
     With ``reduce`` (the default) a step set with gcd d > 1 is replaced by
     steps/d, which leaves the measure unchanged and keeps z = 1 the only
     unit-circle root.  Pass ``reduce=False`` to analyze the unreduced
-    polynomial; its extra unit-circle roots sit exactly at d-th roots of
-    unity and are recognized as such during classification.
+    polynomial; its extra unit-circle roots sit at d-th roots of unity.
+    The roots are the root store's (:func:`~circtrees.chebyshev._roots_at`),
+    not stored back: a count refines its roots as it would without the
+    measure.  A factor above the store's seeding budget raises
+    :class:`CertificationError`, not attempted.
     """
     steps = tuple(sorted(steps))
     diagonal = diagonal_flag(family)
     d = math.gcd(*steps)
     use = tuple(s // d for s in steps) if (reduce and d > 1) else steps
     lcoeffs = {0: 2 * len(use), **{t: -1 for s in use for t in (s, -s)}}
-    p_l = _ordinary_image(use)
-    groups = [find_roots(p_l, precision)]
-    poly = p_l
-    if diagonal:
-        p_l2 = _ordinary_image(use, shift=2)
-        groups.append(find_roots(p_l2, precision))
-        poly = p_l * p_l2
+    poly = _ordinary_image(use) * (_ordinary_image(use, shift=2)
+                                   if diagonal else 1)
+    groups = tuple(_roots_at(factor, precision)
+                   for factor, _ in _product_factors(use, diagonal)[0])
     return LaurentSpectrum(steps, family, bool(reduce and d > 1), use,
-                           lcoeffs, poly, tuple(groups), precision)
-
-
-def _square_modulus(x, y, e):
-    """|(x + iy) 2^e|^2 as a value (m, e), m 2^e, exactly."""
-    return x * x + y * y, 2 * e
-
-
-def _classify_roots(spectrum):
-    """Split roots into moduli > 1 and unit-circle roots; None if ambiguous.
-
-    Unit-circle roots of L are exactly d-th roots of unity (d the gcd of the
-    steps the polynomial was built from), so a root hugging the circle is
-    accepted as on-circle only with a vanishing |z^d - 1| residual.  A root
-    z of radius r is off the circle when ||z| - 1| > 8r + 2^(-precision/4),
-    and a root of unity when |z^d - 1| <= 2^(-precision/4); both tests
-    compare squared moduli, exactly.
-    """
-    d = math.gcd(*spectrum.reduced_steps)
-    unity_tol = -spectrum.precision // 4        # the tolerance 2^unity_tol
-    outside = []
-    for z, radius, mult in spectrum.all_roots():
-        square = _square_modulus(*z)
-        m, e = _plus((radius[0], radius[1] + 3), (1, unity_tol))
-        high, f = _plus((1, 0), (m, e))
-        if not _at_most(square, (high * high, 2 * f)):
-            outside.append((z, radius, mult))       # |z| > 1 + 8r + tol
-            continue
-        low, f = _plus((1, 0), (-m, e))
-        if low > 0 and not _at_most((low * low, 2 * f), square):
-            continue                                # |z| < 1 - 8r - tol
-        x, y, e = z
-        px, py = 1, 0
-        for _ in range(d):
-            px, py = px * x - py * y, px * y + py * x
-        if _at_most(_square_modulus(*_add(px, py, d * e, -1, 0, 0)),
-                    (1, 2 * unity_tol)):
-            continue  # certified root of unity, contributes nothing
-        return None
-    return outside
+                           lcoeffs, poly, groups, precision)
 
 
 def _float(m, e):
@@ -138,45 +100,39 @@ def _float(m, e):
 
 
 def mahler_root_product(spectrum):
-    """Mahler measure as |leading coeff| * product of root moduli above 1.
+    """Mahler measure as the product of |b|^mult over the spectrum's roots.
 
-    Roots straddling the unit circle within their certification radius force
-    a precision escalation (they cannot occur for gcd-1 step sets); the
-    error bound propagates the certified root radii.  The product is taken
-    on the roots' integer mantissas at the spectrum's precision, as its
-    square lead^2 prod |z|^(2 mult); each of the three floats is rounded
-    once at the end, the small measure through an 80-digit logarithm.
+    A root w stands for the roots b and 1/b of the ordinary image, whose
+    leading coefficient is -1, with |b| >= 1 from
+    :func:`~circtrees.chebyshev._branch`; a real w in [-1, 1] has |b| = 1
+    exactly.  The product's square is taken on the integer mantissas at the
+    spectrum's precision.  A root within r of w moves |b| by about
+    r / |sqrt(w^2 - 1)|, or sqrt(r) near w = +-1, so the relative error
+    bound is 2^-50 plus mult 4r / max(|b - w|, sqrt r) per root, in floats.
+    Each of the three floats is rounded once at the end, the small measure
+    through an 80-digit logarithm.
     """
-    current = spectrum
-    while True:
-        outside = _classify_roots(current)
-        if outside is not None:
-            break
-        if current.precision * 2 > _MAX_MEASURE_BITS:
-            raise CertificationError(
-                f"roots of {spectrum.steps} straddle the unit circle at "
-                f"{current.precision} bits")
-        current = associated_laurent(
-            spectrum.steps, spectrum.family,
-            precision=current.precision * 2, reduce=spectrum.reduced)
-    prec = current.precision
-    m, e = current.poly.leading ** 2, 0         # the product's square
-    rel_err = (1, -50)
-    for z, (r, re), mult in outside:
-        zm, ze = _square_modulus(*z)
+    prec = spectrum.precision
+    m, e = 1, 0                                 # the product's square
+    rel_err = 2.0 ** -50
+    for w, radius, mult in spectrum.all_roots():
+        b = _branch(w, prec)
+        r = _float(*radius)                     # 0.0 below the double range
+        s = _float(*_magnitude(_add(*b, -w[0], -w[1], w[2])))
+        rel_err += mult * 4 * r / max(s, math.sqrt(r)) if r else 0.0
+        if not w[1] and _at_most((abs(w[0]), w[2]), (1, 0)):
+            continue                            # |b| = 1
+        x, y, f = b
         for _ in range(mult):
-            m, _, e = _trim(m * zm, 0, e + ze, prec)
-        root, f = _sqrt(zm, ze, prec)           # |z|
-        rel_err = _plus(rel_err, ((mult * r << 2 * prec) // root,
-                                  re - f - 2 * prec))
+            m, _, e = _trim(m * (x * x + y * y), 0, e + 2 * f, prec)
     value, f = _sqrt(m, e, prec)
-    err, g = rel_err
     with decimal.localcontext() as ctx:
         ctx.prec = 80
         square = decimal.Decimal(m << max(e, 0)) / (1 << max(-e, 0))
         m_small = square.ln() / 2
-    return MahlerEstimate(_float(value, f), _float(value * err, f + g),
-                          "root-product", float(m_small))
+    value = _float(value, f)
+    return MahlerEstimate(value, value * rel_err, "root-product",
+                          float(m_small))
 
 
 def mahler_quadrature(steps, family="even"):

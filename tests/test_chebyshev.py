@@ -1,5 +1,6 @@
 """Integer Chebyshev algebra, certified roots, and closed-form counts."""
 
+import cmath
 import logging
 import math
 import subprocess
@@ -468,18 +469,50 @@ class TestSeeds:
 
     def test_zero_division_is_a_refinement_error(self):
         # 2^2200 w^2 + 1: the start radius 2^-1100 underflows to 0.0, so
-        # every seed starts at 0 and the Aberth pull divides by zero
+        # every seed starts at 0 and the Aberth pull divides by zero.  Root
+        # finding seeds on the palindromic z-image, which starts on the
+        # unit circle, but its roots i(1 +- 2^-1100) and -i(1 +- 2^-1100)
+        # are not apart in double precision: a refinement error too
         poly = IntPolynomial([1, 0, 2**2200])
         with pytest.raises(RootRefinementError, match="divided by zero"):
             _double_precision_roots(poly)
-        with pytest.raises(RootRefinementError, match="divided by zero"):
+        with pytest.raises(RootRefinementError):
             find_roots(poly, 128)
 
     def test_non_finite_iterate_is_a_refinement_error(self):
-        # Horner's rule overflows on the degree-219 polynomial of (1, 220)
-        # and the iterates turn NaN: a seeding failure, not invalid input
+        # a root at 2^1100, beyond the double range, puts the start circle
+        # there too: a seeding failure, not an OverflowError
         with pytest.raises(RootRefinementError, match="not finite"):
-            _double_precision_roots(build_even_char((1, 220)))
+            _double_precision_roots(IntPolynomial([-2**1100, 1]))
+
+    @pytest.mark.parametrize("steps", [(1, 2), (2, 3, 7), (1, 60),
+                                       (1, 2, 3, 4, 5)])
+    def test_z_images_are_the_ordinary_images(self, steps):
+        # z^(s_k - 1) P((z + 1/z)/2) is -p_L / (z - 1)^2 and z^(s_k)
+        # (P_odd + 1)((z + 1/z)/2) is p_L2, up to sign and content
+        image = chebyshev._laurent_image
+        reduced = _ordinary_image(steps).div_exact(IntPolynomial([1, -2, 1]))
+        assert image(build_even_char(steps)) in (reduced, -reduced)
+        shifted = _ordinary_image(steps, 2)
+        assert image(build_odd_char(steps) + 1) in (shifted, -shifted)
+
+    def test_large_step_seeds_on_the_z_image(self):
+        # Horner's rule on the degree-249 w-basis polynomial of (1, 250),
+        # coefficients up to 2^318, overflowed to NaN; Aberth on its
+        # degree-498 z-image, with the Newton ratio at |z| > 1 taken from
+        # the reversed polynomial, keeps every iterate finite, and the
+        # roots certify
+        poly = build_even_char((1, 250))
+        image = chebyshev._laurent_image(poly)
+        assert image.degree == 498 and max(map(abs, image.coeffs)) < 2**9
+        assert all(map(cmath.isfinite, _double_precision_roots(image)))
+        cr = find_roots(poly, 256)
+        assert cr.total_count == 249
+        # the monomial coefficients reach 2^318: evaluate at 1024 bits
+        with mp.workprec(1024):
+            for z, radius, _ in as_mpmath(cr)[::8]:
+                residual = abs(poly(z))
+                assert residual <= radius * (abs(poly.derivative()(z)) + 1)
 
     def test_failed_seeding_is_stored(self, monkeypatch):
         # a seeding that fails is kept with its error: later orders of the
@@ -491,7 +524,7 @@ class TestSeeds:
             seeded.append(poly)
             raise RootRefinementError("overflowed")
 
-        monkeypatch.setattr(chebyshev, "_double_precision_roots", failing)
+        monkeypatch.setattr(chebyshev, "_seeds", failing)
         for n in (41, 43):
             with pytest.raises(CertificationError,
                                match="failed to seed its roots: overflowed"
@@ -556,6 +589,15 @@ class TestClosedFormCounts:
         assert tau.bit_length() == bits
         certified = tau_odd if spec.diagonal else tau_even
         assert certified(spec) == tau
+
+    @pytest.mark.parametrize("literal", ["C130(1,60)", "C301(1,150)",
+                                         "C441(1,220)", "C151(1,150;d)"])
+    def test_certified_products_at_large_steps(self, literal):
+        # P's monomial coefficients reach 2^(s_k): its roots are seeded on
+        # the z-image and Newton evaluates with as many guard bits
+        spec = parse_spec(literal)
+        certified = tau_odd if spec.diagonal else tau_even
+        assert certified(spec) == tau_closed_form(spec)
 
     @pytest.mark.parametrize("literal", ["C40(1,2,5)", "C20(1,3,4;d)"])
     def test_chebyshev_values_once_per_conjugate_pair(self, monkeypatch,

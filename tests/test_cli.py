@@ -108,6 +108,19 @@ class TestTau:
         code, _, err = run_cli(capsys, "decompose", "C12(1,3)")
         assert code == 6 and "internal error" in err
 
+    def test_value_error_in_a_computation_exit_6(self, capsys, monkeypatch):
+        # only parsing and validation make invalid input (exit 2): a
+        # ValueError from inside a computation is an internal error
+        def broken(spec):
+            raise ValueError("broken")
+
+        monkeypatch.setattr("circtrees.algebra.tau_closed_form", broken)
+        for argv in (["tau", "C5(1,2)"], ["verify", "C5(1,2)"],
+                     ["asymptote", "1,2", "--n", "5..6"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 6 and out == "", argv
+            assert err == "internal error: broken\n"
+
     def test_negative_oracle_count_exit_6(self, capsys, monkeypatch):
         # the oracle's guard is an internal error, not a traceback
         monkeypatch.setattr("circtrees.exact.bareiss_determinant",
@@ -214,21 +227,28 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "C9(1,2)")
         assert code == 1 and "FAIL  exact 10404 != chebyshev 7" in out
 
-    def test_failed_certification_is_not_a_cap_skip(self, capsys):
-        # the certified product of C130(1,60) runs and fails to certify far
-        # below its cap (the seeds of its degree-59 polynomial are poor):
-        # noted as a failure to certify, not as a skip
+    def test_failed_certification_is_not_a_cap_skip(self, capsys,
+                                                     monkeypatch):
+        # a certified product that ran and failed to certify below its cap
+        # is noted as a failure to certify, not as a skip
+        def fail(spec):
+            raise CertificationError("failed to certify", attempted=True)
+
+        monkeypatch.setattr("circtrees.chebyshev.tau_even", fail)
         code, out, _ = run_cli(capsys, "verify", "C130(1,60)")
         assert code == 0
         assert "PASS  chebyshev failed to certify; formula=oracle" in out
         assert "skipped" not in out
 
-    def test_overflowing_seeds_are_a_failure_to_certify(self, capsys):
-        # the double-precision seeds of (1, 220) overflow to NaN: the
-        # cross-check fails to certify and the oracle still checks the count
-        code, out, _ = run_cli(capsys, "verify", "C441(1,220)")
+    @pytest.mark.parametrize("literal", ["C130(1,60)", "C441(1,220)"])
+    def test_large_step_certifies(self, capsys, literal):
+        # the roots of (1, 60) were too poor to certify, and the seeds of
+        # (1, 220) overflowed, until both were seeded on the z-image: the
+        # cross-check agrees and adds no note
+        code, out, _ = run_cli(capsys, "verify", literal)
         assert code == 0
-        assert "PASS  chebyshev failed to certify; formula=oracle" in out
+        assert out.startswith(f"n={literal[1:4]:>4}  PASS  formula=oracle; ")
+        assert "chebyshev" not in out
 
     def test_failed_seeding_is_noted_on_each_row(self, capsys, monkeypatch):
         # a seeding failure (the Aberth iteration dividing by zero) is a
@@ -238,16 +258,22 @@ class TestVerify:
 
         chebyshev._root_setup.cache_clear()
         monkeypatch.setattr(chebyshev, "_double_precision_roots", fail)
-        code, out, _ = run_cli(capsys, "verify", "C*(1,2)", "--n-max", "8")
-        rows = out.splitlines()
-        assert code == 0 and rows[-1] == "checked 4 orders, 0 failures"
-        for row in rows[:-1]:
-            assert "PASS  chebyshev failed to certify; formula=oracle" in row
-        with pytest.raises(CertificationError,
-                           match="failed to seed its roots") as failed:
-            tau_even(parse_spec("C7(1,2)"))
-        assert failed.value.attempted
-        assert isinstance(failed.value.__cause__, RootRefinementError)
+        try:
+            code, out, _ = run_cli(capsys, "verify", "C*(1,2)", "--n-max",
+                                   "8")
+            rows = out.splitlines()
+            assert code == 0 and rows[-1] == "checked 4 orders, 0 failures"
+            for row in rows[:-1]:
+                assert "PASS  chebyshev failed to certify; formula=oracle" \
+                    in row
+            with pytest.raises(CertificationError,
+                               match="failed to seed its roots") as failed:
+                tau_even(parse_spec("C7(1,2)"))
+            assert failed.value.attempted
+            assert isinstance(failed.value.__cause__, RootRefinementError)
+        finally:
+            # the failed seeding stays stored; later tests read (1, 2)
+            chebyshev._root_setup.cache_clear()
 
     def test_sweep_skips_disconnected(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "C*(2,3)", "--n-max", "12")
@@ -283,10 +309,11 @@ class TestMahlerCommand:
 
     def test_quadrature_runs_without_the_root_finder(self, capsys,
                                                       monkeypatch):
-        def refuse(poly, precision):
+        def refuse(*args):
             raise AssertionError("roots found for the quadrature")
         monkeypatch.setattr(chebyshev, "find_roots", refuse)
-        monkeypatch.setattr(mahler, "find_roots", refuse)
+        monkeypatch.setattr(chebyshev, "_refine_roots", refuse)
+        monkeypatch.setattr(mahler, "_roots_at", refuse)
         code, out, _ = run_cli(capsys, "mahler", "1,2", "--method",
                                "quadrature")
         assert code == 0
@@ -303,11 +330,25 @@ class TestMahlerCommand:
         assert code == 4 and out == ""
         assert err.startswith("certification failure: ")
 
-    def test_seeds_past_the_double_range_exit_4(self, capsys):
-        # the Aberth iterates of the degree-438 image overflow to NaN
-        code, out, err = run_cli(capsys, "mahler", "1,220")
-        assert code == 4 and out == ""
-        assert err.startswith("certification failure: ")
+    def test_large_step_root_product(self, capsys):
+        # the w-basis seeds of (1, 220) overflowed to NaN; on the z-image
+        # they do not, and the two methods agree
+        code, out, err = run_cli(capsys, "mahler", "1,220", "--method",
+                                 "both")
+        assert code == 0
+        rows = json_rows(out)
+        assert rows[0]["mahler"] == pytest.approx(rows[1]["mahler"],
+                                                  rel=1e-10)
+
+    def test_above_the_seeding_budget_not_attempted(self, capsys):
+        # a degree-1199 characteristic polynomial is refused before any
+        # seeding, as a measure not attempted
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "mahler", "1,1200")
+        assert time.perf_counter() - started < 5
+        assert code == 2 and out == ""
+        assert err == ("not attempted: a degree-1199 factor is above the "
+                       "512-degree seeding budget\n")
 
 
 class TestAsymptote:

@@ -1,8 +1,10 @@
 """Mahler measures: root product vs quadrature, growth laws, entropies.
 
-The root product runs on the integer roots; an mpmath root product over
-the same roots, the form it had before, is kept here as its reference and
-must give the same three floats, bit for bit.
+The root product reads the roots w of the characteristic polynomials from
+the root store and multiplies |b|, b = w + sqrt(w^2 - 1).  The form it had
+before, an mpmath product over the roots outside the unit circle that
+root finding gives for the ordinary image z^(s_k) L itself, is kept here as
+its reference, and the two must give the same three floats, bit for bit.
 """
 
 import math
@@ -13,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circtrees import (CertificationError, DisconnectedGraphError, SpecError,
-                       associated_laurent, asymptotic_ratio, find_roots,
-                       mahler_quadrature, mahler_root_product, thermo_limit)
+from circtrees import (DisconnectedGraphError, SpecError, associated_laurent,
+                       asymptotic_ratio, find_roots, mahler_quadrature,
+                       mahler_root_product, thermo_limit)
 from circtrees import mahler
 from circtrees.algebra import _ordinary_image
 from circtrees.mahler import MahlerEstimate
@@ -38,41 +40,46 @@ GOLDEN = [
 ]
 
 
-def reference_classify(spectrum):
+def reference_classify(steps, groups, precision):
     """The off-circle and root-of-unity tests in mpmath, at its ambient
-    precision: split roots into moduli > 1 and unit-circle roots, None if
-    ambiguous."""
-    d = math.gcd(*spectrum.reduced_steps)
-    unity_tol = mp.mpf(2) ** (-spectrum.precision // 4)
+    precision, over the roots z of the ordinary images: split them into
+    moduli > 1 and unit-circle roots, None if ambiguous."""
+    d = math.gcd(*steps)
+    unity_tol = mp.mpf(2) ** (-precision // 4)
     outside = []
-    for z, radius, mult in spectrum.all_roots():
-        z, radius = to_mpc(z), to_mpf(radius)
-        az = abs(z)
-        if abs(az - 1) > 8 * radius + unity_tol:
-            if az > 1:
-                outside.append((z, radius, mult))
-            continue
-        if abs(z ** d - 1) <= unity_tol:
-            continue
-        return None
+    for group in groups:
+        for z, radius, mult in zip(group.roots, group.radii,
+                                   group.multiplicities):
+            z, radius = to_mpc(z), to_mpf(radius)
+            az = abs(z)
+            if abs(az - 1) > 8 * radius + unity_tol:
+                if az > 1:
+                    outside.append((z, radius, mult))
+                continue
+            if abs(z ** d - 1) <= unity_tol:
+                continue
+            return None
     return outside
 
 
 def reference_root_product(spectrum):
-    """|lead| prod |z|^mult over the roots outside, in mpmath at the
-    spectrum's precision, escalating as mahler_root_product does."""
-    current = spectrum
+    """|lead| prod |z|^mult over the roots outside the circle that
+    find_roots gives for the ordinary images themselves, in mpmath at the
+    spectrum's precision, doubled while a root straddles the circle."""
+    steps = spectrum.reduced_steps
+    images = [_ordinary_image(steps)]
+    if spectrum.family == "diagonal":
+        images.append(_ordinary_image(steps, shift=2))
+    precision = spectrum.precision
     while True:
-        outside = reference_classify(current)
+        outside = reference_classify(
+            steps, [find_roots(p, precision) for p in images], precision)
         if outside is not None:
             break
-        if current.precision * 2 > mahler._MAX_MEASURE_BITS:
-            raise CertificationError("straddles the unit circle")
-        current = associated_laurent(
-            spectrum.steps, spectrum.family,
-            precision=current.precision * 2, reduce=spectrum.reduced)
-    with mp.workprec(current.precision):
-        value = mp.mpf(abs(current.poly.leading))
+        precision *= 2
+        assert precision <= 4096, "straddles the unit circle"
+    with mp.workprec(precision):
+        value = mp.mpf(1)       # every image has leading coefficient -1
         rel_err = mp.mpf(2) ** (-50)
         for z, radius, mult in outside:
             az = abs(z)
@@ -143,16 +150,23 @@ class TestSpectrum:
     @pytest.mark.parametrize("steps", [(1, 2), (1, 3), (2, 3), (1, 2, 3),
                                        (1, 2, 4)])
     def test_off_circle_roots_pair_up(self, steps):
-        # 2(s_k - 1) roots off the circle, in (z, 1/z) pairs, none on it
+        # the s_k - 1 roots w of P give the 2(s_k - 1) roots of the ordinary
+        # image off the circle, in pairs (b, 1/b), none on it
         spectrum = associated_laurent(steps, "even")
-        roots = [(to_mpc(z), to_mpf(r), m) for z, r, m in spectrum.all_roots()
-                 if abs(abs(to_mpc(z)) - 1) > 1e-10]
-        count = sum(m for _, _, m in roots)
-        assert count == 2 * (max(steps) - 1)
-        for z, radius, _ in roots:
-            assert abs(abs(z) - 1) > 100 * radius  # strict dichotomy
-            partner = min(abs(w - 1 / z) for w, _, _ in roots)
-            assert partner < 1e-15 * max(1, abs(1 / z))
+        poly = spectrum.poly
+        count = 0
+        with mp.workprec(spectrum.precision):
+            for w, radius, mult in spectrum.all_roots():
+                w, radius = to_mpc(w), to_mpf(radius)
+                s = mp.sqrt(w * w - 1)
+                b = w + s if abs(w + s) >= 1 else w - s
+                # strict dichotomy: |b| - 1 is far above the radius
+                assert abs(b) - 1 > 100 * radius
+                for z in (b, 1 / b):
+                    assert abs(poly(z)) < 1e-60 * abs(
+                        poly.derivative()(z))
+                count += mult
+        assert count == max(steps) - 1
 
     def test_reduction_divides_out_gcd(self):
         spectrum = associated_laurent((2, 4), "even")
@@ -203,9 +217,11 @@ class TestGoldenValues:
 
     def test_large_step_agrees_with_quadrature(self):
         # every root of the degree-120 image of (1, 60) lies within 3% of
-        # the circle, and those of (1, 150) and (1, 200) closer still: the
-        # rule takes 2^16 to 2^19 points
-        for steps in ((1, 60), (1, 150), (1, 200)):
+        # the circle, and those of (1, 150) to (1, 220) closer still: the
+        # rule takes 2^16 to 2^19 points.  Horner's rule on the w-basis
+        # polynomial of (1, 220) overflowed before the roots were seeded on
+        # its z-image.
+        for steps in ((1, 60), (1, 150), (1, 200), (1, 220)):
             rp = mahler_root_product(associated_laurent(steps, "even"))
             quad = mahler_quadrature(steps, "even")
             assert abs(rp.value - quad.value) < 1e-8
@@ -227,26 +243,6 @@ class TestScalingInvariance:
         scaled = mahler_root_product(
             associated_laurent(scaled_steps, "even", reduce=False))
         assert abs(plain.value - scaled.value) < 1e-9
-
-    def test_escalation_keeps_the_unreduced_polynomial(self, monkeypatch):
-        built, calls = [], []
-        build, classify = mahler.associated_laurent, mahler._classify_roots
-
-        def spy_build(*args, **kwargs):
-            built.append(kwargs["reduce"])
-            return build(*args, **kwargs)
-
-        def ambiguous_once(spectrum):
-            calls.append(spectrum.precision)
-            return None if len(calls) == 1 else classify(spectrum)
-
-        monkeypatch.setattr(mahler, "associated_laurent", spy_build)
-        monkeypatch.setattr(mahler, "_classify_roots", ambiguous_once)
-        raw = build((2, 4), "even", reduce=False)
-        est = mahler_root_product(raw)
-        assert built == [False] and calls == [256, 512]
-        base = mahler_root_product(build((1, 2), "even"))
-        assert abs(est.value - base.value) < 1e-9
 
     def test_scaled_rebuild_reduces(self):
         auto = mahler_root_product(associated_laurent((2, 4), "even"))
