@@ -165,7 +165,7 @@ class IntPolynomial:
         return "IntPolynomial(" + " + ".join(terms) + ")"
 
 
-def _require_connected(spec):
+def require_connected(spec):
     """Raise :class:`DisconnectedGraphError` unless ``spec`` is connected."""
     if component_count(spec) != 1:
         raise DisconnectedGraphError(
@@ -173,7 +173,7 @@ def _require_connected(spec):
             f"{spec.order}", spec=spec)
 
 
-def _ordinary_image(steps, shift=0):
+def ordinary_image(steps, shift=0):
     """IntPolynomial image z^{s_k} * (2k + shift - sum_i (z^{s_i}+z^{-s_i}))."""
     smax = max(steps)
     coeffs = [0] * (2 * smax + 1)
@@ -274,14 +274,14 @@ def tau_closed_form(spec):
     orders of a family are counted from their own specs
     (:func:`~circtrees.arithmetic.family_spec`).
     """
-    _require_connected(spec)
+    require_connected(spec)
     n, steps = spec.order, spec.steps
     q = sum(s * s for s in steps)
-    reduced = _ordinary_image(steps).div_exact(IntPolynomial([-1, 2, -1]))
+    reduced = ordinary_image(steps).div_exact(IntPolynomial([-1, 2, -1]))
     count = n * abs(_power_norm(reduced, n, -1))
     if spec.diagonal:
         q *= 2
-        count *= abs(_power_norm(_ordinary_image(steps, shift=2), n, 1))
+        count *= abs(_power_norm(ordinary_image(steps, shift=2), n, 1))
     tau, rest = divmod(count, q)
     if tau <= 0 or rest:
         raise InternalConsistencyError(

@@ -29,11 +29,10 @@ Newton in the w-basis with guard bits for P's coefficients; T_n(w) =
 (b^n + b^-n)/2 with b = w + sqrt(w^2 - 1), |b| >= 1, and the Mahler measure
 is the product of |b|.  A per-process root store (:func:`_root_setup`) keeps
 each polynomial's most precise roots with their pairs (b, 1/b), one per
-conjugate pair.  Past the seeds every value is a Python integer: a root
-is a triple (x, y, e) for (x + iy) 2^e, a radius a bound (m, e) for
-m 2^e, and :func:`_ladder` and :func:`_newton_step` run on mantissas with
-GUARD_BITS = 16 guard bits.  The oracle of :mod:`circtrees.exact` anchors
-correctness at small sizes.
+conjugate pair.  Past the seeds a root is a triple and a radius a bound
+of :mod:`circtrees.dyadic`, and :func:`_ladder` and :func:`_newton_step`
+run on their mantissas with GUARD_BITS = 16 guard bits.  The oracle of
+:mod:`circtrees.exact` anchors correctness at small sizes.
 """
 
 import cmath
@@ -41,7 +40,10 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .algebra import IntPolynomial, _require_connected
+from .algebra import IntPolynomial, require_connected
+from .dyadic import (_add, _at_least_one, _at_most, _branch, _exact, _fixed,
+                     _inverse, _magnitude, _minus, _plus, _round_up, _show,
+                     _trim)
 from .errors import (CertificationError, InternalConsistencyError,
                      RootRefinementError)
 
@@ -49,6 +51,7 @@ MAX_CERTIFY_BITS = 8192
 MAX_SEED_DEGREE = 512
 INTEGRALITY_TOL_BITS = 20
 GUARD_BITS = 16
+ROOT_GRID_BITS = 64
 
 
 def poly_gcd(a, b):
@@ -171,153 +174,6 @@ def cheb_u(m):
     return _chebyshev(m, first_kind=False)
 
 
-def _exact(w):
-    """A float or a complex exactly, as (x, y, e).
-
-    An infinity or a NaN raises :class:`ValueError`.
-    """
-    if not cmath.isfinite(w):
-        raise ValueError(f"{w} is not a finite number")
-    parts = []
-    for part in (w.real, w.imag):
-        frac, exp = math.frexp(part)
-        parts.append((int(frac * 2 ** 53), exp - 53))
-    e = min((exp for man, exp in parts if man), default=0)
-    (x, xe), (y, ye) = parts
-    return (x << (xe - e) if x else 0), (y << (ye - e) if y else 0), e
-
-
-def _fixed(w, prec):
-    """The triple ``w`` = (x, y, e) with mantissas of ``prec`` bits.
-
-    The larger part keeps ``prec`` bits and the smaller is truncated at the
-    same exponent, so the error is below 2^(2-prec) |w|.
-    """
-    x, y, e = w
-    if not (x or y):
-        return 0, 0, 0
-    k = max(x.bit_length(), y.bit_length()) - prec
-    return (x >> k, y >> k, e + k) if k > 0 else (x << -k, y << -k, e + k)
-
-
-def _trim(x, y, e, prec):
-    """Drop low bits until the larger mantissa has at most ``prec`` bits."""
-    k = max(x.bit_length(), y.bit_length()) - prec
-    return (x >> k, y >> k, e + k) if k > 0 else (x, y, e)
-
-
-def _show(z):
-    """The triple ``z`` for messages, as a Python complex when it fits."""
-    x, y, e = _trim(*z, 53)
-    try:
-        return str(complex(math.ldexp(x, e), math.ldexp(y, e)))
-    except OverflowError:
-        return f"({x} + {y}j) 2^{e}"
-
-
-def _inverse(x, y, e, prec):
-    """1 / ((x + iy) 2^e) to about ``prec`` bits, from one division.
-
-    x + iy is first trimmed to ``prec`` bits; the division is by x when
-    y = 0, and otherwise by |x + iy|^2 trimmed to that width.
-    """
-    x, y, e = _trim(x, y, e, prec)
-    if not y:
-        return (1 << 2 * prec) // x, 0, -2 * prec - e
-    den, _, de = _trim(x * x + y * y, 0, 2 * e, prec)
-    inv = (1 << 2 * prec) // den
-    return _trim(x * inv, -y * inv, e - 2 * prec - de, prec)
-
-
-def _sqrt(m, e, prec):
-    """sqrt(m 2^e) for an integer m >= 0, to about ``prec`` bits."""
-    if e % 2:
-        m, e = m << 1, e - 1
-    k = max(prec - m.bit_length() // 2 + 1, 0)
-    return math.isqrt(m << 2 * k), e // 2 - k
-
-
-def _add(x, y, e, u, v, f):
-    """(x + iy) 2^e + (u + iv) 2^f, exactly, at the smaller exponent."""
-    if e > f:
-        return (x << (e - f)) + u, (y << (e - f)) + v, f
-    return x + (u << (f - e)), y + (v << (f - e)), e
-
-
-def _round_up(m, e, bits):
-    """m 2^e for an integer m >= 0, rounded up to at most ``bits`` bits."""
-    k = m.bit_length() - bits
-    if k > 0:
-        m, e = -(-m >> k), e + k
-        if m.bit_length() > bits:       # rounded up to 2^bits
-            m, e = m >> 1, e + 1
-    return m, e
-
-
-def _magnitude(z):
-    """An upper bound (m, e) on |z|, m 2^e with at most 24 bits, below
-    |z| (1 + 2^-20), for z = (x, y, e).
-
-    The parts' top 30 bits, rounded up, are squared and summed, and the
-    integer square root is rounded up; no full-precision square root.
-    """
-    x, y, e = z
-    x, y = abs(x), abs(y)
-    if not (x or y):
-        return 0, 0
-    k = max(x.bit_length(), y.bit_length()) - 30
-    x, y = (-(-x >> k), -(-y >> k)) if k > 0 else (x << -k, y << -k)
-    square = x * x + y * y
-    root = math.isqrt(square)
-    root += root * root < square
-    return _round_up(root, e + k, 24)
-
-
-def _plus(a, b):
-    """The sum of two values (m, e), m 2^e, exactly."""
-    (m, e), (n, f) = a, b
-    g = min(e, f)
-    return (m << (e - g)) + (n << (f - g)), g
-
-
-def _at_most(a, b):
-    """Whether a <= b, for two values (m, e) standing for m 2^e."""
-    (m, e), (n, f) = a, b
-    return m << (e - f) <= n if e >= f else m <= n << (f - e)
-
-
-def _at_least_one(a):
-    """max(1, a) for a value a = (m, e) with m >= 0."""
-    m, e = a
-    return a if m.bit_length() + e > 0 else (1, 0)
-
-
-def _branch(w, prec):
-    """The branch b = w + sqrt(w^2 - 1) with |b| >= 1, as (x, y, e).
-
-    w is cut to ``prec`` bits, w^2 - 1 is formed exactly and its root
-    taken with ``math.isqrt``; a real w with |w| >= 1 gives a real b, on
-    real mantissas (y = 0).  The result is trimmed to ``prec`` bits.
-    """
-    x, y, e = _fixed(w, prec)
-    if e >= 0:                  # |w| >= 2^prec: keep the exponent negative
-        x, y, e = x << e, y << e, 0
-    one = 1 << -e
-    if y == 0 and abs(x) >= one:
-        # real b = w + sign(w) sqrt(w^2 - 1)
-        root, f = _sqrt(x * x - one * one, 2 * e, prec)
-        return _trim(*_add(x, 0, e, root if x > 0 else -root, 0, f), prec)
-    # complex b: u = w^2 - 1 exactly, then one root s with isqrt
-    ux, uy, ue = _trim(x * x - y * y - one * one, 2 * x * y, 2 * e, prec)
-    t, te = _sqrt(math.isqrt(ux * ux + uy * uy) + abs(ux), ue - 1, prec)
-    shift = ue - 2 * te - 1                     # uy / 2t at exponent te
-    v = (uy << shift) // t if shift >= 0 else (uy >> -shift) // t
-    s, si = (t, v) if ux >= 0 else (abs(v), t if uy >= 0 else -t)
-    if x * s + y * si < 0:                      # Re(w conj s) < 0: |w - s| > 1
-        s, si = -s, -si
-    return _trim(*_add(x, y, e, s, si, te), prec)
-
-
 def _signed_digits(n):
     """The non-adjacent form of n >= 1: digits in {-1, 0, 1}, top first.
 
@@ -341,6 +197,8 @@ def _ladder(pair, n, prec):
     products and a square two, and a real b stays on real mantissas.
     b^-n is added only while |b^n|^2 < 2^(prec + 1), by one division at
     the width it needs, about prec - 2 log2|b^n| + GUARD_BITS bits; n >= 1.
+    Every step rounds toward -inf; for |b| >= 1, a pair right to ``prec``
+    bits and n 2^(6-prec) <= 1/2, it is within n 2^(6-prec) |b|^n of T_n.
     """
     (b, bi, be), (c, ci, ce) = (_trim(*z, prec) for z in pair)
     factors = {1: (b, b + bi, bi - b, be), -1: (c, c + ci, ci - c, ce)}
@@ -541,7 +399,7 @@ def _root_setup(poly):
     if top > MAX_SEED_DEGREE:
         return _RootEntry((), (), CertificationError(
             f"a degree-{top} factor is above the {MAX_SEED_DEGREE}-degree "
-            f"seeding budget"))
+            f"seeding budget", limit="seeding budget"))
     try:
         factors = tuple((factor, factor.derivative(), mult,
                          *_paired_seeds(_seeds(factor)))
@@ -604,12 +462,6 @@ def _newton_step(poly, dpoly, z, prec):
     rx, ry, f = _inverse(dx, dy, de, prec)
     k = rx * (px + py)
     return _trim(k - py * (rx + ry), k + px * (ry - rx), pe + f, prec)
-
-
-def _minus(z, step, prec):
-    """z - step for two triples, cut to ``prec`` bits."""
-    x, y, e = step
-    return _trim(*_add(*z, -x, -y, e), prec)
 
 
 def _newton_converge(poly, dpoly, z, bits):
@@ -779,8 +631,10 @@ def _stored_roots(poly, bits):
     roots and pairs are served as they are when at least that precise (the
     product reads no radius, and :func:`_ladder` cuts each pair to its
     width); otherwise Newton starts at them, and its roots and their pairs
-    replace them.
+    replace them, at ``bits`` rounded up to a multiple of ROOT_GRID_BITS,
+    so that the next orders of an ascending sweep are served.
     """
+    bits = -(-bits // ROOT_GRID_BITS) * ROOT_GRID_BITS
     entry, best = _root_entry(poly), _roots_at(poly, bits)
     if best is entry.best:
         return entry
@@ -947,6 +801,13 @@ def _product_factors(steps, diagonal):
                   if poly.degree >= 1), divisor)
 
 
+def factor_roots(steps, diagonal, precision):
+    """The roots of each polynomial of a step set's certified product, as
+    :func:`_roots_at` gives them at ``precision`` bits: not stored back."""
+    return tuple(_roots_at(poly, precision)
+                 for poly, _ in _product_factors(steps, diagonal)[0])
+
+
 def _certified_product(spec, diagonal):
     """The certified product of :func:`tau_even` or :func:`tau_odd`.
 
@@ -961,7 +822,7 @@ def _certified_product(spec, diagonal):
     if spec.diagonal != diagonal:
         wanted = "diagonal" if diagonal else "even-valency"
         raise ValueError(f"{spec} is not a {wanted} spec")
-    _require_connected(spec)
+    require_connected(spec)
     n = spec.order
     factors, divisor = _product_factors(tuple(spec.steps), diagonal)
 

@@ -22,9 +22,11 @@ In ``verify`` output the formula is the exact closed form
 determinant oracle.  The certified Chebyshev product
 (``tau_even``/``tau_odd``) adds a note only when it does not agree: a
 disagreement reads ``exact X != chebyshev Y``, a count above the product's
-precision cap is noted ``chebyshev skipped (cap)``, and a product that was
-attempted but failed to seed its roots or to certify at every precision
-up to the cap ``chebyshev failed to certify``.  A count above the oracle's
+precision cap is noted ``chebyshev skipped (cap)``, a characteristic
+polynomial above the root store's seeding budget ``chebyshev skipped
+(seeding budget)``, and a product that was attempted but failed to seed
+its roots or to certify at every precision up to the cap ``chebyshev
+failed to certify``.  A count above the oracle's
 ceiling is noted ``oracle skipped (ceiling)``.
 
 In ``asymptote`` and ``sequence`` rows, an order below the family's smallest
@@ -230,9 +232,9 @@ def _verify_one(spec, formula, ceiling):
     """Run the checks on one connected spec; returns (ok, detail).
 
     The exact closed form ``formula`` must equal the certified Chebyshev
-    product, which adds a note only when it disagrees, is over its
-    precision cap or fails to certify below it (the last two are noted,
-    not failed), and the oracle, noted ``formula=oracle`` when it agrees
+    product, which adds a note only when it disagrees, is refused by a
+    limit or fails to certify below it (the last two are noted, not
+    failed), and the oracle, noted ``formula=oracle`` when it agrees
     (unless over its ceiling); then decompose as c n a^2 and match a
     conjugate's count.
     """
@@ -244,7 +246,7 @@ def _verify_one(spec, formula, ceiling):
         certified = certified_form(spec)
     except CertificationError as exc:
         notes.append("chebyshev failed to certify" if exc.attempted
-                     else "chebyshev skipped (cap)")
+                     else f"chebyshev skipped ({exc.limit})")
     else:
         if certified != formula:
             ok = False
@@ -366,7 +368,7 @@ def cmd_asymptote(args):
                         family=args.family, mahler=measure.value,
                         tau=None if tau is None else str(tau),
                         ratio=None if spec is None
-                        else mahler._growth_ratio(tau, spec, measure),
+                        else mahler.growth_ratio(tau, spec, measure),
                         timings=timed())
             for n, spec, tau in sweep]
     _emit(rows, args)

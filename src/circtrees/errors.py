@@ -38,12 +38,13 @@ class CertificationError(CirctreesError):
 
     ``attempted`` is True when the certification ran and failed, in seeding
     its roots or at every precision up to its cap, and False (the default)
-    when it was refused without an attempt.
+    when it was refused without an attempt; ``limit`` then names the limit
+    that refused it, the bit "cap" (the default) or the "seeding budget".
     """
 
-    def __init__(self, message, attempted=False):
+    def __init__(self, message, attempted=False, limit="cap"):
         super().__init__(message)
-        self.attempted = attempted
+        self.attempted, self.limit = attempted, limit
 
 
 class InternalConsistencyError(CirctreesError):

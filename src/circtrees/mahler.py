@@ -28,10 +28,10 @@ import decimal
 import math
 from collections import namedtuple
 
-from .algebra import _ordinary_image, tau_closed_form
+from .algebra import ordinary_image, tau_closed_form
 from .arithmetic import family_spec
-from .chebyshev import (_add, _at_most, _branch, _magnitude,
-                        _product_factors, _roots_at, _sqrt, _trim)
+from .chebyshev import factor_roots
+from .dyadic import _add, _at_most, _branch, _float, _magnitude, _sqrt, _trim
 from .errors import QuadratureError
 from .graph import diagonal_flag
 
@@ -76,27 +76,22 @@ def associated_laurent(steps, family="even", precision=256, reduce=True):
     steps/d, which leaves the measure unchanged and keeps z = 1 the only
     unit-circle root.  Pass ``reduce=False`` to analyze the unreduced
     polynomial; its extra unit-circle roots sit at d-th roots of unity.
-    The roots are the root store's (:func:`~circtrees.chebyshev._roots_at`),
-    not stored back: a count refines its roots as it would without the
-    measure.  A factor above the store's seeding budget raises
-    :class:`CertificationError`, not attempted.
+    The roots are the root store's
+    (:func:`~circtrees.chebyshev.factor_roots`), not stored back: a count
+    refines its roots as it would without the measure.  A factor above the
+    store's seeding budget raises :class:`CertificationError`, not
+    attempted.
     """
     steps = tuple(sorted(steps))
     diagonal = diagonal_flag(family)
     d = math.gcd(*steps)
     use = tuple(s // d for s in steps) if (reduce and d > 1) else steps
     lcoeffs = {0: 2 * len(use), **{t: -1 for s in use for t in (s, -s)}}
-    poly = _ordinary_image(use) * (_ordinary_image(use, shift=2)
-                                   if diagonal else 1)
-    groups = tuple(_roots_at(factor, precision)
-                   for factor, _ in _product_factors(use, diagonal)[0])
+    poly = ordinary_image(use) * (ordinary_image(use, shift=2)
+                                  if diagonal else 1)
+    groups = factor_roots(use, diagonal, precision)
     return LaurentSpectrum(steps, family, bool(reduce and d > 1), use,
                            lcoeffs, poly, groups, precision)
-
-
-def _float(m, e):
-    """m 2^e, correctly rounded to a float."""
-    return m / (1 << -e) if e < 0 else float(m << e)
 
 
 def mahler_root_product(spectrum):
@@ -104,7 +99,7 @@ def mahler_root_product(spectrum):
 
     A root w stands for the roots b and 1/b of the ordinary image, whose
     leading coefficient is -1, with |b| >= 1 from
-    :func:`~circtrees.chebyshev._branch`; a real w in [-1, 1] has |b| = 1
+    :func:`~circtrees.dyadic._branch`; a real w in [-1, 1] has |b| = 1
     exactly.  The product's square is taken on the integer mantissas at the
     spectrum's precision.  A root within r of w moves |b| by about
     r / |sqrt(w^2 - 1)|, or sqrt(r) near w = +-1, so the relative error
@@ -181,7 +176,7 @@ def mahler_quadrature(steps, family="even"):
         f"{_QUADRATURE_TOL} within {points} points")
 
 
-def _growth_ratio(tau, spec, measure):
+def growth_ratio(tau, spec, measure):
     """tau q / (n d^2 M^n), with 2q in place of q for the diagonal family."""
     q = sum(s * s for s in spec.steps) * (2 if spec.diagonal else 1)
     return math.exp(math.log(tau) + math.log(q) - math.log(spec.order)
@@ -200,7 +195,7 @@ def asymptotic_ratio(steps, family, n, measure=None):
     spec = family_spec(steps, family, n)
     if measure is None:
         measure = mahler_root_product(associated_laurent(steps, family))
-    return _growth_ratio(tau_closed_form(spec), spec, measure)
+    return growth_ratio(tau_closed_form(spec), spec, measure)
 
 
 class ThermoSeries(namedtuple("ThermoSeries", "orders values target")):

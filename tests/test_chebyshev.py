@@ -20,15 +20,21 @@ from circtrees import (CertificationError, DisconnectedGraphError,
                        find_roots, mahler_root_product, parse_spec,
                        tau_closed_form, tau_even, tau_odd, tau_oracle)
 from circtrees import chebyshev
-from circtrees.algebra import _ordinary_image
-from circtrees.chebyshev import (GUARD_BITS, _double_precision_roots, _exact,
+from circtrees.algebra import ordinary_image
+from circtrees.chebyshev import (GUARD_BITS, _double_precision_roots,
                                  _newton_step, _refine_roots, _seed_mirrors,
                                  _yun, poly_gcd, square_free_decomposition)
+from circtrees.dyadic import _exact
 from triples import cheb_value, to_mpc, to_mpf
 
 W = IntPolynomial([0, 1])
 STEP_SETS = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 4), (2, 5),
              (1, 2, 3), (1, 3, 5), (2, 3, 7), (1, 2, 3, 4), (3, 5, 12)]
+
+
+def on_grid(bits):
+    """``bits`` rounded up to the precision grid the root store refines on."""
+    return -(-bits // chebyshev.ROOT_GRID_BITS) * chebyshev.ROOT_GRID_BITS
 
 
 @pytest.fixture(autouse=True)
@@ -393,7 +399,7 @@ def seed_factors(s_max):
                 odd = build_odd_char(steps)
                 polys = (build_even_char(steps),
                          (odd - 1).div_exact(IntPolynomial([-1, 1])), odd + 1,
-                         _ordinary_image(steps), _ordinary_image(steps, 2))
+                         ordinary_image(steps), ordinary_image(steps, 2))
                 for poly in polys:
                     if poly.degree >= 1:
                         for factor, _ in square_free_decomposition(poly):
@@ -491,9 +497,9 @@ class TestSeeds:
         # z^(s_k - 1) P((z + 1/z)/2) is -p_L / (z - 1)^2 and z^(s_k)
         # (P_odd + 1)((z + 1/z)/2) is p_L2, up to sign and content
         image = chebyshev._laurent_image
-        reduced = _ordinary_image(steps).div_exact(IntPolynomial([1, -2, 1]))
+        reduced = ordinary_image(steps).div_exact(IntPolynomial([1, -2, 1]))
         assert image(build_even_char(steps)) in (reduced, -reduced)
-        shifted = _ordinary_image(steps, 2)
+        shifted = ordinary_image(steps, 2)
         assert image(build_odd_char(steps) + 1) in (shifted, -shifted)
 
     def test_large_step_seeds_on_the_z_image(self):
@@ -720,7 +726,7 @@ class TestClosedFormCounts:
                             lambda *args: top - 127)
         assert certified(spec) == tau_closed_form(spec)
         assert steps
-        assert all(entry.best.working_precision == 2 * (top + 1)
+        assert all(entry.best.working_precision == on_grid(2 * (top + 1))
                    for entry in entries)
 
     @pytest.mark.parametrize("literal, larger", [
@@ -774,7 +780,7 @@ class TestClosedFormCounts:
         assert len(branched) == 2 * representatives
         for entry, (cr, pairs) in zip(entries, stored):
             assert entry.best is not cr and entry.pairs is not pairs
-            assert entry.best.working_precision == 2 * (top + 1)
+            assert entry.best.working_precision == on_grid(2 * (top + 1))
             assert entry.pairs == pairs_of(entry.best)
 
     def test_failed_certification_is_flagged_as_attempted(self):
@@ -829,9 +835,10 @@ class TestClosedFormCounts:
         monkeypatch.setattr(chebyshev, "find_roots", flaky)
         with caplog.at_level(logging.DEBUG, logger="circtrees.chebyshev"):
             assert tau_even(canonicalize(7, [1, 2])) == 7 * 13 ** 2
-        start = calls[0]
-        # the confirm pass at 4 * start refines carried roots: no third call
-        assert calls == [start, 2 * start]
+        start = 128 + chebyshev._headroom_bits([build_even_char((1, 2))], 7)
+        # the confirm pass at 4 * start refines carried roots: no third call;
+        # each refinement runs on the store's precision grid
+        assert calls == [on_grid(start), on_grid(2 * start)]
         assert f"at {start} bits: root refinement failed: stalled; " \
             f"escalating to {2 * start} bits" in caplog.text
 
@@ -933,6 +940,31 @@ class TestClosedFormCounts:
             spec = family_spec((1, 3, 4), "diagonal", n)
             assert tau_odd(spec) == tau_closed_form(spec)
         assert built == [(1, 3, 4)]
+
+    @pytest.mark.parametrize("steps, family, orders, most", [
+        ((1, 2, 3, 4, 5), "even", range(11, 400), 45),
+        ((2, 3), "diagonal", range(4, 200), 60)])
+    def test_ascending_sweep_refines_on_the_grid(self, monkeypatch, steps,
+                                                 family, orders, most):
+        # each count asks a few bits more than the last, for its first pass
+        # and its confirm pass; refining on the 64-bit grid serves most of
+        # them from the store, where refining at the bits asked would take
+        # about one refinement per count
+        refinements = []
+        refine = chebyshev._refine_roots
+
+        def counted(poly, precision, previous=None):
+            refinements.append(precision)
+            return refine(poly, precision, previous)
+
+        monkeypatch.setattr(chebyshev, "_refine_roots", counted)
+        for n in orders:
+            spec = family_spec(steps, family, n)
+            certified = tau_odd if spec.diagonal else tau_even
+            assert certified(spec) == tau_closed_form(spec)
+        assert 0 < len(refinements) <= most
+        assert all(bits % chebyshev.ROOT_GRID_BITS == 0
+                   for bits in refinements)
 
     @pytest.mark.parametrize("poly", [
         build_even_char((1, 3, 4)), build_odd_char((1, 3, 4)) + 1,

@@ -227,6 +227,14 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "C9(1,2)")
         assert code == 1 and "FAIL  exact 10404 != chebyshev 7" in out
 
+    def test_seeding_budget_skip_names_its_limit(self, capsys):
+        # a 3,343-bit count, far below the 8192-bit cap, whose degree-1199
+        # characteristic polynomial the seeding budget refuses
+        code, out, _ = run_cli(capsys, "verify", "C2401(1,1200)")
+        assert code == 0
+        assert "PASS  chebyshev skipped (seeding budget); oracle skipped " \
+            "(ceiling); decomp" in out
+
     def test_failed_certification_is_not_a_cap_skip(self, capsys,
                                                      monkeypatch):
         # a certified product that ran and failed to certify below its cap
@@ -313,7 +321,7 @@ class TestMahlerCommand:
             raise AssertionError("roots found for the quadrature")
         monkeypatch.setattr(chebyshev, "find_roots", refuse)
         monkeypatch.setattr(chebyshev, "_refine_roots", refuse)
-        monkeypatch.setattr(mahler, "_roots_at", refuse)
+        monkeypatch.setattr(mahler, "factor_roots", refuse)
         code, out, _ = run_cli(capsys, "mahler", "1,2", "--method",
                                "quadrature")
         assert code == 0

@@ -100,6 +100,42 @@ def imported_modules(*args):
             .splitlines() if line.startswith("import time:")}
 
 
+def foreign_private_names(source, modules):
+    """(module, name) for each underscore name of another package module
+    that ``source`` imports or reads as an attribute, ``dyadic``'s aside.
+
+    ``modules`` holds the package's module names; ``from .x import _y``,
+    ``from circtrees.x import _y`` and ``x._y`` after ``from . import x``
+    count, dunder names do not.
+    """
+    def private(module, name):
+        return (module in modules and module != "dyadic"
+                and name.startswith("_") and not name.startswith("__"))
+
+    tree = ast.parse(source)
+    aliases, found = {}, []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.startswith("circtrees"):
+            module = module[len("circtrees"):].lstrip(".")
+        elif node.level != 1:
+            continue
+        for alias in node.names:
+            if module:
+                if private(module, alias.name):
+                    found.append((module, alias.name))
+            elif alias.name in modules:
+                aliases[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and private(aliases.get(node.value.id), node.attr)):
+            found.append((aliases[node.value.id], node.attr))
+    return found
+
+
 # standard-library modules no command below runs; the interpreter's own
 # start-up may load some of them, so only those the package adds count
 UNUSED_AT_START = {"dataclasses", "inspect", "logging", "csv"}
@@ -164,6 +200,29 @@ print(len(circtrees.__all__), 'mpmath' in sys.modules)
                     continue
                 assert not any(name.split(".")[0] == "mpmath"
                                for name in names), path.name
+
+    def test_no_module_reads_another_modules_private_names(self):
+        # a name with a leading underscore belongs to its module; only the
+        # mantissa arithmetic of ``dyadic`` is shared under such names
+        package = Path(circtrees.__file__).parent
+        modules = {path.stem for path in package.glob("*.py")}
+        assert {"dyadic", "chebyshev", "mahler"} <= modules
+        for path in sorted(package.glob("*.py")):
+            assert foreign_private_names(path.read_text(), modules) == [], \
+                path.name
+
+    def test_private_name_check_sees_imports_and_reads(self):
+        modules = {"algebra", "chebyshev", "dyadic", "mahler"}
+        source = ("from .chebyshev import _roots_at, tau_even\n"
+                  "from circtrees.algebra import _ordinary_image\n"
+                  "from .dyadic import _trim\n"
+                  "from . import mahler as m, dyadic\n"
+                  "m._growth_ratio(1, 2, 3), m.__name__, dyadic._add\n"
+                  "def f(self):\n"
+                  "    return self._x, _local\n")
+        assert foreign_private_names(source, modules) == [
+            ("chebyshev", "_roots_at"), ("algebra", "_ordinary_image"),
+            ("mahler", "_growth_ratio")]
 
     def test_exact_route_shares_no_code_with_the_oracle(self):
         # the method of record is checked against the determinant oracle,

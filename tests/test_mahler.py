@@ -19,7 +19,7 @@ from circtrees import (DisconnectedGraphError, SpecError, associated_laurent,
                        asymptotic_ratio, find_roots, mahler_quadrature,
                        mahler_root_product, thermo_limit)
 from circtrees import mahler
-from circtrees.algebra import _ordinary_image
+from circtrees.algebra import ordinary_image
 from circtrees.mahler import MahlerEstimate
 from triples import to_mpc, to_mpf
 
@@ -67,9 +67,9 @@ def reference_root_product(spectrum):
     find_roots gives for the ordinary images themselves, in mpmath at the
     spectrum's precision, doubled while a root straddles the circle."""
     steps = spectrum.reduced_steps
-    images = [_ordinary_image(steps)]
+    images = [ordinary_image(steps)]
     if spectrum.family == "diagonal":
-        images.append(_ordinary_image(steps, shift=2))
+        images.append(ordinary_image(steps, shift=2))
     precision = spectrum.precision
     while True:
         outside = reference_classify(
@@ -134,14 +134,14 @@ class TestSpectrum:
                                        (1, 4), (2, 3, 5)])
     def test_unit_root_multiplicity_exactly_two(self, steps):
         # z = 1 is a double root of the polynomial image, exactly
-        poly = _ordinary_image(steps)
+        poly = ordinary_image(steps)
         assert poly(1) == 0
         assert poly.derivative()(1) == 0
         assert poly.derivative().derivative()(1) != 0
 
     @pytest.mark.parametrize("steps", [(1, 2), (1, 3), (2, 3), (1, 2, 3)])
     def test_palindromic_coefficients(self, steps):
-        poly = _ordinary_image(steps)
+        poly = ordinary_image(steps)
         assert poly.coeffs == tuple(reversed(poly.coeffs))
         spectrum = associated_laurent(steps, "even")
         for e, c in spectrum.laurent_coeffs.items():
@@ -256,7 +256,7 @@ class TestMultiplicativity:
         # M(L (L+2)) = M(L) M(L+2)
         whole = mahler_root_product(associated_laurent(steps, "diagonal"))
         left = mahler_root_product(associated_laurent(steps, "even"))
-        shifted = _ordinary_image(steps, shift=2)
+        shifted = ordinary_image(steps, shift=2)
         right = mp.mpf(1)
         cr = find_roots(shifted, 256)
         for z, m in zip(map(to_mpc, cr.roots), cr.multiplicities):

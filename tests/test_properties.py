@@ -5,12 +5,13 @@ Random step sets from {1..6} in either family, on at most 40 vertices
 where the determinant oracle takes part and at most 250 where only the two
 closed forms are compared; gcd-1 step sets from {1..9} at orders up to 600
 compare the two closed forms at counts of thousands of bits, and at
-orders up to 300 over sequences of orders counted one after another.  The
-``asymptote`` and ``sequence`` rows at orders 2..40 carry the family
-rule's count.  Polynomials
-are products of small integer factors with leading coefficients 2..5,
-repeated factors and a content, checked against a Euclid over the
-rationals written here, and the resultant against the determinant of the
+orders up to 300 over sequences of orders counted one after another;
+gcd-1 step sets with a largest step up to 60 compare them near their
+smallest orders.  The ``asymptote`` and ``sequence`` rows at orders 2..40
+carry the family rule's count.  Polynomials are products of small
+integer factors with leading coefficients 2..5, repeated factors and a
+content, checked against a Euclid over the rationals written here, and
+the resultant against the determinant of the
 Sylvester matrix on polynomials of degree up to 7 with coefficients in
 -9..9 and small common factors.  The mantissa kernels of the certified
 products (T_n, the Newton step, the magnitude bound, the product over the
@@ -44,12 +45,13 @@ from circtrees import (DisconnectedGraphError, IntPolynomial,
                        tau_oracle)
 from circtrees.algebra import _resultant
 from circtrees.arithmetic import family_spec
-from circtrees.chebyshev import (GUARD_BITS, RootRefinementError, _branch,
-                                 _integer_near, _inverse, _ladder, _magnitude,
-                                 _newton_step, _pair_representatives,
-                                 _product, _refine_roots, _root_setup,
-                                 poly_gcd, square_free_decomposition)
+from circtrees.chebyshev import (GUARD_BITS, RootRefinementError,
+                                 _integer_near, _ladder, _newton_step,
+                                 _pair_representatives, _product,
+                                 _refine_roots, _root_setup, poly_gcd,
+                                 square_free_decomposition)
 from circtrees.cli import main
+from circtrees.dyadic import _branch, _inverse, _magnitude
 from triples import cheb_value, to_mpc, to_mpf, triple
 
 MAX_VERTICES = 40
@@ -175,6 +177,27 @@ def large_order_specs(draw, s_max=9, n_max=600):
 @PROPERTY
 @given(large_order_specs())
 def test_certified_product_equals_exact_at_large_orders(spec):
+    assert certified_product(spec) == tau_closed_form(spec)
+
+
+@st.composite
+def large_step_specs(draw, s_max=60):
+    """A gcd-1 step set with s_k in 10..s_max at one of its nine smallest
+    orders; s_k is drawn down from s_max, so examples shrink toward it."""
+    top = s_max - draw(st.integers(0, s_max - 10))
+    steps = tuple(sorted(draw(st.sets(st.integers(1, top - 1), max_size=3))
+                         | {top}))
+    assume(math.gcd(*steps) == 1)
+    family = draw(family_st)
+    smallest = top + 1 if family == "diagonal" else 2 * top + 1
+    return family_spec(steps, family, smallest + draw(st.integers(0, 8)))
+
+
+@PROPERTY
+@given(large_step_specs())
+def test_certified_product_equals_exact_at_large_steps(spec):
+    # seeded on the z-image, the roots of P certify where the w-basis
+    # coefficients reach 2^(s_k)
     assert certified_product(spec) == tau_closed_form(spec)
 
 

@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from circtrees.chebyshev import GUARD_BITS, _branch, _inverse, _ladder
+from circtrees.chebyshev import GUARD_BITS, _ladder
+from circtrees.dyadic import _branch, _inverse
 
 
 def triple(w):
