@@ -3,13 +3,15 @@
 The count of a connected circulant graph is a product over the roots of an
 integer polynomial (see :mod:`circtrees.chebyshev` for its Chebyshev form),
 and so the norm of an algebraic integer.  :func:`tau_closed_form`, the
-method of record, computes that norm as a resultant by the subresultant
-sequence, sharing no elimination code with the determinant oracle: no
-floating point, no precision and no size limit.  :class:`IntPolynomial`
-carries the integer polynomial arithmetic it needs.
+method of record, takes that norm on the half-degree forms in x = z + 1/z,
+as a resultant by the subresultant sequence of V_n(x) = z^n + z^-n reduced
+by a Lucas ladder.  It shares no elimination code with the determinant
+oracle: no floating point, no precision and no size limit.
+:class:`IntPolynomial` carries the integer polynomial arithmetic it needs.
 """
 
 import math
+from functools import lru_cache
 
 from .errors import DisconnectedGraphError, InternalConsistencyError
 from .graph import component_count
@@ -110,7 +112,7 @@ class IntPolynomial:
         return IntPolynomial([c // g for c in self.coeffs])
 
     def __call__(self, x):
-        """Horner evaluation; works for int, Fraction, float, complex, mpmath."""
+        """Horner evaluation; works for int, Fraction, float and complex."""
         acc = 0 * x
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -122,7 +124,7 @@ class IntPolynomial:
         Raises :class:`InternalConsistencyError` when a quotient coefficient
         is not a multiple of the divisor's leading coefficient; used only
         where the division is exact by construction (a divisor with leading
-        coefficient +-1, a primitive factor, or a pseudo-remainder).
+        coefficient +-1, or a primitive factor).
         """
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
@@ -150,19 +152,12 @@ class IntPolynomial:
         return q
 
     def __repr__(self):
-        if self.is_zero:
-            return "IntPolynomial(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append(f"{c}*w")
-            else:
-                terms.append(f"{c}*w^{i}")
-        return "IntPolynomial(" + " + ".join(terms) + ")"
+        terms = [f"{c}*w^{i}" if i > 1 else f"{c}*w" if i else str(c)
+                 for i, c in enumerate(self.coeffs) if c]
+        return "IntPolynomial(" + (" + ".join(terms) or "0") + ")"
+
+
+_X = IntPolynomial([0, 1])
 
 
 def require_connected(spec):
@@ -233,55 +228,60 @@ def _resultant(a, b):
     return sign * _exact_quotient(b.leading ** a.degree * h, h ** a.degree)
 
 
-def _power_norm(modulus, n, shift):
-    """prod (r^n + shift) over the roots r of ``modulus``, exactly.
+@lru_cache(maxsize=64)
+def _half_images(steps):
+    """(Q~, Q~_2) of a step set by V_0 = 2, V_1 = x, V_{s+1} = x V_s - V_{s-1}:
+    Q~ = (2k - sum_j V_{s_j}) / (x - 2) and Q~_2 = 2k + 2 - sum_j V_{s_j}."""
+    lucas = [IntPolynomial([2]), _X]
+    while len(lucas) <= steps[-1]:
+        lucas.append(_X * lucas[-1] - lucas[-2])
+    image = 2 * len(steps) - sum((lucas[s] for s in steps), IntPolynomial([]))
+    return image.div_exact(IntPolynomial([-2, 1])), image + 2
 
-    ``modulus`` has leading coefficient +-1, so B = z^n mod ``modulus`` is
-    found by binary powering over the integers, and the norm is
-    lead^deg(B + shift) Res(modulus, B + shift).  A constant modulus has no
-    roots: norm 1.
-    """
+
+def _lucas_norm(modulus, n, shift):
+    """|prod (V_n(x) + shift)| over the roots x of ``modulus`` (leading
+    coefficient +-1; a constant has no roots: norm 1), as |Res(modulus, V_n +
+    shift)|, with V_n mod ``modulus`` found over the integers by the ladder
+    on (V_m, V_{m+1}): V_2m = V_m^2 - 2 and V_2m+1 = V_m V_{m+1} - x."""
     if abs(modulus.leading) != 1:
         raise InternalConsistencyError(
             f"{modulus} does not have leading coefficient +-1")
-    z = IntPolynomial([0, 1])
-    power = IntPolynomial([1])
-    for bit in bin(n)[2:]:
-        power = power * power
-        if bit == "1":
-            power = power * z
-        power = power.divmod_exact(modulus)[1]
-    value = power + shift
-    return _resultant(modulus, value) * modulus.leading ** max(value.degree, 0)
+    pair = [IntPolynomial([2]), _X]
+    for bit in map(int, bin(n)[2:]):
+        middle = pair[0] * pair[1] - _X
+        pair[bit] = pair[bit] * pair[bit] - 2
+        pair[1 - bit] = middle
+        pair = [v.divmod_exact(modulus)[1] for v in pair]
+    return abs(_resultant(modulus, pair[0] + shift))
 
 
 def tau_closed_form(spec):
     """Spanning-tree count of ``spec``, exactly.
 
-    Write p_L = z^{s_k} L(z) = -(z - 1)^2 Q(z) and Q_2 = z^{s_k} (L + 2);
-    both have leading coefficient +-1.  The Chebyshev products of
-    :func:`~circtrees.chebyshev.tau_even` and
-    :func:`~circtrees.chebyshev.tau_odd` are then norms over their roots,
-    at the order n of ``spec`` (the half-order for the diagonal family):
+    Write p_L = z^{s_k} L(z) = -(z - 1)^2 Q(z) and Q_2 = z^{s_k} (L + 2),
+    both palindromic, and Q~, Q~_2 for their half forms in x = z + 1/z.
+    The roots r, 1/r of a root x give (r^n - 1)(r^-n - 1) = 2 - V_n(x), so
+    the products of :func:`~circtrees.chebyshev.tau_even` and
+    :func:`~circtrees.chebyshev.tau_odd` at the order n of ``spec`` (the
+    half-order for the diagonal family) are the norms
 
-        even:     tau = n |prod_Q (r^n - 1)| / q
-        diagonal: tau = n |prod_Q (r^n - 1)| |prod_Q_2 (r^n + 1)| / 2q
+        even:     tau = n |Res(Q~, V_n - 2)| / q
+        diagonal: tau = n |Res(Q~, V_n - 2)| |Res(Q~_2, V_n + 2)| / 2q
 
-    each a resultant by the subresultant sequence, so no precision is
-    involved and no count is too large.  A disconnected spec raises
-    :class:`DisconnectedGraphError`; a count that is not a positive
-    multiple of q (2q) raises :class:`InternalConsistencyError`.  Other
-    orders of a family are counted from their own specs
-    (:func:`~circtrees.arithmetic.family_spec`).
+    A disconnected spec raises :class:`DisconnectedGraphError`; a count
+    that is not a positive multiple of q (2q) raises
+    :class:`InternalConsistencyError`.  Other orders of a family are counted
+    from their own specs (:func:`~circtrees.arithmetic.family_spec`).
     """
     require_connected(spec)
-    n, steps = spec.order, spec.steps
+    n, steps = spec.order, tuple(spec.steps)
     q = sum(s * s for s in steps)
-    reduced = ordinary_image(steps).div_exact(IntPolynomial([-1, 2, -1]))
-    count = n * abs(_power_norm(reduced, n, -1))
+    half, shifted = _half_images(steps)
+    count = n * _lucas_norm(half, n, -2)
     if spec.diagonal:
         q *= 2
-        count *= abs(_power_norm(ordinary_image(steps, shift=2), n, 1))
+        count *= _lucas_norm(shifted, n, 2)
     tau, rest = divmod(count, q)
     if tau <= 0 or rest:
         raise InternalConsistencyError(

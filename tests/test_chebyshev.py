@@ -25,6 +25,7 @@ from circtrees.chebyshev import (GUARD_BITS, _double_precision_roots,
                                  _newton_step, _refine_roots, _seed_mirrors,
                                  _yun, poly_gcd, square_free_decomposition)
 from circtrees.dyadic import _exact
+from modular import primes_one_mod, spec_tau_mod
 from triples import cheb_value, to_mpc, to_mpf
 
 W = IntPolynomial([0, 1])
@@ -879,7 +880,7 @@ class TestClosedFormCounts:
 
     def test_exact_route_at_large_steps(self):
         # multiplier conjugates share their count; at steps up to 35 (200)
-        # the norm is taken modulo a polynomial of degree 68 (398)
+        # the norm is taken modulo a polynomial of degree 34 (199)
         assert tau_closed_form(parse_spec("C3000(7,14,21,28,35)")) \
             == tau_closed_form(parse_spec("C3000(1,2,3,4,5)"))
         spec = parse_spec("C401(1,200)")
@@ -894,6 +895,19 @@ class TestClosedFormCounts:
         assert decompose(spec, tau).tau == tau
         ratio = asymptotic_ratio(spec.steps, spec.family, spec.order)
         assert abs(ratio - 1) < 1e-9
+
+    @pytest.mark.parametrize("literal", ["C20000(1,2,3,4,5)",
+                                         "C5000(1,2,3;d)",
+                                         "C3000(7,14,21,28,35)"])
+    def test_exact_route_above_both_ceilings(self, literal):
+        # counts beyond the oracle's ceiling and the certified products'
+        # cap, checked modulo three 61-bit primes by the matrix-tree
+        # product over the Laplacian's eigenvalues
+        spec = parse_spec(literal)
+        tau = tau_closed_form(spec)
+        assert tau.bit_length() > 8192
+        for p in primes_one_mod(spec.vertex_count, 3):
+            assert tau % p == spec_tau_mod(spec, p), p
 
     @pytest.mark.parametrize("steps", [(1,), (1, 2), (1, 3), (2, 3), (1, 4),
                                        (2, 5), (1, 2, 3), (1, 2, 5)])

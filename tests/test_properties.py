@@ -7,22 +7,23 @@ closed forms are compared; gcd-1 step sets from {1..9} at orders up to 600
 compare the two closed forms at counts of thousands of bits, and at
 orders up to 300 over sequences of orders counted one after another;
 gcd-1 step sets with a largest step up to 60 compare them near their
-smallest orders.  The ``asymptote`` and ``sequence`` rows at orders 2..40
-carry the family rule's count.  Polynomials are products of small
-integer factors with leading coefficients 2..5, repeated factors and a
-content, checked against a Euclid over the rationals written here, and
-the resultant against the determinant of the
-Sylvester matrix on polynomials of degree up to 7 with coefficients in
--9..9 and small common factors.  The mantissa kernels of the certified
-products (T_n, the Newton step, the magnitude bound, the product over the
-stored roots) are checked against mpmath at three times their precision,
-from 64 to 4096 bits, and Newton from stored roots, below or above their
-precision, leaves a radius that bounds its last step and holds the root
-refined further.  The certification's nearest-integer rule is checked
-against Fractions, at ties and at the edges of its 2^-20 window and of
-the values a pass can resolve.  Examples are
-derandomized and have no deadline, so the suite is deterministic and does
-not depend on the speed of the machine.
+smallest orders, and the exact route's half-degree polynomials with the
+certified products' characteristic polynomials.  The ``asymptote`` and
+``sequence`` rows at orders 2..40 carry the family rule's count.
+Polynomials are products of small integer factors with leading
+coefficients 2..5, repeated factors and a content, checked against a
+Euclid over the rationals written here, and the resultant against the
+determinant of the Sylvester matrix on polynomials of degree up to 7
+with coefficients in -9..9 and small common factors.  The mantissa
+kernels of the certified products (T_n, the Newton step, the magnitude
+bound, the product over the stored roots) are checked against mpmath at
+three times their precision, from 64 to 4096 bits, and Newton from
+stored roots, below or above their precision, leaves a radius that
+bounds its last step and holds the root refined further.  The
+certification's nearest-integer rule is checked against Fractions, at
+ties and at the edges of its 2^-20 window and of the values a pass can
+resolve.  Examples are derandomized and have no deadline, so the suite
+is deterministic and does not depend on the speed of the machine.
 """
 
 import io
@@ -43,7 +44,7 @@ from circtrees import (DisconnectedGraphError, IntPolynomial,
                        canonicalize, find_roots, multiplier_conjugate,
                        parse_spec, tau_closed_form, tau_even, tau_odd,
                        tau_oracle)
-from circtrees.algebra import _resultant
+from circtrees.algebra import _half_images, _resultant
 from circtrees.arithmetic import family_spec
 from circtrees.chebyshev import (GUARD_BITS, RootRefinementError,
                                  _integer_near, _ladder, _newton_step,
@@ -199,6 +200,23 @@ def test_certified_product_equals_exact_at_large_steps(spec):
     # seeded on the z-image, the roots of P certify where the w-basis
     # coefficients reach 2^(s_k)
     assert certified_product(spec) == tau_closed_form(spec)
+
+
+@PROPERTY
+@given(st.sets(st.integers(1, 60), min_size=1, max_size=4))
+@example({1})
+@example({1, 60})
+def test_half_images_are_the_characteristic_polynomials(steps):
+    # the exact route's Lucas-built Q~ (both families) and Q~_2 (diagonal)
+    # and the certified products' Chebyshev-built P and P_odd check each
+    # other at x = 2w
+    steps = tuple(sorted(steps))
+    assume(math.gcd(*steps) == 1)
+    half, shifted = _half_images(steps)
+    at_2w = [IntPolynomial([c << i for i, c in enumerate(poly.coeffs)])
+             for poly in (half, shifted)]
+    assert at_2w[0] == -build_even_char(steps)
+    assert at_2w[1] == build_odd_char(steps) + 1
 
 
 @st.composite
