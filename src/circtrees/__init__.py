@@ -29,7 +29,7 @@ from .arithmetic import (Decomposition, decompose, expected_coefficient,
                          family_spec, sequence_a, square_free_part)
 from .errors import (CertificationError, CirctreesError,
                      DisconnectedGraphError, InternalConsistencyError,
-                     OracleCeilingError, QuadratureError, RootRefinementError,
+                     NotAttemptedError, QuadratureError, RootRefinementError,
                      SpecError, SpecParseError)
 from .exact import bareiss_determinant, tau_oracle
 from .graph import (CirculantSpec, canonicalize, component_count, eigenvalue,
@@ -41,7 +41,7 @@ __all__ = [
     "CertificationError", "CertifiedRoots", "CirculantSpec", "CirctreesError",
     "Decomposition", "DisconnectedGraphError", "IntPolynomial",
     "InternalConsistencyError", "LaurentSpectrum", "MahlerEstimate",
-    "OracleCeilingError", "QuadratureError", "RootRefinementError",
+    "NotAttemptedError", "QuadratureError", "RootRefinementError",
     "SpecError", "SpecParseError", "ThermoSeries", "associated_laurent",
     "asymptotic_ratio", "bareiss_determinant", "build_even_char",
     "build_odd_char", "canonicalize", "cheb_t", "cheb_u",

@@ -6,15 +6,20 @@ and so the norm of an algebraic integer.  :func:`tau_closed_form`, the
 method of record, takes that norm on the half-degree forms in x = z + 1/z,
 as a resultant by the subresultant sequence of V_n(x) = z^n + z^-n reduced
 by a Lucas ladder.  It shares no elimination code with the determinant
-oracle: no floating point, no precision and no size limit.
+oracle: no floating point, no precision, one size limit (MAX_COUNT_BITS).
 :class:`IntPolynomial` carries the integer polynomial arithmetic it needs.
 """
 
 import math
 from functools import lru_cache
 
-from .errors import DisconnectedGraphError, InternalConsistencyError
+from .errors import (DisconnectedGraphError, InternalConsistencyError,
+                     NotAttemptedError)
 from .graph import component_count
+
+# fresh process, 2 cores: C100000(1,2,3,4,5), bounded by 0.43 Mbit, takes
+# 0.9 s; C900000(1,2,3,4,5), bounded by 3.9 Mbit, 53 s
+MAX_COUNT_BITS = 1 << 22
 
 
 class IntPolynomial:
@@ -273,8 +278,20 @@ def tau_closed_form(spec):
     that is not a positive multiple of q (2q) raises
     :class:`InternalConsistencyError`.  Other orders of a family are counted
     from their own specs (:func:`~circtrees.arithmetic.family_spec`).
+
+    Before any of that work, a count that may have more than MAX_COUNT_BITS
+    bits raises :class:`NotAttemptedError`.  The bound is the matrix-tree
+    theorem's: tau = (1/N) prod of the N - 1 nonzero Laplacian eigenvalues,
+    each at most twice the valency, so tau < (2 valency)^(N - 1).
     """
     require_connected(spec)
+    # log2(2 valency) is at most 1/64 of the bit length of its 64th power
+    bits = -(-(spec.vertex_count - 1)
+             * ((2 * spec.valency) ** 64).bit_length() // 64)
+    if bits > MAX_COUNT_BITS:
+        raise NotAttemptedError(
+            f"the count of {spec} may have up to {bits} bits, above the "
+            f"{MAX_COUNT_BITS}-bit size limit", "size")
     n, steps = spec.order, tuple(spec.steps)
     q = sum(s * s for s in steps)
     half, shifted = _half_images(steps)

@@ -45,7 +45,7 @@ from .dyadic import (_add, _at_least_one, _at_most, _branch, _exact, _fixed,
                      _inverse, _magnitude, _minus, _plus, _round_up, _show,
                      _trim)
 from .errors import (CertificationError, InternalConsistencyError,
-                     RootRefinementError)
+                     NotAttemptedError, RootRefinementError)
 
 MAX_CERTIFY_BITS = 8192
 MAX_SEED_DEGREE = 512
@@ -384,7 +384,7 @@ def _root_setup(poly):
     mirrors)`` per square-free factor: ``seeds`` from :func:`_seeds`, laid
     out by :func:`_paired_seeds` so that each index in ``mirrors`` follows
     its conjugate pair's representative.  A factor of degree above
-    MAX_SEED_DEGREE is refused, as not attempted, before any is seeded:
+    MAX_SEED_DEGREE raises :class:`NotAttemptedError` before any is seeded:
     Aberth's iteration costs about d^2 per sweep.  ``best`` holds the most
     precise certified roots any certification has produced, None until one
     has, with their ``pairs``.  None of it depends on the order, so a
@@ -397,9 +397,9 @@ def _root_setup(poly):
     split = square_free_decomposition(poly)
     top = max((factor.degree for factor, _ in split), default=0)
     if top > MAX_SEED_DEGREE:
-        return _RootEntry((), (), CertificationError(
+        return _RootEntry((), (), NotAttemptedError(
             f"a degree-{top} factor is above the {MAX_SEED_DEGREE}-degree "
-            f"seeding budget", limit="seeding budget"))
+            f"seeding budget", "seeding budget"))
     try:
         factors = tuple((factor, factor.derivative(), mult,
                          *_paired_seeds(_seeds(factor)))
@@ -607,7 +607,7 @@ def find_roots(poly, precision):
     :func:`_seeds` and refined by Newton on integer mantissas, once per
     conjugate pair.  Raises :class:`RootRefinementError` when seeding
     fails, refinement stalls or two iterates collapse onto one root, and
-    :class:`CertificationError` for a factor above MAX_SEED_DEGREE.
+    :class:`NotAttemptedError` for a factor above MAX_SEED_DEGREE.
     """
     if poly.degree < 1:
         raise ValueError("find_roots requires a nonconstant polynomial")
@@ -711,14 +711,14 @@ def _certified_integer(evaluate, divisor, initial_bits, what):
     by ``divisor`` and recomputation at doubled precision reproduces it;
     otherwise doubles the working precision up to MAX_CERTIFY_BITS.  A pass
     that cannot resolve 2^-20 is rejected without a confirm pass, and a
-    start above the cap is refused without an attempt.  Each escalation
+    start above the cap raises :class:`NotAttemptedError`.  Each escalation
     and its cause is logged at DEBUG level.
     """
     bits = max(initial_bits, 128)
     if bits > MAX_CERTIFY_BITS:
-        raise CertificationError(
+        raise NotAttemptedError(
             f"{what} not attempted: needs about {bits} bits, above the "
-            f"{MAX_CERTIFY_BITS}-bit cap")
+            f"{MAX_CERTIFY_BITS}-bit cap", "cap")
     while bits <= MAX_CERTIFY_BITS:
         try:
             candidate = _integer_near(evaluate(bits), bits)
@@ -741,8 +741,7 @@ def _certified_integer(evaluate, divisor, initial_bits, what):
             what, bits, cause, 2 * bits)
         bits *= 2
     raise CertificationError(
-        f"{what} failed to certify as an integer below {MAX_CERTIFY_BITS} bits",
-        attempted=True)
+        f"{what} failed to certify as an integer below {MAX_CERTIFY_BITS} bits")
 
 
 def tau_even(spec):
@@ -815,9 +814,9 @@ def _certified_product(spec, diagonal):
     roots w of its polynomial; the product starts at n and must be a
     multiple of q (even) or 2q (diagonal).  The diagonal product is signed,
     so a negative value fails; the even one is certified in absolute value.
-    A failure to seed the roots raises :class:`CertificationError` with
-    ``attempted`` set, as a failure at every precision does; a factor above
-    the seeding budget raises it unattempted.
+    A failure to seed the roots raises :class:`CertificationError`, as a
+    failure at every precision does; a factor above the seeding budget, or
+    a start above the cap, raises :class:`NotAttemptedError`.
     """
     if spec.diagonal != diagonal:
         wanted = "diagonal" if diagonal else "even-valency"
@@ -838,6 +837,6 @@ def _certified_product(spec, diagonal):
     try:
         start = 128 + _headroom_bits([poly for poly, _ in factors], n)
     except RootRefinementError as exc:
-        raise CertificationError(f"{what} failed to seed its roots: {exc}",
-                                 attempted=True) from exc
+        raise CertificationError(
+            f"{what} failed to seed its roots: {exc}") from exc
     return _certified_integer(evaluate, divisor, start, what)

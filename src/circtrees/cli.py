@@ -21,13 +21,11 @@ In ``verify`` output the formula is the exact closed form
 (``tau_closed_form``), and ``formula=oracle`` means that it equals the
 determinant oracle.  The certified Chebyshev product
 (``tau_even``/``tau_odd``) adds a note only when it does not agree: a
-disagreement reads ``exact X != chebyshev Y``, a count above the product's
-precision cap is noted ``chebyshev skipped (cap)``, a characteristic
-polynomial above the root store's seeding budget ``chebyshev skipped
-(seeding budget)``, and a product that was attempted but failed to seed
-its roots or to certify at every precision up to the cap ``chebyshev
-failed to certify``.  A count above the oracle's
-ceiling is noted ``oracle skipped (ceiling)``.
+disagreement reads ``exact X != chebyshev Y``, a refusal ``chebyshev
+skipped (cap)`` or ``chebyshev skipped (seeding budget)``, and a product
+that ran but failed to seed its roots or to certify at every precision up
+to the cap ``chebyshev failed to certify``.  An oracle above its ceiling
+is noted ``oracle skipped (ceiling)``.
 
 In ``asymptote`` and ``sequence`` rows, an order below the family's smallest
 (its steps fold into a multigraph) has ``tau``, ``coefficient``, ``a`` and
@@ -39,13 +37,14 @@ sweep, and a disconnected literal exits 3.
 first row since the command started).
 
 Exit codes: 0 ok, 1 verification failure, 2 parse error, invalid input
-or a computation not attempted (``tau --method oracle`` above the
-oracle's ceiling, or ``mahler`` on a characteristic polynomial above the
-root store's seeding budget), 3 disconnected graph, 4 certification
+or a computation not attempted, 3 disconnected graph, 4 certification
 failure, 5 I/O error, 6 internal error.  Invalid input is what parsing
-and validation reject: a ``CIRC_ORACLE_CEILING`` that is not an integer,
-a negative ceiling, an order below 2; a ``ValueError`` from inside a
-computation is an internal error.
+and validation reject: a negative ceiling, an order below 2; a
+``ValueError`` from inside a computation is an internal error.  Four size
+limits refuse a computation before it starts, as ``not attempted``: the
+oracle's vertex ``ceiling`` (512, or ``--oracle-ceiling``), the certified
+product's 8192-bit ``cap`` and 512-degree ``seeding budget``, and the
+exact route's ``size`` limit on the count's bits.
 """
 
 import argparse
@@ -61,7 +60,7 @@ import time
 from . import algebra, arithmetic, exact, graph
 from .errors import (CertificationError, CirctreesError,
                      DisconnectedGraphError, InternalConsistencyError,
-                     OracleCeilingError, QuadratureError, RootRefinementError,
+                     NotAttemptedError, QuadratureError, RootRefinementError,
                      SpecError, SpecParseError)
 
 EXIT_OK = 0
@@ -217,15 +216,11 @@ def _family_row(steps, family, n):
 
 
 def _oracle_limit(ceiling):
-    """The oracle's vertex ceiling, ``ceiling`` or CIRC_ORACLE_CEILING's,
-    validated: a malformed or negative one is invalid input."""
-    try:
-        limit = ceiling if ceiling is not None else exact.oracle_ceiling()
-    except ValueError as exc:
-        raise _InvalidInput(exc) from None
-    if limit < 0:
-        raise _InvalidInput(f"oracle ceiling {limit} is negative")
-    return limit
+    """The oracle's vertex ceiling, validated: a negative one is invalid
+    input."""
+    if ceiling < 0:
+        raise _InvalidInput(f"oracle ceiling {ceiling} is negative")
+    return ceiling
 
 
 def _verify_one(spec, formula, ceiling):
@@ -235,8 +230,8 @@ def _verify_one(spec, formula, ceiling):
     product, which adds a note only when it disagrees, is refused by a
     limit or fails to certify below it (the last two are noted, not
     failed), and the oracle, noted ``formula=oracle`` when it agrees
-    (unless over its ceiling); then decompose as c n a^2 and match a
-    conjugate's count.
+    (unless refused by its ceiling); then decompose as c n a^2 and match
+    a conjugate's count.
     """
     from . import chebyshev
     notes = []
@@ -244,9 +239,10 @@ def _verify_one(spec, formula, ceiling):
     certified_form = chebyshev.tau_odd if spec.diagonal else chebyshev.tau_even
     try:
         certified = certified_form(spec)
-    except CertificationError as exc:
-        notes.append("chebyshev failed to certify" if exc.attempted
-                     else f"chebyshev skipped ({exc.limit})")
+    except NotAttemptedError as exc:
+        notes.append(f"chebyshev skipped ({exc.limit})")
+    except CertificationError:
+        notes.append("chebyshev failed to certify")
     else:
         if certified != formula:
             ok = False
@@ -254,8 +250,8 @@ def _verify_one(spec, formula, ceiling):
     n_vertices = spec.vertex_count
     try:
         oracle = exact.tau_oracle(spec, ceiling=ceiling)
-    except OracleCeilingError:
-        notes.append("oracle skipped (ceiling)")
+    except NotAttemptedError as exc:
+        notes.append(f"oracle skipped ({exc.limit})")
     else:
         if oracle != formula:
             ok = False
@@ -451,7 +447,8 @@ def build_parser():
     p.add_argument("spec", help="spec literal, e.g. C12(1,3) or C12(1,2;d)")
     p.add_argument("--method", choices=("formula", "oracle", "both"),
                    default="formula")
-    p.add_argument("--oracle-ceiling", type=int, default=None)
+    p.add_argument("--oracle-ceiling", type=int,
+                   default=exact.DEFAULT_ORACLE_CEILING)
     common(p)
     p.set_defaults(func=cmd_tau)
 
@@ -460,7 +457,8 @@ def build_parser():
     p.add_argument("pattern",
                    help="C*(1,2), C*(1;d), a literal, or C16-iso-pair")
     p.add_argument("--n-max", type=int, default=30)
-    p.add_argument("--oracle-ceiling", type=int, default=None)
+    p.add_argument("--oracle-ceiling", type=int,
+                   default=exact.DEFAULT_ORACLE_CEILING)
     common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -513,13 +511,10 @@ def main(argv=None):
     except DisconnectedGraphError as exc:
         print(f"disconnected: {exc}", file=sys.stderr)
         return EXIT_DISCONNECTED
-    except OracleCeilingError as exc:
+    except NotAttemptedError as exc:
         print(f"not attempted: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (CertificationError, RootRefinementError, QuadratureError) as exc:
-        if isinstance(exc, CertificationError) and not exc.attempted:
-            print(f"not attempted: {exc}", file=sys.stderr)
-            return EXIT_PARSE
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
     except _InvalidInput as exc:

@@ -25,8 +25,15 @@ class DisconnectedGraphError(CirctreesError):
         self.tau = 0
 
 
-class OracleCeilingError(CirctreesError):
-    """The exact determinant oracle refuses graphs above its size ceiling."""
+class NotAttemptedError(CirctreesError):
+    """A computation refused before any work because its input exceeds a
+    size limit; ``limit`` names it: the oracle's "ceiling", the certified
+    product's bit "cap" or "seeding budget", or the exact route's "size".
+    """
+
+    def __init__(self, message, limit):
+        super().__init__(message)
+        self.limit = limit
 
 
 class RootRefinementError(CirctreesError):
@@ -34,17 +41,8 @@ class RootRefinementError(CirctreesError):
 
 
 class CertificationError(CirctreesError):
-    """A closed-form product failed to certify as an exact integer.
-
-    ``attempted`` is True when the certification ran and failed, in seeding
-    its roots or at every precision up to its cap, and False (the default)
-    when it was refused without an attempt; ``limit`` then names the limit
-    that refused it, the bit "cap" (the default) or the "seeding budget".
-    """
-
-    def __init__(self, message, attempted=False, limit="cap"):
-        super().__init__(message)
-        self.attempted, self.limit = attempted, limit
+    """A closed-form product ran and failed to certify as an exact integer,
+    in seeding its roots or at every precision up to its cap."""
 
 
 class InternalConsistencyError(CirctreesError):

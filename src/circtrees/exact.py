@@ -19,32 +19,13 @@ This path is deliberately independent of the Chebyshev closed forms in
 correctness check of the package.
 """
 
-import os
 from collections import deque
 from itertools import compress, count
 
-from .errors import InternalConsistencyError, OracleCeilingError
+from .errors import InternalConsistencyError, NotAttemptedError
 from .graph import component_count, neighbour_offsets
 
 DEFAULT_ORACLE_CEILING = 512
-
-_ENV_CEILING = "CIRC_ORACLE_CEILING"
-
-
-def oracle_ceiling():
-    """Current oracle size limit (vertices); CIRC_ORACLE_CEILING overrides.
-
-    A value that is not an integer is invalid input and raises
-    ``ValueError``, as a negative ceiling does in :func:`tau_oracle`.
-    """
-    raw = os.environ.get(_ENV_CEILING)
-    if raw is None:
-        return DEFAULT_ORACLE_CEILING
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{_ENV_CEILING}={raw!r} is not an integer") from None
 
 
 def bareiss_determinant(matrix):
@@ -143,20 +124,20 @@ def _band_order(neighbours):
     return order
 
 
-def tau_oracle(spec, ceiling=None):
+def tau_oracle(spec, ceiling=DEFAULT_ORACLE_CEILING):
     """Exact spanning-tree count of ``spec`` by reduced-Laplacian determinant.
 
-    Returns 0 for disconnected graphs.  Refuses graphs larger than the
-    ceiling (default :func:`oracle_ceiling`) instead of approximating; a
-    ceiling below 0 is invalid input and raises ``ValueError``.
+    Returns 0 for disconnected graphs.  A graph with more vertices than
+    ``ceiling`` raises :class:`NotAttemptedError` instead of approximating;
+    a ceiling below 0 is invalid input and raises ``ValueError``.
     """
     n = spec.vertex_count
-    limit = ceiling if ceiling is not None else oracle_ceiling()
-    if limit < 0:
-        raise ValueError(f"oracle ceiling {limit} is negative")
-    if n > limit:
-        raise OracleCeilingError(
-            f"{spec} has {n} vertices, above the oracle ceiling {limit}")
+    if ceiling < 0:
+        raise ValueError(f"oracle ceiling {ceiling} is negative")
+    if n > ceiling:
+        raise NotAttemptedError(
+            f"{spec} has {n} vertices, above the oracle ceiling {ceiling}",
+            "ceiling")
     if component_count(spec) != 1:
         return 0
     # the reduced Laplacian drops vertex 0, so vertex v is index v - 1; it

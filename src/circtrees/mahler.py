@@ -37,6 +37,7 @@ from .graph import diagonal_flag
 
 _QUADRATURE_TOL = 1e-10
 _MAX_QUADRATURE_POINTS = 1 << 22
+SPECTRUM_PRECISION = 256
 
 
 class LaurentSpectrum(namedtuple(
@@ -64,12 +65,14 @@ class LaurentSpectrum(namedtuple(
 
 class MahlerEstimate(namedtuple("MahlerEstimate",
                                 "value error_bound method small_measure")):
-    """A Mahler measure value with provenance and an error bound."""
+    """A Mahler measure value with provenance and an error figure: from the
+    roots' radii for the root product, and for the quadrature an estimate,
+    not a bound (the last doubling's move plus 1e-14, times the value)."""
 
     __slots__ = ()
 
 
-def associated_laurent(steps, family="even", precision=256, reduce=True):
+def associated_laurent(steps, family="even", reduce=True):
     """Build the spectrum of a step set: polynomial images plus certified roots.
 
     With ``reduce`` (the default) a step set with gcd d > 1 is replaced by
@@ -77,10 +80,10 @@ def associated_laurent(steps, family="even", precision=256, reduce=True):
     unit-circle root.  Pass ``reduce=False`` to analyze the unreduced
     polynomial; its extra unit-circle roots sit at d-th roots of unity.
     The roots are the root store's
-    (:func:`~circtrees.chebyshev.factor_roots`), not stored back: a count
-    refines its roots as it would without the measure.  A factor above the
-    store's seeding budget raises :class:`CertificationError`, not
-    attempted.
+    (:func:`~circtrees.chebyshev.factor_roots`) at SPECTRUM_PRECISION
+    bits, not stored back: a count refines its roots as it would without
+    the measure.  A factor above the store's seeding budget raises
+    :class:`NotAttemptedError`.
     """
     steps = tuple(sorted(steps))
     diagonal = diagonal_flag(family)
@@ -89,9 +92,9 @@ def associated_laurent(steps, family="even", precision=256, reduce=True):
     lcoeffs = {0: 2 * len(use), **{t: -1 for s in use for t in (s, -s)}}
     poly = ordinary_image(use) * (ordinary_image(use, shift=2)
                                   if diagonal else 1)
-    groups = factor_roots(use, diagonal, precision)
+    groups = factor_roots(use, diagonal, SPECTRUM_PRECISION)
     return LaurentSpectrum(steps, family, bool(reduce and d > 1), use,
-                           lcoeffs, poly, groups, precision)
+                           lcoeffs, poly, groups, SPECTRUM_PRECISION)
 
 
 def mahler_root_product(spectrum):
@@ -144,7 +147,8 @@ def mahler_quadrature(steps, family="even"):
     The trapezoid rule on t = j/N converges geometrically on it and nests:
     doubling N adds only the new odd nodes, which pair up as f(t) = f(1 - t).
     The rule stops once two successive doublings each move the value less
-    than 1e-10; the last move is the error estimate.  No roots are read.
+    than 1e-10.  Its ``error_bound`` is the last doubling's move plus 1e-14,
+    times the value: an estimate, not a bound.  No roots are read.
     """
     diagonal = diagonal_flag(family)
     d = math.gcd(*steps)

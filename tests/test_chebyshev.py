@@ -3,6 +3,7 @@
 import cmath
 import logging
 import math
+import re
 import subprocess
 import sys
 import time
@@ -14,13 +15,15 @@ import numpy as np
 import pytest
 
 from circtrees import (CertificationError, DisconnectedGraphError,
-                       IntPolynomial, RootRefinementError, associated_laurent,
-                       asymptotic_ratio, build_even_char, build_odd_char,
-                       canonicalize, cheb_t, cheb_u, decompose, family_spec,
-                       find_roots, mahler_root_product, parse_spec,
-                       tau_closed_form, tau_even, tau_odd, tau_oracle)
-from circtrees import chebyshev
+                       IntPolynomial, NotAttemptedError, RootRefinementError,
+                       associated_laurent, asymptotic_ratio, build_even_char,
+                       build_odd_char, canonicalize, cheb_t, cheb_u,
+                       decompose, family_spec, find_roots,
+                       mahler_root_product, parse_spec, tau_closed_form,
+                       tau_even, tau_odd, tau_oracle)
+from circtrees import algebra, chebyshev
 from circtrees.algebra import ordinary_image
+from circtrees.exact import DEFAULT_ORACLE_CEILING
 from circtrees.chebyshev import (GUARD_BITS, _double_precision_roots,
                                  _newton_step, _refine_roots, _seed_mirrors,
                                  _yun, poly_gcd, square_free_decomposition)
@@ -537,7 +540,6 @@ class TestSeeds:
                                match="failed to seed its roots: overflowed"
                                ) as failed:
                 tau_even(canonicalize(n, [1, 20]))
-            assert failed.value.attempted
         with pytest.raises(RootRefinementError, match="overflowed"):
             find_roots(build_even_char((1, 20)), 128)
         assert seeded == [build_even_char((1, 20))]
@@ -583,9 +585,11 @@ class TestClosedFormCounts:
             count(parse_spec(literal), 7)
 
     def test_over_cap_refused_without_attempt(self):
-        with pytest.raises(CertificationError,
-                           match="not attempted: needs about 9264 bits"):
+        with pytest.raises(NotAttemptedError,
+                           match="not attempted: needs about 9264 bits"
+                           ) as refused:
             tau_even(canonicalize(3000, [1, 2, 3, 4, 5]))
+        assert refused.value.limit == "cap"
 
     @pytest.mark.parametrize("literal, bits", [
         ("C1200(1,3)", 1845), ("C1500(1,2,4)", 3314), ("C900(2,3;d)", 3659),
@@ -784,16 +788,14 @@ class TestClosedFormCounts:
             assert entry.best.working_precision == on_grid(2 * (top + 1))
             assert entry.pairs == pairs_of(entry.best)
 
-    def test_failed_certification_is_flagged_as_attempted(self):
+    def test_refusal_and_failure_are_distinct_errors(self):
         # a refusal above the cap was not attempted; a failure at every
-        # precision up to it was
-        with pytest.raises(CertificationError) as refused:
-            tau_even(canonicalize(3000, [1, 2, 3, 4, 5]))
-        assert not refused.value.attempted
-        with pytest.raises(CertificationError,
-                           match="failed to certify") as failed:
+        # precision up to it was, and is a certification error
+        with pytest.raises(NotAttemptedError):
+            chebyshev._certified_integer(lambda bits: (1, -1), 1, 16384, "v")
+        with pytest.raises(CertificationError, match="failed to certify"):
             chebyshev._certified_integer(lambda bits: (1, -1), 1, 128, "v")
-        assert failed.value.attempted
+        assert not issubclass(NotAttemptedError, CertificationError)
 
     def test_escalations_are_logged(self, monkeypatch, caplog):
         # a start too low for a 261-bit count must escalate, and say why
@@ -898,16 +900,54 @@ class TestClosedFormCounts:
 
     @pytest.mark.parametrize("literal", ["C20000(1,2,3,4,5)",
                                          "C5000(1,2,3;d)",
-                                         "C3000(7,14,21,28,35)"])
+                                         "C3000(7,14,21,28,35)",
+                                         "C1201(1,1200;d)"])
     def test_exact_route_above_both_ceilings(self, literal):
-        # counts beyond the oracle's ceiling and the certified products'
-        # cap, checked modulo three 61-bit primes by the matrix-tree
+        # counts beyond the oracle's ceiling that the certified products
+        # refuse, by their cap or, at large steps, by their seeding
+        # budget, checked modulo three 61-bit primes by the matrix-tree
         # product over the Laplacian's eigenvalues
         spec = parse_spec(literal)
+        assert spec.vertex_count > DEFAULT_ORACLE_CEILING
+        with pytest.raises(NotAttemptedError) as refused:
+            (tau_odd if spec.diagonal else tau_even)(spec)
+        assert refused.value.limit == (
+            "seeding budget" if spec.steps[-1] > chebyshev.MAX_SEED_DEGREE
+            else "cap")
         tau = tau_closed_form(spec)
-        assert tau.bit_length() > 8192
         for p in primes_one_mod(spec.vertex_count, 3):
             assert tau % p == spec_tau_mod(spec, p), p
+
+    def test_size_limit_refuses_before_any_work(self):
+        started = time.perf_counter()
+        for spec in (parse_spec("C10000000000(1,2)"),
+                     parse_spec("C5000000000(1,2,3;d)"),
+                     canonicalize(10 ** 400 + 1, [1, 2, 3])):
+            with pytest.raises(NotAttemptedError,
+                               match="bits, above the 4194304-bit size limit"
+                               ) as refused:
+                tau_closed_form(spec)
+            assert refused.value.limit == "size"
+        assert time.perf_counter() - started < 1
+
+    def test_size_bound_holds(self, monkeypatch):
+        # the bound on the count's bits, read from the refusal that a
+        # zero limit gives, holds in both families and at large steps;
+        # C100000(1,2,3,4,5) stays far below the limit
+        def bound(literal):
+            with pytest.raises(NotAttemptedError) as refused:
+                tau_closed_form(parse_spec(literal))
+            return int(re.search(r"up to (\d+) bits", str(refused.value))[1])
+
+        limit = algebra.MAX_COUNT_BITS
+        monkeypatch.setattr(algebra, "MAX_COUNT_BITS", 0)
+        assert 4 * bound("C100000(1,2,3,4,5)") < limit
+        literals = ("C5(1,2)", "C3(1;d)", "C3(1)", "C401(1,200)",
+                    "C100(1,2,3,4,5)", "C50(1,2,3;d)", "C201(1,200;d)")
+        bounds = [bound(literal) for literal in literals]
+        monkeypatch.undo()
+        for literal, bits in zip(literals, bounds):
+            assert tau_closed_form(parse_spec(literal)).bit_length() <= bits
 
     @pytest.mark.parametrize("steps", [(1,), (1, 2), (1, 3), (2, 3), (1, 4),
                                        (2, 5), (1, 2, 3), (1, 2, 5)])

@@ -7,14 +7,17 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from circtrees import (CertificationError, QuadratureError,
-                       RootRefinementError, chebyshev, mahler, parse_spec,
-                       tau_closed_form, tau_even)
+from circtrees import (CertificationError, NotAttemptedError,
+                       QuadratureError, RootRefinementError, chebyshev,
+                       mahler, parse_spec, tau_closed_form, tau_even)
 from circtrees.cli import main
 
 SCHEMA = json.loads(
@@ -75,18 +78,22 @@ class TestTau:
 
     @pytest.mark.parametrize("argv", [
         ["tau", "C12(1,3)", "--method", "oracle"], ["verify", "C12(1,3)"]])
-    def test_negative_ceiling_exit_2(self, capsys, monkeypatch, argv):
+    def test_negative_ceiling_exit_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv, "--oracle-ceiling", "-5")
         assert code == 2 and out == ""
-        assert "invalid input: oracle ceiling -5 is negative" in err
-        monkeypatch.setenv("CIRC_ORACLE_CEILING", "-5")
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2 and out == "" and "is negative" in err
-        monkeypatch.setenv("CIRC_ORACLE_CEILING", "x")
-        code, out, err = run_cli(capsys, *argv)
+        assert err == "invalid input: oracle ceiling -5 is negative\n"
+
+    @pytest.mark.parametrize("command", ["tau", "decompose", "verify"])
+    def test_size_limit_exit_2(self, capsys, command):
+        # the exact route refuses a count that may have more bits than its
+        # size limit, before any work, as not attempted
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "C10000000000(1,2)")
+        assert time.perf_counter() - started < 1
         assert code == 2 and out == ""
-        assert err == ("invalid input: CIRC_ORACLE_CEILING='x' is not an "
-                       "integer\n")
+        assert err == ("not attempted: the count of C10000000000(1,2) may "
+                       "have up to 30156249997 bits, above the 4194304-bit "
+                       "size limit\n")
 
     def test_invalid_order_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "asymptote", "1,2", "--n", "1..6")
@@ -216,7 +223,7 @@ class TestVerify:
 
     def test_certified_product_cross_checks(self, capsys, monkeypatch):
         def refuse(spec, n=None):
-            raise CertificationError("not attempted")
+            raise NotAttemptedError("not attempted", "cap")
 
         monkeypatch.setattr("circtrees.chebyshev.tau_even", refuse)
         code, out, _ = run_cli(capsys, "verify", "C9(1,2)")
@@ -240,7 +247,7 @@ class TestVerify:
         # a certified product that ran and failed to certify below its cap
         # is noted as a failure to certify, not as a skip
         def fail(spec):
-            raise CertificationError("failed to certify", attempted=True)
+            raise CertificationError("failed to certify")
 
         monkeypatch.setattr("circtrees.chebyshev.tau_even", fail)
         code, out, _ = run_cli(capsys, "verify", "C130(1,60)")
@@ -277,7 +284,6 @@ class TestVerify:
             with pytest.raises(CertificationError,
                                match="failed to seed its roots") as failed:
                 tau_even(parse_spec("C7(1,2)"))
-            assert failed.value.attempted
             assert isinstance(failed.value.__cause__, RootRefinementError)
         finally:
             # the failed seeding stays stored; later tests read (1, 2)
@@ -495,11 +501,72 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["tau"] == "125"
 
-    def test_env_ceiling_respected(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "circtrees", "tau", "C16(1,2,7)",
-             "--method", "oracle"],
-            capture_output=True, text=True,
-            env={**os.environ, "CIRC_ORACLE_CEILING": "8"})
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("not attempted: ")
+    def test_refusals_exit_2_in_a_fresh_process(self):
+        for argv in (["C16(1,2,7)", "--method", "oracle",
+                      "--oracle-ceiling", "8"], ["C10000000000(1,2)"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "circtrees", "tau", *argv],
+                capture_output=True, text=True)
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert proc.stderr.startswith("not attempted: ")
+
+
+# the command-line contract over generated argv: spec literals at orders
+# 0..3, small and huge orders, steps up to 60 and ';d'; ranges from order
+# 0; oracle ceilings from -1 to 600; every --format
+SMALL_ORDERS = st.one_of(st.integers(0, 3), st.integers(4, 40),
+                         st.sampled_from([10 ** 10, 3 * 10 ** 9 + 1,
+                                          10 ** 30]))
+STEP_SETS = st.one_of(st.sets(st.integers(1, 6), min_size=1, max_size=4),
+                      st.sets(st.integers(1, 60), min_size=1, max_size=2))
+EXIT_2_LINES = ("parse error", "invalid ", "not attempted")
+EXIT_1_LINES = ("FAIL", "MISMATCH", "recursion fails", "nothing to check")
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(
+        ("tau", "decompose", "verify", "sequence", "asymptote")))
+    body = ",".join(map(str, sorted(draw(STEP_SETS))))
+    diagonal = draw(st.booleans())
+    if command == "verify":
+        order = draw(SMALL_ORDERS)
+    elif command in ("tau", "decompose"):
+        order = draw(st.one_of(SMALL_ORDERS, st.integers(41, 130)))
+    else:
+        low = draw(st.integers(0, 40))
+        argv = [command, body, "--family", "diagonal" if diagonal else "even",
+                "--n", f"{low}..{low + draw(st.integers(0, 6))}"]
+    if command in ("tau", "decompose", "verify"):
+        argv = [command, f"C{order}({body}{';d' if diagonal else ''})"]
+    if command == "tau":
+        argv += ["--method", draw(st.sampled_from(("formula", "oracle",
+                                                   "both")))]
+    if command in ("tau", "verify") and draw(st.booleans()):
+        argv += ["--oracle-ceiling", str(draw(st.integers(-1, 600)))]
+    if command != "verify":
+        argv += ["--format", draw(st.sampled_from(("json", "csv", "table")))]
+    return argv
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=57)
+@given(cli_argv())
+@example(["tau", "C10000000000(1,2)", "--method", "both", "--format", "csv"])
+@example(["verify", "C12(1,3;d)", "--oracle-ceiling", "-1"])
+@example(["tau", "C250(1,2;d)", "--method", "oracle", "--oracle-ceiling",
+          "600", "--format", "json"])
+def test_cli_contract(argv):
+    # every run exits with a documented code and no traceback; exit 2 and
+    # exit 1 name their cause, and every JSON row validates
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.startswith(EXIT_2_LINES), (argv, err)
+    if code == 1:
+        assert any(word in out + err for word in EXIT_1_LINES), argv
+    if "json" in argv:
+        json_rows(out)

@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from circtrees import (OracleCeilingError, bareiss_determinant, canonicalize,
+from circtrees import (NotAttemptedError, bareiss_determinant, canonicalize,
                        eigenvalue, laplacian, parse_spec, tau_closed_form,
                        tau_odd, tau_oracle)
-from circtrees.exact import _band_order, oracle_ceiling
+from circtrees.exact import _band_order
 
 
 def cofactor_det(m):
@@ -149,27 +149,21 @@ class TestTauOracle:
 
     def test_ceiling_refusal(self):
         spec = canonicalize(40, [1, 2])
-        with pytest.raises(OracleCeilingError):
+        with pytest.raises(NotAttemptedError) as refused:
             tau_oracle(spec, ceiling=39)
+        assert refused.value.limit == "ceiling"
         assert tau_oracle(spec, ceiling=40) > 0
+        # the default ceiling is 512 vertices
+        with pytest.raises(NotAttemptedError,
+                           match="513 vertices, above the oracle ceiling 512"):
+            tau_oracle(canonicalize(513, [1]))
 
-    def test_negative_ceiling_is_invalid_input(self, monkeypatch):
+    def test_negative_ceiling_is_invalid_input(self):
         spec = canonicalize(12, [1, 3])
         with pytest.raises(ValueError, match="oracle ceiling -5 is negative"):
             tau_oracle(spec, ceiling=-5)
-        monkeypatch.setenv("CIRC_ORACLE_CEILING", "-1")
-        with pytest.raises(ValueError, match="oracle ceiling -1 is negative"):
-            tau_oracle(spec)
-        with pytest.raises(OracleCeilingError):
+        with pytest.raises(NotAttemptedError):
             tau_oracle(spec, ceiling=0)
-
-    def test_ceiling_env_override(self, monkeypatch):
-        monkeypatch.setenv("CIRC_ORACLE_CEILING", "10")
-        assert oracle_ceiling() == 10
-        with pytest.raises(OracleCeilingError):
-            tau_oracle(canonicalize(12, [1]))
-        monkeypatch.delenv("CIRC_ORACLE_CEILING")
-        assert oracle_ceiling() == 512
 
     def test_multiplier_invariance_across_units(self):
         spec = canonicalize(16, [1, 2, 7])

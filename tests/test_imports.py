@@ -26,7 +26,7 @@ ALL = [
     "CertificationError", "CertifiedRoots", "CirculantSpec", "CirctreesError",
     "Decomposition", "DisconnectedGraphError", "IntPolynomial",
     "InternalConsistencyError", "LaurentSpectrum", "MahlerEstimate",
-    "OracleCeilingError", "QuadratureError", "RootRefinementError",
+    "NotAttemptedError", "QuadratureError", "RootRefinementError",
     "SpecError", "SpecParseError", "ThermoSeries", "associated_laurent",
     "asymptotic_ratio", "bareiss_determinant", "build_even_char",
     "build_odd_char", "canonicalize", "cheb_t", "cheb_u",
