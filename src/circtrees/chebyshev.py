@@ -20,15 +20,17 @@ Chebyshev polynomials of the first kind:
 
 :func:`circtrees.algebra.tau_closed_form`, the method of record, takes
 these norms exactly.  :func:`tau_even` and :func:`tau_odd` keep the
-products above as the cross-check, *certified*: the value must sit within
-2^-20 of an integer with the right divisibility and reproduce at doubled
-precision, else the precision escalates (logged at DEBUG level) up to a
-cap.  The roots are seeded on the palindromic z-image z^d P((z + 1/z)/2),
+products above as the cross-check, *certified*: one chain evaluates the
+product once at each of bits, 2 bits, 4 bits, ... up to a cap, and accepts
+a value within 2^-20 of an integer with the right divisibility when the
+next evaluation reproduces it; each rejected precision is logged at DEBUG
+level.  The roots are seeded on the palindromic z-image z^d P((z + 1/z)/2),
 whose coefficients stay small where P's reach 2^(s_k), and refined by
 Newton in the w-basis with guard bits for P's coefficients; T_n(w) =
 (b^n + b^-n)/2 with b = w + sqrt(w^2 - 1), |b| >= 1, and the Mahler measure
 is the product of |b|.  A per-process root store (:func:`_root_setup`) keeps
-each polynomial's most precise roots with their pairs (b, 1/b), one per
+each polynomial's most precise roots with one record per representative
+root: its pair (b, 1/b), its multiplicity and whether it stands for a
 conjugate pair.  Past the seeds a root is a triple and a radius a bound
 of :mod:`circtrees.dyadic`, and :func:`_ladder` and :func:`_newton_step`
 run on their mantissas with GUARD_BITS = 16 guard bits.  The oracle of
@@ -361,19 +363,20 @@ def _seeds(poly):
 class _RootEntry:
     """One polynomial's entry in the root store of :func:`_root_setup`.
 
-    ``pairs`` holds, for each root :func:`_pair_representatives` gives of
-    ``best`` and in its order, the pair (b, 1/b) that :func:`_ladder`
-    takes, at ``best.working_precision + GUARD_BITS`` bits.  ``growth``
-    holds (multiplicity, log2 max |w +- sqrt(w^2 - 1)|) for each seed w
-    where that exceeds 1.  ``error`` is the error of a seeding that failed
-    or was refused, None otherwise.
+    ``records`` holds one (pair, multiplicity, paired) per representative
+    root of ``best``, in its order: the pair (b, 1/b) that :func:`_ladder`
+    takes, at ``best.working_precision + GUARD_BITS`` bits, and whether the
+    root stands for a conjugate pair.  ``slope`` is the sum over the seeds
+    w of multiplicity * log2 max(1, |w +- sqrt(w^2 - 1)|), the growth per
+    unit of order of log2 of the product.  ``error`` is the error of a
+    seeding that failed or was refused, None otherwise.
     """
 
-    __slots__ = ("factors", "growth", "best", "pairs", "error")
+    __slots__ = ("factors", "slope", "best", "records", "error")
 
-    def __init__(self, factors, growth, error=None):
-        self.factors, self.growth, self.error = factors, growth, error
-        self.best, self.pairs = None, ()
+    def __init__(self, factors, slope, error=None):
+        self.factors, self.slope, self.error = factors, slope, error
+        self.best, self.records = None, ()
 
 
 @lru_cache(maxsize=64)
@@ -387,17 +390,17 @@ def _root_setup(poly):
     MAX_SEED_DEGREE raises :class:`NotAttemptedError` before any is seeded:
     Aberth's iteration costs about d^2 per sweep.  ``best`` holds the most
     precise certified roots any certification has produced, None until one
-    has, with their ``pairs``.  None of it depends on the order, so a
+    has, with their ``records``.  None of it depends on the order, so a
     family seeds each polynomial once and branches each root once per
-    ``best``; a later pass takes ``best`` and its pairs as they are or,
-    above its precision, starts Newton at it.  ``growth`` and a failed
-    seeding's error, which :func:`_root_entry` raises, are kept as well.
-    Beyond 64 polynomials the least recently used goes.
+    ``best``; a later pass takes ``best`` and its records as they are or,
+    above its precision, starts Newton at it.  The headroom ``slope`` and a
+    failed seeding's error, which :func:`_root_entry` raises, are kept as
+    well.  Beyond 64 polynomials the least recently used goes.
     """
     split = square_free_decomposition(poly)
     top = max((factor.degree for factor, _ in split), default=0)
     if top > MAX_SEED_DEGREE:
-        return _RootEntry((), (), NotAttemptedError(
+        return _RootEntry((), 0.0, NotAttemptedError(
             f"a degree-{top} factor is above the {MAX_SEED_DEGREE}-degree "
             f"seeding budget", "seeding budget"))
     try:
@@ -405,15 +408,13 @@ def _root_setup(poly):
                          *_paired_seeds(_seeds(factor)))
                         for factor, mult in split)
     except RootRefinementError as exc:
-        return _RootEntry((), (), exc)
-    growth = []
+        return _RootEntry((), 0.0, exc)
+    slope = 0.0
     for _, _, mult, seeds, _ in factors:
         for w in seeds:
             s = (w * w - 1) ** 0.5
-            grow = max(abs(w + s), abs(w - s))
-            if grow > 1:
-                growth.append((mult, math.log2(grow)))
-    return _RootEntry(factors, tuple(growth))
+            slope += mult * math.log2(max(abs(w + s), abs(w - s), 1.0))
+    return _RootEntry(factors, slope)
 
 
 def _root_entry(poly):
@@ -537,24 +538,6 @@ def _paired_seeds(seeds):
             frozenset(k for k, i in enumerate(order) if i in mirrors))
 
 
-def _pair_representatives(cr):
-    """(root, multiplicity, paired) for every root of ``cr`` but the mirrors.
-
-    A paired root stands for itself and its conjugate: a real polynomial's
-    value at the mirror is the conjugate of its value at the root.
-    :func:`_refine_roots` puts each mirror right after its representative,
-    so a root above the axis whose successor is its exact conjugate is
-    paired with it.
-    """
-    out, roots, i = [], cr.roots, 0
-    while i < len(roots):
-        x, y, e = roots[i]
-        paired = i + 1 < len(roots) and y > 0 and roots[i + 1] == (x, -y, e)
-        out.append((roots[i], cr.multiplicities[i], paired))
-        i += 1 + paired
-    return out
-
-
 def _refine_roots(poly, precision, previous=None):
     """Certified roots of ``poly`` at ``precision`` bits, by Newton.
 
@@ -625,26 +608,33 @@ def _roots_at(poly, bits):
 
 
 def _stored_roots(poly, bits):
-    """The root store's entry of ``poly``, its roots certified at ``bits``.
+    """The root store's records of ``poly``, its roots certified at ``bits``.
 
     :func:`find_roots` refines the seeds the first time.  Later, the stored
-    roots and pairs are served as they are when at least that precise (the
-    product reads no radius, and :func:`_ladder` cuts each pair to its
-    width); otherwise Newton starts at them, and its roots and their pairs
-    replace them, at ``bits`` rounded up to a multiple of ROOT_GRID_BITS,
-    so that the next orders of an ascending sweep are served.
+    roots and records are served as they are when at least that precise
+    (the product reads no radius, and :func:`_ladder` cuts each pair to its
+    width); otherwise Newton starts at them, and its roots and their
+    records replace them, at ``bits`` rounded up to a multiple of
+    ROOT_GRID_BITS, so that the next orders of an ascending sweep are
+    served.  The roots keep the seeds' layout, so each mirror is skipped
+    and its representative, the root before it, stands for the pair: a
+    real polynomial's value at the mirror is the conjugate of its value
+    there.
     """
     bits = -(-bits // ROOT_GRID_BITS) * ROOT_GRID_BITS
     entry, best = _root_entry(poly), _roots_at(poly, bits)
-    if best is entry.best:
-        return entry
-    prec = bits + GUARD_BITS
-    pairs = []
-    for w, _, _ in _pair_representatives(best):
-        b = _branch(w, prec)
-        pairs.append((b, _inverse(*b, prec)))
-    entry.best, entry.pairs = best, tuple(pairs)
-    return entry
+    if best is not entry.best:
+        prec = bits + GUARD_BITS
+        layout = ((mult, i in mirrors, i + 1 in mirrors)
+                  for _, _, mult, seeds, mirrors in entry.factors
+                  for i in range(len(seeds)))
+        records = []
+        for w, (mult, mirror, paired) in zip(best.roots, layout):
+            if not mirror:
+                b = _branch(w, prec)
+                records.append(((b, _inverse(*b, prec)), mult, paired))
+        entry.best, entry.records = best, tuple(records)
+    return entry.records
 
 
 def build_even_char(steps):
@@ -679,10 +669,8 @@ def build_odd_char(steps):
 
 def _headroom_bits(polys, n):
     """Upper estimate of log2 of the certified product, from double roots."""
-    bits = math.log2(n) + 8
-    for poly in polys:
-        for mult, log_grow in _root_entry(poly).growth:
-            bits += mult * n * log_grow
+    bits = math.log2(n) + 8 + n * sum(_root_entry(poly).slope
+                                      for poly in polys)
     return int(bits) + 1
 
 
@@ -707,38 +695,49 @@ def _certified_integer(evaluate, divisor, initial_bits, what):
     """Escalating-precision evaluation of a product that must be an integer.
 
     ``evaluate(bits)`` gives the product at ``bits`` bits as (m, e), m 2^e.
-    Accepts when the value is within 2^-20 of a positive integer divisible
-    by ``divisor`` and recomputation at doubled precision reproduces it;
-    otherwise doubles the working precision up to MAX_CERTIFY_BITS.  A pass
-    that cannot resolve 2^-20 is rejected without a confirm pass, and a
-    start above the cap raises :class:`NotAttemptedError`.  Each escalation
-    and its cause is logged at DEBUG level.
+    One chain evaluates bits, 2 bits, 4 bits, ... once each, from
+    ``initial_bits`` (at least 128): the value at a precision up to
+    MAX_CERTIFY_BITS is a candidate when it is within 2^-20 of a positive
+    integer divisible by ``divisor``, and is accepted when the next
+    evaluation, at twice the precision, reproduces it; a disagreeing next
+    value is itself the next candidate.  A pass that cannot resolve 2^-20
+    is no candidate, so it takes no confirm pass, and a start above the cap
+    raises :class:`NotAttemptedError`.  Each rejected precision and its
+    cause is logged at DEBUG level, with the escalation that follows or,
+    past the cap, the give-up.
     """
     bits = max(initial_bits, 128)
     if bits > MAX_CERTIFY_BITS:
         raise NotAttemptedError(
             f"{what} not attempted: needs about {bits} bits, above the "
             f"{MAX_CERTIFY_BITS}-bit cap", "cap")
-    while bits <= MAX_CERTIFY_BITS:
-        try:
-            candidate = _integer_near(evaluate(bits), bits)
-            accepted = (candidate is not None and candidate > 0
-                        and candidate % divisor == 0)
-            if accepted:
-                confirmed = _integer_near(evaluate(2 * bits),
-                                          2 * bits) == candidate
-                if confirmed:
-                    return candidate // divisor
-                cause = f"the confirm pass at {2 * bits} bits disagreed"
-            else:
-                cause = (f"not within 2^-{INTEGRALITY_TOL_BITS} of a positive "
-                         f"multiple of {divisor}")
-        except RootRefinementError as exc:
-            cause = f"root refinement failed: {exc}"
+
+    def rejected(at, cause):
         import logging      # only an escalation pays its import
-        logging.getLogger(__name__).debug(
-            "%s at %d bits: %s; escalating to %d bits",
-            what, bits, cause, 2 * bits)
+        then = (f"escalating to {2 * at} bits" if 2 * at <= MAX_CERTIFY_BITS
+                else f"giving up at the {MAX_CERTIFY_BITS}-bit cap")
+        logging.getLogger(__name__).debug("%s at %d bits: %s; %s",
+                                          what, at, cause, then)
+
+    candidate = None
+    while bits <= MAX_CERTIFY_BITS or candidate is not None:
+        try:
+            value, failure = _integer_near(evaluate(bits), bits), None
+        except RootRefinementError as exc:
+            value, failure = None, f"root refinement failed: {exc}"
+        if candidate is not None:
+            if value == candidate:
+                return candidate // divisor
+            rejected(bits // 2, failure
+                     or f"the confirm pass at {bits} bits disagreed")
+            candidate = None
+        if bits <= MAX_CERTIFY_BITS:
+            if value is not None and value > 0 and value % divisor == 0:
+                candidate = value
+            else:
+                rejected(bits, failure or (
+                    f"not within 2^-{INTEGRALITY_TOL_BITS} of a positive "
+                    f"multiple of {divisor}"))
         bits *= 2
     raise CertificationError(
         f"{what} failed to certify as an integer below {MAX_CERTIFY_BITS} bits")
@@ -767,9 +766,7 @@ def _product(factors, n, bits):
     prec = bits + GUARD_BITS
     px, py, pe = n, 0, 0
     for poly, shift in factors:
-        entry = _stored_roots(poly, bits)
-        for (_, mult, paired), pair in zip(_pair_representatives(entry.best),
-                                           entry.pairs):
+        for pair, mult, paired in _stored_roots(poly, bits):
             x, y, e = _ladder(pair, n, prec)
             x, y, e = _add(x, y, e + 1, shift, 0, 0)
             if paired:

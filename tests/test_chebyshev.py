@@ -24,12 +24,13 @@ from circtrees import (CertificationError, DisconnectedGraphError,
 from circtrees import algebra, chebyshev
 from circtrees.algebra import ordinary_image
 from circtrees.exact import DEFAULT_ORACLE_CEILING
-from circtrees.chebyshev import (GUARD_BITS, _double_precision_roots,
-                                 _newton_step, _refine_roots, _seed_mirrors,
-                                 _yun, poly_gcd, square_free_decomposition)
+from circtrees.chebyshev import (GUARD_BITS, MAX_CERTIFY_BITS,
+                                 _double_precision_roots, _newton_step,
+                                 _refine_roots, _seed_mirrors, _yun, poly_gcd,
+                                 square_free_decomposition)
 from circtrees.dyadic import _exact
 from modular import primes_one_mod, spec_tau_mod
-from triples import cheb_value, to_mpc, to_mpf
+from triples import cheb_value, records_of, to_mpc, to_mpf
 
 W = IntPolynomial([0, 1])
 STEP_SETS = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 4), (2, 5),
@@ -613,23 +614,29 @@ class TestClosedFormCounts:
     @pytest.mark.parametrize("literal", ["C40(1,2,5)", "C20(1,3,4;d)"])
     def test_chebyshev_values_once_per_conjugate_pair(self, monkeypatch,
                                                        literal):
-        # the product runs the ladder once per value; the representatives
-        # it reads come from _pair_representatives
-        calls, representatives = [], []
-        ladder = chebyshev._ladder
-        pair_representatives = chebyshev._pair_representatives
+        # the product runs the ladder once per value; the records it reads
+        # come from _stored_roots, and each is branched from its
+        # representative root
+        calls, records, representatives = [], [], []
+        ladder, stored_roots = chebyshev._ladder, chebyshev._stored_roots
+        branch = chebyshev._branch
 
         def counted(pair, n, prec):
             calls.append(pair)
             return ladder(pair, n, prec)
 
-        def spied(cr):
-            out = pair_representatives(cr)
-            representatives.extend(w for w, _, _ in out)
+        def spied(poly, bits):
+            out = stored_roots(poly, bits)
+            records.extend(out)
             return out
 
+        def branched(w, prec):
+            representatives.append(w)
+            return branch(w, prec)
+
         monkeypatch.setattr(chebyshev, "_ladder", counted)
-        monkeypatch.setattr(chebyshev, "_pair_representatives", spied)
+        monkeypatch.setattr(chebyshev, "_stored_roots", spied)
+        monkeypatch.setattr(chebyshev, "_branch", branched)
         spec = parse_spec(literal)
         certified = tau_odd if spec.diagonal else tau_even
         assert certified(spec) == tau_oracle(spec)
@@ -646,6 +653,8 @@ class TestClosedFormCounts:
         assert pairs > 0
         # one value per real root and per pair, at each of two passes
         assert len(calls) == 2 * (real + pairs)
+        assert [pair for pair, _, _ in records] == calls
+        assert sum(paired for *_, paired in records) == 2 * pairs
         assert representatives
         # each is a root (x, y, e), (x + iy) 2^e, on or above the axis
         assert all(y >= 0 for _, y, _ in representatives)
@@ -663,10 +672,12 @@ class TestClosedFormCounts:
         polys = [build_even_char(spec.steps)]
         if spec.diagonal:
             polys.append(build_odd_char(spec.steps) + 1)
-        stored = [chebyshev._root_setup(p).best for p in polys]
+        entries = [chebyshev._root_setup(p) for p in polys]
+        stored = [entry.best for entry in entries]
+        records = [entry.records for entry in entries]
         passes, multiplied = [], []
         certify = chebyshev._certified_integer
-        representatives = chebyshev._pair_representatives
+        stored_roots = chebyshev._stored_roots
 
         def spied_certify(evaluate, *args):
             def spied(bits):
@@ -674,25 +685,28 @@ class TestClosedFormCounts:
                 return evaluate(bits)
             return certify(spied, *args)
 
-        def spied_representatives(cr):
-            # each pass takes the polynomials in the order of ``polys``
-            assert cr is stored[len(multiplied) % len(polys)]
-            multiplied.append(cr)
-            return representatives(cr)
+        def spied_stored_roots(poly, bits):
+            # each pass takes the polynomials in the order of ``polys``,
+            # and their stored records as they are
+            out = stored_roots(poly, bits)
+            assert out is records[len(multiplied) % len(polys)]
+            multiplied.append(out)
+            return out
 
         def unexpected(*args):
             raise AssertionError("find_roots called on a filled store")
 
         monkeypatch.setattr(chebyshev, "_certified_integer", spied_certify)
-        monkeypatch.setattr(chebyshev, "_pair_representatives",
-                            spied_representatives)
+        monkeypatch.setattr(chebyshev, "_stored_roots", spied_stored_roots)
         monkeypatch.setattr(chebyshev, "find_roots", unexpected)
         assert certified(spec) == tau_closed_form(spec)
         start = passes[0]
         assert passes == [start, 2 * start]
         assert len(multiplied) == len(passes) * len(polys)
         assert all(cr.working_precision > 2 * start for cr in stored)
-        assert [chebyshev._root_setup(p).best for p in polys] == stored
+        assert [entry.best for entry in entries] == stored
+        assert all(entry.records == records_of(cr)
+                   for entry, cr in zip(entries, stored))
 
     @pytest.mark.parametrize("literal, larger", [
         ("C40(1,2,5)", "C400(1,2,5)"), ("C20(1,3,4;d)", "C300(1,3,4;d)")])
@@ -736,11 +750,11 @@ class TestClosedFormCounts:
 
     @pytest.mark.parametrize("literal, larger", [
         ("C40(1,2,5)", "C400(1,2,5)"), ("C20(1,3,4;d)", "C300(1,3,4;d)")])
-    def test_store_keeps_the_pairs_of_its_roots(self, monkeypatch, literal,
-                                                larger):
+    def test_store_keeps_the_pairs_of_its_roots(self, monkeypatch,
+                                                literal, larger):
         # a served pass branches nothing and takes no square root; a Newton
-        # refresh branches each representative once, and its pairs replace
-        # the stored ones together with the roots
+        # refresh branches each representative once, and its records
+        # replace the stored ones together with the roots
         spec = parse_spec(literal)
         certified = tau_odd if spec.diagonal else tau_even
         want = tau_closed_form(spec)
@@ -749,7 +763,7 @@ class TestClosedFormCounts:
         if spec.diagonal:
             polys.append(build_odd_char(spec.steps) + 1)
         entries = [chebyshev._root_setup(p) for p in polys]
-        stored = [(entry.best, entry.pairs) for entry in entries]
+        stored = [(entry.best, entry.records) for entry in entries]
         branch, isqrt = chebyshev._branch, math.isqrt
         branched = []
 
@@ -760,33 +774,27 @@ class TestClosedFormCounts:
         def no_isqrt(*args):
             raise AssertionError("square root on a store-served pass")
 
-        def pairs_of(best):
-            prec = best.working_precision + chebyshev.GUARD_BITS
-            bs = [branch(w, prec)
-                  for w, _, _ in chebyshev._pair_representatives(best)]
-            return tuple((b, chebyshev._inverse(*b, prec)) for b in bs)
-
         monkeypatch.setattr(chebyshev, "_branch", counted)
         monkeypatch.setattr(chebyshev.math, "isqrt", no_isqrt)
         assert certified(spec) == want
         monkeypatch.setattr(chebyshev.math, "isqrt", isqrt)
         assert branched == []
-        assert all(entry.best is cr and entry.pairs is pairs
-                   for entry, (cr, pairs) in zip(entries, stored))
-        assert all(pairs == pairs_of(cr) for cr, pairs in stored)
+        assert all(entry.best is cr and entry.records is records
+                   for entry, (cr, records) in zip(entries, stored))
+        assert all(records == records_of(cr) for cr, records in stored)
 
         # both passes above the store: 128 + headroom = top + 1 bits
         top = max(cr.working_precision for cr, _ in stored)
         monkeypatch.setattr(chebyshev, "_headroom_bits",
                             lambda *args: top - 127)
         assert certified(spec) == want
-        representatives = sum(len(entry.pairs) for entry in entries)
+        representatives = sum(len(entry.records) for entry in entries)
         assert representatives > 0
         assert len(branched) == 2 * representatives
-        for entry, (cr, pairs) in zip(entries, stored):
-            assert entry.best is not cr and entry.pairs is not pairs
+        for entry, (cr, records) in zip(entries, stored):
+            assert entry.best is not cr and entry.records is not records
             assert entry.best.working_precision == on_grid(2 * (top + 1))
-            assert entry.pairs == pairs_of(entry.best)
+            assert entry.records == records_of(entry.best)
 
     def test_refusal_and_failure_are_distinct_errors(self):
         # a refusal above the cap was not attempted; a failure at every
@@ -825,6 +833,57 @@ class TestClosedFormCounts:
         assert calls == [128, 256, 512]
         assert "v at 128 bits: not within 2^-20 of a positive multiple of " \
             "14; escalating to 256 bits" in caplog.text
+
+    @pytest.mark.parametrize("values", [
+        [14, 14],                           # a steady accept
+        [(1, -1), 28, 28],                  # an invalid first candidate
+        [28, 14, 14],                       # a confirm pass disagrees
+        [14, RootRefinementError, 28, 28]])  # a confirm pass fails
+    def test_chain_evaluates_each_precision_once(self, values):
+        # bits, 2 bits, 4 bits, ...: a candidate is accepted when the next
+        # evaluation reproduces it, and a disagreeing next value is the next
+        # candidate, not evaluated again
+        calls = []
+
+        def evaluate(bits):
+            calls.append(bits)
+            value = values[len(calls) - 1]
+            if value is RootRefinementError:
+                raise RootRefinementError("stalled")
+            return value if isinstance(value, tuple) else (value, 0)
+
+        assert chebyshev._certified_integer(evaluate, 14, 128, "v") \
+            == values[-1] // 14
+        assert calls == [128 << k for k in range(len(values))]
+
+    @pytest.mark.parametrize("start, at_last, evaluations, rejections", [
+        (128, (14, 0), 8, 7), (128, (1, -1), 7, 7), (3000, (1, -1), 2, 2)])
+    def test_last_precision_gives_up_at_the_cap(self, caplog, start, at_last,
+                                                evaluations, rejections):
+        # the last precision is the last one up to the cap; a candidate
+        # there takes one confirm pass above it, and after it only the
+        # certification error follows, so the log gives up, escalating to
+        # nothing
+        calls = []
+        last = start << ((MAX_CERTIFY_BITS // start).bit_length() - 1)
+
+        def evaluate(bits):
+            calls.append(bits)
+            return at_last if bits == last else (1, -1)
+
+        with caplog.at_level(logging.DEBUG, logger="circtrees.chebyshev"):
+            with pytest.raises(CertificationError, match="failed to certify"):
+                chebyshev._certified_integer(evaluate, 14, start, "v")
+        logged = [r.getMessage() for r in caplog.records
+                  if r.name == "circtrees.chebyshev"]
+        assert len(calls) == evaluations and len(logged) == rejections
+        cause = ("the confirm pass at 16384 bits disagreed"
+                 if at_last == (14, 0) else
+                 "not within 2^-20 of a positive multiple of 14")
+        assert logged[-1] == \
+            f"v at {last} bits: {cause}; giving up at the 8192-bit cap"
+        assert all("escalating" in m for m in logged[:-1])
+        assert f"escalating to {2 * last} bits" not in caplog.text
 
     def test_root_failure_escalation_is_logged(self, monkeypatch, caplog):
         calls = []
@@ -1024,17 +1083,20 @@ class TestClosedFormCounts:
         build_even_char((1, 3, 4)), build_odd_char((1, 3, 4)) + 1,
         IntPolynomial([1, -2, 1]) * IntPolynomial([3, 2])])
     def test_headroom_sums_each_seeds_stored_growth(self, poly):
-        # the growth stored once per polynomial gives, term for term, the
-        # estimate taken from the seeds at each order
-        factors = chebyshev._root_setup(poly).factors
+        # the slope stored once per polynomial sums, seed by seed, the
+        # growth the estimate takes from the seeds, and the estimate at
+        # each order is linear in it
+        entry = chebyshev._root_setup(poly)
+        slope = 0.0
+        for _, _, mult, seeds, _ in entry.factors:
+            for w in seeds:
+                s = (w * w - 1) ** 0.5
+                grow = max(abs(w + s), abs(w - s))
+                if grow > 1:
+                    slope += mult * math.log2(grow)
+        assert entry.slope == slope
         for n in (5, 40, 1000):
-            bits = math.log2(n) + 8
-            for _, _, mult, seeds, _ in factors:
-                for w in seeds:
-                    s = (w * w - 1) ** 0.5
-                    grow = max(abs(w + s), abs(w - s))
-                    if grow > 1:
-                        bits += mult * n * math.log2(grow)
+            bits = math.log2(n) + 8 + n * slope
             assert chebyshev._headroom_bits([poly], n) == int(bits) + 1
 
     def test_gcd_step_sets_still_certify(self):

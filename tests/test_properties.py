@@ -48,12 +48,13 @@ from circtrees.algebra import _half_images, _resultant
 from circtrees.arithmetic import family_spec
 from circtrees.chebyshev import (GUARD_BITS, RootRefinementError,
                                  _integer_near, _ladder, _newton_step,
-                                 _pair_representatives, _product,
-                                 _refine_roots, _root_setup, poly_gcd,
+                                 _product, _refine_roots, _root_setup,
+                                 _stored_roots, poly_gcd,
                                  square_free_decomposition)
 from circtrees.cli import main
 from circtrees.dyadic import _branch, _inverse, _magnitude
-from triples import cheb_value, to_mpc, to_mpf, triple
+from triples import (cheb_value, pair_representatives, to_mpc, to_mpf,
+                     triple)
 
 MAX_VERTICES = 40
 MAX_CLOSED_FORM_VERTICES = 250
@@ -528,8 +529,38 @@ def test_mantissa_product_over_an_unpaired_pair(n, shift):
     check_mantissa_product([(poly, shift)], n, 128)
     best = _root_setup(poly).best
     assert all(y for _, y, _ in best.roots)
-    assert [paired for *_, paired in _pair_representatives(best)] \
+    assert [paired for *_, paired in _root_setup(poly).records] \
+        == [paired for *_, paired in pair_representatives(best)] \
         == [False, False]
+
+
+@st.composite
+def product_polys(draw):
+    """A polynomial of the certified products, P or P_odd + 1: of a gcd-1
+    step set with s_k <= 12, or of a single step, whose P has repeated
+    roots on [-1, 1]."""
+    steps = draw(st.one_of(
+        st.integers(2, 12).map(lambda s: (s,)),
+        st.sets(st.integers(1, 12), min_size=1, max_size=4).map(
+            lambda s: tuple(sorted(s))).filter(lambda s: math.gcd(*s) == 1)))
+    if draw(family_st) == "diagonal":
+        return build_odd_char(steps) + 1
+    poly = build_even_char(steps)
+    assume(poly.degree >= 1)
+    return poly
+
+
+@PROPERTY
+@given(product_polys(), st.integers(64, 512))
+@example(IntPolynomial([9 * 2 ** 40 + 1, -6 * 2 ** 40, 2 ** 40]), 128)
+def test_stored_records_pair_as_the_reference(poly, bits):
+    # the records, laid out from the seeds, give each representative's
+    # multiplicity and pairing as the reference rule reads them off the
+    # stored roots: a root above the axis followed by its exact conjugate
+    records = _stored_roots(poly, bits)
+    want = pair_representatives(_root_setup(poly).best)
+    assert [(mult, paired) for _, mult, paired in records] \
+        == [(mult, paired) for _, mult, paired in want]
 
 
 small_factor_st = st.builds(

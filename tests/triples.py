@@ -4,7 +4,8 @@ The package holds a complex number as a triple (x, y, e) of integers
 standing for (x + iy) 2^e and a bound as (m, e) standing for m 2^e; mpmath
 is the tests' reference, so they convert both ways here, with no rounding
 unless asked.  :func:`cheb_value` is T_n on the kernels the certified
-products run.
+products run, and :func:`pair_representatives` the tests' reference for
+which stored roots stand for a conjugate pair.
 """
 
 from fractions import Fraction
@@ -52,3 +53,28 @@ def cheb_value(w, n, precision):
     prec = precision + GUARD_BITS
     b = _branch(triple(w), prec)
     return to_mpc(_ladder((b, _inverse(*b, prec)), n, prec), precision)
+
+
+def pair_representatives(cr):
+    """(root, multiplicity, paired) for every root of the certified roots
+    ``cr`` but the mirrors: a root above the axis whose successor is its
+    exact conjugate is paired with it, and that successor is skipped."""
+    out, roots, i = [], cr.roots, 0
+    while i < len(roots):
+        x, y, e = roots[i]
+        paired = i + 1 < len(roots) and y > 0 and roots[i + 1] == (x, -y, e)
+        out.append((roots[i], cr.multiplicities[i], paired))
+        i += 1 + paired
+    return out
+
+
+def records_of(cr):
+    """The records the root store keeps for ``cr`` by the reference rule:
+    (pair (b, 1/b) at its precision + GUARD_BITS bits, multiplicity,
+    paired) per representative root."""
+    prec = cr.working_precision + GUARD_BITS
+    out = []
+    for w, mult, paired in pair_representatives(cr):
+        b = _branch(w, prec)
+        out.append(((b, _inverse(*b, prec)), mult, paired))
+    return tuple(out)
