@@ -164,13 +164,11 @@ def _chebyshev(m, first_kind):
     return IntPolynomial(coeffs)
 
 
-@lru_cache(maxsize=None)
 def cheb_t(m):
     """Chebyshev polynomial of the first kind T_m as an IntPolynomial."""
     return _chebyshev(m, first_kind=True)
 
 
-@lru_cache(maxsize=None)
 def cheb_u(m):
     """Chebyshev polynomial of the second kind U_m; U_m(1) = m + 1."""
     return _chebyshev(m, first_kind=False)
@@ -304,21 +302,7 @@ def _double_precision_roots(poly):
                 moving.discard(i)
         if not moving:
             break
-    return _snapped(z)
-
-
-def _snapped(seeds):
-    """``seeds`` with each near-real one, within 1e-10 max(1, |z|) of the
-    axis and no other seed within 1e-6 max(1, |z|), made exactly real, so
-    Newton refines it in real arithmetic; a conjugate pair is never made
-    real, its partner lying within twice the imaginary part."""
-    out = list(seeds)
-    for i, zi in enumerate(seeds):
-        near = 1e-6 * max(1.0, abs(zi))
-        if abs(zi.imag) <= 1e-10 * max(1.0, abs(zi)) and all(
-                abs(zi - zj) > near for j, zj in enumerate(seeds) if j != i):
-            out[i] = complex(zi.real, 0.0)
-    return out
+    return z
 
 
 def _laurent_image(poly):
@@ -357,7 +341,40 @@ def _seeds(poly):
         z = pool.pop()
         pool.remove(min(pool, key=lambda u: abs(u * z - 1)))
         seeds.append((z + 1 / z) / 2)
-    return _snapped(seeds)
+    return seeds
+
+
+def _laid_out(seeds):
+    """(seeds, mirrors): each seed's symmetry decided once, and the seeds
+    laid out by it.  With t = 1e-6 max(1, |z|), a seed z within
+    1e-10 max(1, |z|) of the axis and no other seed within t is made exactly
+    real, so Newton refines it in real arithmetic; a conjugate pair is never
+    made real, its partner lying within twice the imaginary part.  A seed
+    with imag z > t represents a conjugate pair when the seed nearest
+    conj z, its mirror, lies within t of it and is no earlier seed's mirror;
+    each mirror moves right after its representative, and ``mirrors`` holds
+    the mirrors' new indices.  Any other seed is unpaired."""
+    near = [1e-6 * max(1.0, abs(z)) for z in seeds]
+    real = [abs(z.imag) <= 1e-10 * max(1.0, abs(z)) and all(
+                abs(z - u) > t for j, u in enumerate(seeds) if j != i)
+            for i, (z, t) in enumerate(zip(seeds, near))]
+    seeds = [complex(z.real, 0.0) if r else z for z, r in zip(seeds, real)]
+    partner, taken = {}, set()
+    for i, (z, t) in enumerate(zip(seeds, near)):
+        if z.imag > t:
+            c = z.conjugate()
+            j = min(range(len(seeds)), key=lambda k: abs(seeds[k] - c))
+            if abs(seeds[j] - c) <= t and j not in taken:
+                partner[i] = j
+                taken.add(j)
+    out, mirrors = [], set()
+    for i, z in enumerate(seeds):
+        if i not in taken:
+            out.append(z)
+            if i in partner:
+                mirrors.add(len(out))
+                out.append(seeds[partner[i]])
+    return tuple(out), frozenset(mirrors)
 
 
 class _RootEntry:
@@ -385,7 +402,7 @@ def _root_setup(poly):
 
     ``factors`` holds one ``(factor, derivative, multiplicity, seeds,
     mirrors)`` per square-free factor: ``seeds`` from :func:`_seeds`, laid
-    out by :func:`_paired_seeds` so that each index in ``mirrors`` follows
+    out by :func:`_laid_out` so that each index in ``mirrors`` follows
     its conjugate pair's representative.  A factor of degree above
     MAX_SEED_DEGREE raises :class:`NotAttemptedError` before any is seeded:
     Aberth's iteration costs about d^2 per sweep.  ``best`` holds the most
@@ -405,7 +422,7 @@ def _root_setup(poly):
             f"seeding budget", "seeding budget"))
     try:
         factors = tuple((factor, factor.derivative(), mult,
-                         *_paired_seeds(_seeds(factor)))
+                         *_laid_out(_seeds(factor)))
                         for factor, mult in split)
     except RootRefinementError as exc:
         return _RootEntry((), 0.0, exc)
@@ -508,34 +525,6 @@ def _newton_refine(poly, dpoly, z, start_bits, precision):
     floor, floor_exp = _at_least_one(_magnitude(z))
     return z, _round_up(*_plus((size, exp + 2),
                                (floor, floor_exp + 4 - precision)), 24)
-
-
-def _seed_mirrors(seeds):
-    """{mirror index: representative index}: a seed z with imag z > 1e-6
-    max(1, |z|) represents a conjugate pair when the seed nearest conj z,
-    its mirror, lies within that tolerance of it."""
-    mirrors = {}
-    for i, z in enumerate(seeds):
-        near = 1e-6 * max(1.0, abs(z))
-        if z.imag > near:
-            c = z.conjugate()
-            j = min(range(len(seeds)), key=lambda k: abs(seeds[k] - c))
-            if abs(seeds[j] - c) <= near and j not in mirrors:
-                mirrors[j] = i
-    return mirrors
-
-
-def _paired_seeds(seeds):
-    """(seeds, mirrors): each mirror seed moved right after its pair's
-    representative, and the set of the mirrors' new indices."""
-    mirrors = _seed_mirrors(seeds)
-    partner = {rep: mirror for mirror, rep in mirrors.items()}
-    order = []
-    for i in range(len(seeds)):
-        if i not in mirrors:
-            order += [i, partner[i]] if i in partner else [i]
-    return (tuple(seeds[i] for i in order),
-            frozenset(k for k, i in enumerate(order) if i in mirrors))
 
 
 def _refine_roots(poly, precision, previous=None):

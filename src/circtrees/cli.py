@@ -131,8 +131,9 @@ def _emit(rows, args):
     else:  # table
         used = [f for f in RECORD_FIELDS
                 if any(row[f] is not None for row in rows)] or ["spec"]
-        cells = [[("-" if row[f] is None else str(row[f])) for f in used]
-                 for row in rows]
+        cells = [[("-" if row[f] is None else json.dumps(row[f])
+                   if isinstance(row[f], dict) else str(row[f]))
+                  for f in used] for row in rows]
         widths = [max(len(f), *(len(c[i]) for c in cells)) if cells else len(f)
                   for i, f in enumerate(used)]
         lines = ["  ".join(f.ljust(w) for f, w in zip(used, widths))]

@@ -194,7 +194,9 @@ def asymptotic_ratio(steps, family, n, measure=None):
     Tends to 1 as n grows; tau(n) is the closed form at the spec of
     :func:`~circtrees.arithmetic.family_spec`, so an order below the
     family's smallest raises :class:`SpecError` and a disconnected one
-    :class:`DisconnectedGraphError`.
+    :class:`DisconnectedGraphError`.  When sweeping orders, pass the
+    step set's ``measure``: without it each call refines the roots again
+    from their seeds, since the measure stores no roots.
     """
     spec = family_spec(steps, family, n)
     if measure is None:
@@ -212,7 +214,9 @@ def thermo_limit(steps, family, orders, measure=None):
     """log tau(n) / n over the given orders, with the limit m(L) or m(R).
 
     An order outside the family raises as in :func:`asymptotic_ratio`,
-    before the measure is computed.
+    before the measure is computed.  As there, pass ``measure`` when
+    calling again for the same step set: each call without it refines the
+    roots again from their seeds.
     """
     specs = [family_spec(steps, family, n) for n in orders]
     if measure is None:

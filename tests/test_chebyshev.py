@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,8 +26,8 @@ from circtrees import algebra, chebyshev
 from circtrees.algebra import ordinary_image
 from circtrees.exact import DEFAULT_ORACLE_CEILING
 from circtrees.chebyshev import (GUARD_BITS, MAX_CERTIFY_BITS,
-                                 _double_precision_roots, _newton_step,
-                                 _refine_roots, _seed_mirrors, _yun, poly_gcd,
+                                 _double_precision_roots, _laid_out,
+                                 _newton_step, _refine_roots, _yun, poly_gcd,
                                  square_free_decomposition)
 from circtrees.dyadic import _exact
 from modular import primes_one_mod, spec_tau_mod
@@ -128,6 +129,19 @@ class TestChebPolynomials:
         assert t.degree == 1500 and t(1) == 1 and t.leading == 2 ** 1499
         assert cheb_u(1500)(1) == 1501
         assert build_even_char((1, 1200))(1) == 1 + 1200 ** 2
+
+    def test_built_polynomials_are_not_kept(self):
+        # a sweep over many largest steps builds T_m and U_m once each; a
+        # cache of them all held about 52 MB after T_2..T_1200
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for m in range(2, 601):
+                cheb_t(m), cheb_u(m)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 2 ** 20
 
 
 def as_mpmath(cr):
@@ -364,15 +378,19 @@ class TestFindRoots:
 
     def test_near_real_seeds_are_not_paired(self):
         # roots 1 and 1 + 1e-7 stay unsnapped seeds with tiny imaginary
-        # parts of opposite sign; only +-i form a pair
+        # parts of opposite sign; only +-i form a pair, laid out together.
+        # So also where the store seeds them, on the z-image: its seeds
+        # near 1 lie 3e-5 and more apart, but the snap is decided once, on
+        # their images in w
         poly = IntPolynomial([-10**7, 10**7]) \
             * IntPolynomial([-10**7 - 1, 10**7]) * IntPolynomial([1, 0, 1])
-        seeds = _double_precision_roots(poly)
-        mirrors = _seed_mirrors(seeds)
-        assert len(mirrors) == 1
-        ((mirror, partner),) = mirrors.items()
-        assert abs(seeds[partner] - 1j) < 1e-12
-        assert abs(seeds[mirror] + 1j) < 1e-12
+        for found in (_double_precision_roots(poly), chebyshev._seeds(poly)):
+            seeds, mirrors = _laid_out(found)
+            assert len(mirrors) == 1
+            (mirror,) = mirrors
+            assert abs(seeds[mirror - 1] - 1j) < 1e-12
+            assert abs(seeds[mirror] + 1j) < 1e-12
+            assert all(z.imag != 0 for z in seeds)
         cr = find_roots(poly, 256)
         assert cr.total_count == 4
         with mp.workprec(256):
@@ -456,7 +474,8 @@ class TestSeeds:
             scale = max(abs(c) for c in factor.coeffs)
             expected = [complex(z) for z in
                         np.roots([c / scale for c in reversed(factor.coeffs)])]
-            seeds = list(_double_precision_roots(factor))
+            # the classified seeds: the exact-real ones are snapped there
+            seeds = list(_laid_out(_double_precision_roots(factor))[0])
             assert len(seeds) == len(expected) == factor.degree
             for want in expected:
                 got = min(seeds, key=lambda z: abs(z - want))
@@ -467,10 +486,11 @@ class TestSeeds:
 
     def test_conjugate_pair_near_the_axis_not_snapped(self):
         # (w - e)^2 + e^2 with e = 1e-11, scaled to integers: roots e +- ie
-        pair = _double_precision_roots(IntPolynomial([2, -2 * 10**11, 10**22]))
+        pair, mirrors = _laid_out(_double_precision_roots(
+            IntPolynomial([2, -2 * 10**11, 10**22])))
         for root in (1e-11 + 1e-11j, 1e-11 - 1e-11j):
             assert min(abs(z - root) for z in pair) <= 1e-12 * abs(root)
-        assert all(z.imag != 0 for z in pair)
+        assert all(z.imag != 0 for z in pair) and not mirrors
 
     def test_coefficients_beyond_double_range(self):
         # float() of these coefficients overflows; int / int does not

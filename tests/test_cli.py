@@ -183,6 +183,15 @@ class TestFormats:
         header, row = out.splitlines()[:2]
         assert "tau" in header and "125" in row
 
+    def test_table_timings_cell_is_json(self, capsys):
+        # the timings cell reads as in the csv format, not as a Python repr
+        code, out, _ = run_cli(capsys, "tau", "C5(1,2)", "--format", "table",
+                               "--timings")
+        assert code == 0
+        header, row = out.splitlines()
+        cell = row[header.index("timings"):].strip()
+        assert json.loads(cell).keys() == {"seconds"}
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "rows.json"
         code, out, _ = run_cli(capsys, "tau", "C5(1,2)", "--out", str(target))

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from circtrees import (DisconnectedGraphError, SpecError, associated_laurent,
                        asymptotic_ratio, find_roots, mahler_quadrature,
                        mahler_root_product, thermo_limit)
-from circtrees import mahler
+from circtrees import chebyshev, mahler
 from circtrees.algebra import ordinary_image
 from circtrees.mahler import MahlerEstimate
 from triples import to_mpc, to_mpf
@@ -173,6 +173,22 @@ class TestSpectrum:
         assert spectrum.reduced and spectrum.reduced_steps == (1, 2)
         raw = associated_laurent((2, 4), "even", reduce=False)
         assert not raw.reduced and raw.reduced_steps == (2, 4)
+
+
+class TestRootStore:
+    @pytest.mark.parametrize("steps, family", [((1, 2), "even"),
+                                               ((1, 2, 3), "diagonal")])
+    def test_measure_stores_no_roots(self, steps, family):
+        # the measure refines from the stored seeds but keeps no roots: a
+        # later count of the step set refines its own, as without it
+        setup = chebyshev._root_setup
+        setup.cache_clear()
+        mahler_root_product(associated_laurent(steps, family))
+        polys = [poly for poly, _ in chebyshev._product_factors(
+            steps, family == "diagonal")[0]]
+        assert setup.cache_info().currsize == len(polys)
+        assert all(setup(poly).best is None for poly in polys)
+        assert setup.cache_info().currsize == len(polys)
 
 
 class TestGoldenValues:

@@ -22,7 +22,8 @@ stored roots, below or above their precision, leaves a radius that
 bounds its last step and holds the root refined further.  The
 certification's nearest-integer rule is checked against Fractions, at
 ties and at the edges of its 2^-20 window and of the values a pass can
-resolve.  Examples are derandomized and have no deadline, so the suite
+resolve, and the one pass that lays out a factor's seeds against the
+three-step reference, on factors of step sets within 1..12.  Examples are derandomized and have no deadline, so the suite
 is deterministic and does not depend on the speed of the machine.
 """
 
@@ -47,14 +48,14 @@ from circtrees import (DisconnectedGraphError, IntPolynomial,
 from circtrees.algebra import _half_images, _resultant
 from circtrees.arithmetic import family_spec
 from circtrees.chebyshev import (GUARD_BITS, RootRefinementError,
-                                 _integer_near, _ladder, _newton_step,
-                                 _product, _refine_roots, _root_setup,
-                                 _stored_roots, poly_gcd,
+                                 _integer_near, _ladder, _laid_out,
+                                 _newton_step, _product, _refine_roots,
+                                 _root_setup, _seeds, _stored_roots, poly_gcd,
                                  square_free_decomposition)
 from circtrees.cli import main
 from circtrees.dyadic import _branch, _inverse, _magnitude
-from triples import (cheb_value, pair_representatives, to_mpc, to_mpf,
-                     triple)
+from triples import (cheb_value, pair_representatives, reference_layout,
+                     seed_layout, to_mpc, to_mpf, triple)
 
 MAX_VERTICES = 40
 MAX_CLOSED_FORM_VERTICES = 250
@@ -561,6 +562,48 @@ def test_stored_records_pair_as_the_reference(poly, bits):
     want = pair_representatives(_root_setup(poly).best)
     assert [(mult, paired) for _, mult, paired in records] \
         == [(mult, paired) for _, mult, paired in want]
+
+
+@st.composite
+def seeded_factors(draw):
+    """A square-free factor of P or P_odd + 1, the polynomials the root
+    store seeds for a step set in either family: steps within 1..12, with
+    any gcd."""
+    steps = draw(st.sets(st.integers(1, 12), min_size=1, max_size=6).map(
+        lambda s: tuple(sorted(s))))
+    polys = (build_even_char(steps), build_odd_char(steps) + 1)
+    return draw(st.sampled_from([factor for poly in polys for factor, _
+                                 in square_free_decomposition(poly)]))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(seeded_factors())
+@example(IntPolynomial([2, -2 * 10 ** 11, 10 ** 22]))   # a pair near the axis
+@example(IntPolynomial([-10 ** 7, 10 ** 7])             # near-real, and +-i
+         * IntPolynomial([-10 ** 7 - 1, 10 ** 7]) * IntPolynomial([1, 0, 1]))
+@example(IntPolynomial([10 ** 14 + 1, -2 * 10 ** 14, 10 ** 14]))  # 1 +- 1e-7 i
+@example(IntPolynomial([4 * 10 ** 12 + 1, -4 * 10 ** 12, 10 ** 12]))  # 2 +- 1e-6 i
+def test_seed_layout_as_the_reference(factor):
+    # one pass snaps, pairs and lays out the seeds the store finds as the
+    # reference does in three: the same seeds bit for bit, and the same
+    # mirrors.  The last two examples are pairs too near the axis to pair,
+    # in absolute and in relative terms
+    found = _seeds(factor)
+    seeds, mirrors = _laid_out(found)
+    want, want_mirrors = reference_layout(found)
+    assert mirrors == want_mirrors
+    assert list(map(repr, seeds)) == list(map(repr, want))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(seeded_factors())
+def test_one_snap_lays_out_as_two(factor):
+    # on a factor of P or P_odd + 1, the snap of the z-image's seeds before
+    # the map to w changed nothing the snap after it does not
+    seeds, mirrors = _laid_out(_seeds(factor))
+    want, want_mirrors = seed_layout(factor)
+    assert mirrors == want_mirrors
+    assert list(map(repr, seeds)) == list(map(repr, want))
 
 
 small_factor_st = st.builds(

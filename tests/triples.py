@@ -4,15 +4,18 @@ The package holds a complex number as a triple (x, y, e) of integers
 standing for (x + iy) 2^e and a bound as (m, e) standing for m 2^e; mpmath
 is the tests' reference, so they convert both ways here, with no rounding
 unless asked.  :func:`cheb_value` is T_n on the kernels the certified
-products run, and :func:`pair_representatives` the tests' reference for
-which stored roots stand for a conjugate pair.
+products run, :func:`pair_representatives` the tests' reference for
+which stored roots stand for a conjugate pair, and
+:func:`reference_layout` and :func:`seed_layout` the references for how
+the root store lays out a factor's seeds.
 """
 
 from fractions import Fraction
 
 import mpmath as mp
 
-from circtrees.chebyshev import GUARD_BITS, _ladder
+from circtrees.chebyshev import (GUARD_BITS, _double_precision_roots,
+                                 _height, _ladder, _laurent_image)
 from circtrees.dyadic import _branch, _inverse
 
 
@@ -78,3 +81,65 @@ def records_of(cr):
         b = _branch(w, prec)
         out.append(((b, _inverse(*b, prec)), mult, paired))
     return tuple(out)
+
+
+def _snapped(seeds):
+    """``seeds`` with each near-real one, within 1e-10 max(1, |z|) of the
+    axis and no other seed within 1e-6 max(1, |z|), made exactly real."""
+    out = list(seeds)
+    for i, zi in enumerate(seeds):
+        near = 1e-6 * max(1.0, abs(zi))
+        if abs(zi.imag) <= 1e-10 * max(1.0, abs(zi)) and all(
+                abs(zi - zj) > near for j, zj in enumerate(seeds) if j != i):
+            out[i] = complex(zi.real, 0.0)
+    return out
+
+
+def _seed_mirrors(seeds):
+    """{mirror index: representative index}: a seed z with imag z > 1e-6
+    max(1, |z|) represents a conjugate pair when the seed nearest conj z,
+    its mirror, lies within that tolerance of it."""
+    mirrors = {}
+    for i, z in enumerate(seeds):
+        near = 1e-6 * max(1.0, abs(z))
+        if z.imag > near:
+            c = z.conjugate()
+            j = min(range(len(seeds)), key=lambda k: abs(seeds[k] - c))
+            if abs(seeds[j] - c) <= near and j not in mirrors:
+                mirrors[j] = i
+    return mirrors
+
+
+def _paired_seeds(seeds):
+    """(seeds, mirrors): each mirror seed moved right after its pair's
+    representative, and the set of the mirrors' new indices."""
+    mirrors = _seed_mirrors(seeds)
+    partner = {rep: mirror for mirror, rep in mirrors.items()}
+    order = []
+    for i in range(len(seeds)):
+        if i not in mirrors:
+            order += [i, partner[i]] if i in partner else [i]
+    return (tuple(seeds[i] for i in order),
+            frozenset(k for k, i in enumerate(order) if i in mirrors))
+
+
+def reference_layout(seeds):
+    """(seeds, mirrors) by the reference rule: ``seeds`` snapped, then the
+    mirrors found and moved right after their representatives."""
+    return _paired_seeds(_snapped(seeds))
+
+
+def seed_layout(factor):
+    """(seeds, mirrors) of the square-free ``factor`` as the root store laid
+    them out with a snap where the seeds are found, on the factor or on its
+    z-image, and another after the map to w = (z + 1/z) / 2."""
+    image = _laurent_image(factor)
+    if _height(image) >= _height(factor):
+        return reference_layout(_double_precision_roots(factor))
+    pool = sorted(_snapped(_double_precision_roots(image)), key=abs)
+    seeds = []
+    while pool:
+        z = pool.pop()
+        pool.remove(min(pool, key=lambda u: abs(u * z - 1)))
+        seeds.append((z + 1 / z) / 2)
+    return reference_layout(seeds)
